@@ -64,6 +64,10 @@ def _normalize_entry(x):
 
 def validate_matrix(raw) -> CoxeterMatrix:
     """Check shape and entry constraints, returning the validated matrix."""
+    if not isinstance(raw, (list, tuple)) or not all(
+        isinstance(r, (list, tuple)) for r in raw
+    ):
+        raise NotSquareError("a matrix must be a list of rows, each a list")
     rows = [list(r) for r in raw]
     n = len(rows)
     for r in rows:
@@ -110,17 +114,27 @@ def path_matrix(labels) -> CoxeterMatrix:
     return validate_matrix(rows)
 
 
+def _declared_rank(data) -> int:
+    """The "rank" value: a non-negative whole number (3.0 is read as 3)."""
+    rank = data.get("rank")
+    if isinstance(rank, float) and rank.is_integer():
+        rank = int(rank)
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
+        raise NotSquareError(f'"rank" must be a non-negative integer, got {rank!r}')
+    return rank
+
+
 def parse_matrix_data(data) -> CoxeterMatrix:
     """Build a matrix from decoded JSON: {"rank", "m"} or {"rank", "uniform"}."""
     if not isinstance(data, dict):
         raise BadOffDiagonalError("matrix file must decode to a JSON object")
     if "uniform" in data:
-        return uniform_matrix(int(data["rank"]), data["uniform"])
+        return uniform_matrix(_declared_rank(data), data["uniform"])
     rows = data.get("m")
     if rows is None:
         raise BadOffDiagonalError('matrix object needs an "m" or "uniform" key')
     mat = validate_matrix(rows)
-    if "rank" in data and int(data["rank"]) != mat.rank:
+    if "rank" in data and _declared_rank(data) != mat.rank:
         raise NotSquareError(
             f'declared rank {data["rank"]} does not match {mat.rank} rows'
         )
@@ -306,14 +320,23 @@ def classify_subset(matrix: CoxeterMatrix, subset) -> FiniteTypeLabel:
 
 
 def spherical_subsets(matrix: CoxeterMatrix) -> list[tuple[tuple[int, ...], FiniteTypeLabel]]:
-    """All subsets J (including the empty set) generating a finite subsystem."""
+    """All subsets J (including the empty set) generating a finite subsystem.
+
+    Every subset of a spherical set is spherical, so each size extends only
+    the spherical sets one smaller, by generators above their largest.  The
+    output is ordered by size, then lexicographically.
+    """
     out = []
-    gens = list(matrix.generators())
-    for size in range(len(gens) + 1):
-        for subset in combinations(gens, size):
-            label = classify_subset(matrix, subset)
-            if label.finite:
-                out.append((subset, label))
+    level = [()]
+    while level:
+        found = [(subset, classify_subset(matrix, subset)) for subset in level]
+        found = [(subset, label) for subset, label in found if label.finite]
+        out.extend(found)
+        level = [
+            subset + (s,)
+            for subset, _ in found
+            for s in range(subset[-1] + 1 if subset else 0, matrix.rank)
+        ]
     return out
 
 

@@ -33,10 +33,6 @@ def neg(p: tuple) -> tuple:
     return tuple(-a for a in p)
 
 
-def sub(p: tuple, q: tuple) -> tuple:
-    return add(p, neg(q))
-
-
 def mul(p: tuple, q: tuple) -> tuple:
     if not p or not q:
         return ()
@@ -53,13 +49,6 @@ def scale(p: tuple, k) -> tuple:
     if k == 0:
         return ()
     return tuple(a * k for a in p)
-
-
-def shift(p: tuple, k: int) -> tuple:
-    """Multiply by t**k."""
-    if not p:
-        return ()
-    return (0,) * k + tuple(p)
 
 
 def eval_at(p: tuple, x: Fraction):

@@ -3,12 +3,15 @@
 The growth series of the system is reconstructed from the finite standard
 subsystems through the alternating sum over spherical subsets J of
 (-1)^|J| / W_J(t), which equals the reciprocal growth series evaluated at
-1/t whenever the whole group is infinite.  Finite groups short-circuit to
-the exponent-product polynomial.  Everything downstream (coefficients,
+1/t whenever the whole group is infinite.  The sum is assembled per finite
+type over one common denominator, a product of q-integers
+[k] = 1 + t + ... + t^(k-1), and reduced once.  Finite groups short-circuit
+to the exponent-product polynomial.  Everything downstream (coefficients,
 evaluation, root isolation) is exact integer/rational arithmetic.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -16,7 +19,6 @@ from . import polys
 from .coxmatrix import (
     CoxeterMatrix,
     classify_subset,
-    diagram_properties,
     poincare_polynomial,
     spherical_subsets,
 )
@@ -58,8 +60,9 @@ class RationalFunction:
             if polys.degree(g) > 0:
                 num, _ = polys.divmod_exact(num, g)
                 den, _ = polys.divmod_exact(den, g)
-        num = polys.clear_denominators(num)
-        den = polys.clear_denominators(den)
+        # one scale for both, so the value of the fraction is kept
+        both = polys.clear_denominators(num + den)
+        num, den = both[: len(num)], both[len(num) :]
         cn = polys.content(num)
         cd = polys.content(den)
         if cn and cd:
@@ -92,50 +95,6 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction(num={list(self.num)}, den={list(self.den)})"
 
-    # -- arithmetic (used to assemble alternating sums) -------------------
-
-    @staticmethod
-    def _coerce(other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        return RationalFunction((other,))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(
-            polys.add(polys.mul(self.num, o.den), polys.mul(o.num, self.den)),
-            polys.mul(self.den, o.den),
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(
-            polys.sub(polys.mul(self.num, o.den), polys.mul(o.num, self.den)),
-            polys.mul(self.den, o.den),
-        )
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(
-            polys.mul(self.num, o.num), polys.mul(self.den, o.den)
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(
-            polys.mul(self.num, o.den), polys.mul(self.den, o.num)
-        )
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
     # -- analysis ---------------------------------------------------------
 
     def evaluate(self, point) -> Fraction | PoleAt:
@@ -163,19 +122,32 @@ def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
 
     Finite systems return their exponent-product polynomial over 1.  For
     infinite systems the alternating sum G(t) over spherical subsets is
-    formed exactly and the series is 1 / G(1/t), realized by reversing the
-    coefficients of the reduced numerator and denominator (their degrees
-    match because G tends to 1 at infinity).
+    assembled by type: every subset of one finite type has the type's rank
+    as its size, so those terms add up to (-1)^rank * count / W(t).  Each
+    W is a product of q-integers [e + 1] = 1 + t + ... + t^e, so raising
+    every [k] to its largest multiplicity among the types gives one common
+    denominator D, and G is reduced once from sum(sign * D / W) / D.  The
+    series is 1 / G(1/t), realized by reversing the coefficients of the
+    reduced numerator and denominator (their degrees match because G tends
+    to 1 at infinity).
     """
     full = classify_subset(matrix, tuple(matrix.generators()))
     if full.finite:
         return RationalFunction(poincare_polynomial(full))
-    acc = RationalFunction((1,), (1,))  # the empty subset's term
-    for subset, label in spherical_subsets(matrix):
-        if not subset:
-            continue
-        term = RationalFunction((1,), poincare_polynomial(label))
-        acc = acc + term if len(subset) % 2 == 0 else acc - term
+    counts = Counter(label for _, label in spherical_subsets(matrix))
+    power = Counter()
+    for label in counts:
+        power |= Counter(e + 1 for e in label.exponents)
+    den = (1,)
+    for k in power.elements():
+        den = polys.mul(den, (1,) * k)
+    num = ()
+    for label, count in counts.items():
+        quo, rem = polys.divmod_exact(den, poincare_polynomial(label))
+        if rem:
+            raise ClassificationError(f"{label.name} does not divide the common denominator")
+        num = polys.add(num, polys.scale(quo, (-1) ** len(label.exponents) * count))
+    acc = RationalFunction(num, den)
     p, q = acc.num, acc.den
     if polys.degree(p) != polys.degree(q):
         raise ClassificationError(
@@ -189,10 +161,6 @@ def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
 
 def taylor_coefficients(f: RationalFunction, count: int) -> list:
     return f.taylor(count)
-
-
-def evaluate_at_rational(f: RationalFunction, point) -> Fraction | PoleAt:
-    return f.evaluate(point)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
-import pytest
+from itertools import combinations
 
-from coxgrowth import build_ball, path_matrix, uniform_matrix
+import pytest
+from hypothesis import strategies as st
+
+from coxgrowth import INF, build_ball, path_matrix, uniform_matrix, validate_matrix
 
 ACCEPTANCE_LINES = []
 
@@ -13,6 +16,33 @@ def get_ball(matrix, depth):
     if key not in _CACHE:
         _CACHE[key] = build_ball(matrix, depth)
     return _CACHE[key]
+
+
+def affine_a(rank):
+    """Affine type A~_{rank-1}: a cycle of 3-labels, 2 elsewhere."""
+    return validate_matrix(
+        [[1 if i == j else 3 if (i - j) % rank in (1, rank - 1) else 2
+          for j in range(rank)] for i in range(rank)]
+    )
+
+
+# A~3..A~9 and the uniform systems with frozen series, for the oracle tests
+ORACLE_MATRICES = [
+    pytest.param(affine_a(rank), id=f"A~{rank - 1}") for rank in range(4, 11)
+] + [
+    pytest.param(uniform_matrix(*key), id=f"uniform{key}")
+    for key in ((3, 3), (3, 4), (4, 3), (4, 4), (5, 3))
+]
+
+
+@st.composite
+def coxeter_matrices(draw):
+    """Random Coxeter matrices of rank 1..6 with off-diagonal labels in {2..6, inf}."""
+    n = draw(st.integers(1, 6))
+    rows = [[1] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = draw(st.sampled_from((2, 3, 4, 5, 6, INF)))
+    return validate_matrix(rows)
 
 
 @pytest.fixture(scope="session")

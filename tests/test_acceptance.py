@@ -18,7 +18,6 @@ from coxgrowth import (
     cli,
     compute_stats,
     descent_ratio_floor,
-    evaluate_at_rational,
     finiteness_verdict,
     oracle_reduce,
     path_matrix,
@@ -108,7 +107,7 @@ def test_criterion_2_coefficient_cross_validation(criterion):
             problems.append(f"{name}: series != counts")
         if enumerated[-1] != 0 or sum(enumerated) != order:
             problems.append(f"{name}: ball does not exhaust {order} elements")
-        if evaluate_at_rational(series, Fraction(1)) != order:
+        if series.evaluate(Fraction(1)) != order:
             problems.append(f"{name}: value at one is not {order}")
 
     elapsed = time.monotonic() - start

@@ -299,6 +299,9 @@ def test_invalid_matrix_exits_three(tmp_path, capsys):
     text = tmp_path / "garbled.json"
     text.write_text("not json", encoding="utf-8")
     assert cli.main(["info", "--matrix", str(text)]) == 3
+    for data in ({"m": 5}, {"m": [5]}, {"rank": -1, "uniform": 3},
+                 {"rank": 2.5, "uniform": 3}, {"rank": True, "uniform": 3}):
+        assert cli.main(["info", "--matrix", matrix_file(tmp_path, data)]) == 3
     capsys.readouterr()
 
 

@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import ORACLE_MATRICES, coxeter_matrices
 from coxgrowth import (
     INF,
     BadDiagonalError,
@@ -14,6 +17,7 @@ from coxgrowth import (
     NotSquareError,
     classify_subset,
     compare_preorder,
+    coxmatrix,
     diagram_properties,
     load_matrix,
     matrix_to_data,
@@ -199,6 +203,45 @@ def test_spherical_subsets_a3_full():
     got = dict(spherical_subsets(path_matrix([3, 3])))
     assert got[(0, 1, 2)].name == "A3"
     assert got[(0, 1, 2)].order == 24
+
+
+def brute_force_spherical(matrix):
+    """Reference: classify every subset, by size and then lexicographically."""
+    out = []
+    for size in range(matrix.rank + 1):
+        for subset in combinations(range(matrix.rank), size):
+            label = classify_subset(matrix, subset)
+            if label.finite:
+                out.append((subset, label))
+    return out
+
+
+@pytest.mark.parametrize("matrix", ORACLE_MATRICES)
+def test_spherical_subsets_match_brute_force(matrix):
+    assert spherical_subsets(matrix) == brute_force_spherical(matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coxeter_matrices())
+def test_spherical_subsets_match_brute_force_random(matrix):
+    assert spherical_subsets(matrix) == brute_force_spherical(matrix)
+
+
+def test_spherical_subsets_scale_with_output(monkeypatch):
+    calls = []
+    classify = coxmatrix.classify_subset
+    monkeypatch.setattr(
+        coxmatrix, "classify_subset", lambda m, s: calls.append(s) or classify(m, s)
+    )
+    # a path of 3-labels with infinity between non-neighbours: 32 spherical sets
+    n = 16
+    matrix = validate_matrix(
+        [[1 if i == j else 3 if abs(i - j) == 1 else INF for j in range(n)]
+         for i in range(n)]
+    )
+    got = spherical_subsets(matrix)
+    assert len(got) == 1 + n + (n - 1)
+    assert len(calls) <= n * len(got)
 
 
 # -- Poincare polynomials ---------------------------------------------------

@@ -1,20 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import get_ball
+from conftest import ORACLE_MATRICES, coxeter_matrices, get_ball
 from coxgrowth import (
     NegativeCoefficientError,
     PoleAt,
     RationalFunction,
     SingularAtZeroError,
     SphereStats,
+    classify_subset,
     compute_stats,
-    evaluate_at_rational,
     finiteness_verdict,
     path_matrix,
+    poincare_polynomial,
+    polys,
     quotient_criterion,
     rational_growth_series,
+    spherical_subsets,
     taylor_coefficients,
     uniform_matrix,
 )
@@ -45,6 +49,8 @@ def test_normalization_clears_denominators_and_sign():
     assert f.den[0] > 0
     assert all(isinstance(c, int) for c in f.num + f.den)
     assert f.evaluate(0) == Fraction(-1, 3)
+    # a rational numerator over an integral denominator keeps its value
+    assert RationalFunction((Fraction(1, 2),), (1, 1)).evaluate(1) == Fraction(1, 4)
 
 
 def test_singular_at_zero_rejected():
@@ -61,17 +67,6 @@ def test_immutable():
     f = RationalFunction((1,), (1, -1))
     with pytest.raises(AttributeError):
         f.num = (2,)
-
-
-def test_arithmetic():
-    geom = RationalFunction((1,), (1, -1))
-    assert geom + geom == RationalFunction((2,), (1, -1))
-    assert geom - geom == RationalFunction((0,))
-    assert geom * geom == RationalFunction((1,), (1, -2, 1))
-    assert (geom / geom) == RationalFunction((1,))
-    assert 1 / geom == RationalFunction((1, -1))
-    assert geom * 3 == RationalFunction((3,), (1, -1))
-    assert 1 + geom == RationalFunction((2, -1), (1, -1))
 
 
 def test_equality_up_to_normal_form():
@@ -92,10 +87,10 @@ def test_taylor_polynomial_pads_zeros():
 
 
 def test_evaluate_and_poles():
-    assert evaluate_at_rational(RationalFunction((1, 2, 2, 2, 1)), 1) == 8
+    assert RationalFunction((1, 2, 2, 2, 1)).evaluate(1) == 8
     geom = RationalFunction((1,), (1, -1))
-    assert evaluate_at_rational(geom, Fraction(1, 2)) == 2
-    hit = evaluate_at_rational(RationalFunction((1,), (1, -2)), Fraction(1, 2))
+    assert geom.evaluate(Fraction(1, 2)) == 2
+    hit = RationalFunction((1,), (1, -2)).evaluate(Fraction(1, 2))
     assert hit == PoleAt(Fraction(1, 2))
 
 
@@ -125,6 +120,33 @@ def test_series_frozen_forms(key):
     num, den = FROZEN_SERIES[key]
     f = rational_growth_series(uniform_matrix(*key))
     assert (f.num, f.den) == (num, den)
+
+
+def subset_by_subset(matrix):
+    """Reference: Steinberg's sum one spherical subset at a time, reduced after each."""
+    acc = RationalFunction(())
+    for subset, label in spherical_subsets(matrix):
+        w = poincare_polynomial(label)
+        acc = RationalFunction(
+            polys.add(polys.mul(acc.num, w), polys.scale(acc.den, (-1) ** len(subset))),
+            polys.mul(acc.den, w),
+        )
+    f = RationalFunction(tuple(reversed(acc.den)), tuple(reversed(acc.num)))
+    return f.num, f.den
+
+
+@pytest.mark.parametrize("matrix", ORACLE_MATRICES)
+def test_series_matches_subset_by_subset(matrix):
+    f = rational_growth_series(matrix)
+    assert (f.num, f.den) == subset_by_subset(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_matrices())
+def test_series_matches_subset_by_subset_random(matrix):
+    assume(not classify_subset(matrix, range(matrix.rank)).finite)
+    f = rational_growth_series(matrix)
+    assert (f.num, f.den) == subset_by_subset(matrix)
 
 
 @pytest.mark.parametrize(
