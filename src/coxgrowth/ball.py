@@ -275,7 +275,9 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
                         a, b = b, a
                     downs.append((v, t))
                 x = len(words)
-                words.append(min(words[v] + (t,) for v, t in downs))
+                # (w, s) is met first, so w is x's lowest-index lower neighbour;
+                # layers are in ShortLex order, so this is x's least reduced word
+                words.append(words[w] + (s,))
                 lengths.append(layer + 1)
                 row = [-1] * n
                 for v, t in downs:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import inf as INF
 
-from .ball import Ball, GroupElement
+from .ball import Ball, GroupElement, _alternating
 from .coxmatrix import classify_subset, diagram_properties
 from .errors import (
     DepthExceededError,
@@ -226,22 +226,38 @@ def rank2_complete_residues(ball: Ball) -> list[Residue]:
     return out
 
 
+def _cuts(ball: Ball, refl: int, chambers) -> bool | None:
+    """Whether the reflection's wall cuts the residue with these chambers.
+
+    The wall of r cuts a spherical residue R exactly when r maps some
+    chamber of R into R, and then r maps all of R onto itself.  So the
+    first image that folds inside the ball decides; None when none folds.
+    """
+    for x in chambers:
+        image = left_apply(ball, refl, x)
+        if image is not None:
+            return image in chambers
+    return None
+
+
 def residue_root_trichotomy(ball: Ball, res: Residue, root: RootHandle) -> str:
     """Classify a spherical rank-2 residue against a half-space.
 
     Exactly one holds: all chambers inside the root, all inside its
     opposite, or the residue is stabilized by the reflection (its wall cuts
-    the residue).  Mixed membership certifies the boundary case; the inside
-    cases need every chamber decided.
+    the residue).  A wall that does not cut the residue leaves it on one
+    side, so the first chamber whose image folds decides every case.
     """
     if not res.complete:
         raise ResidueIncompleteError("trichotomy needs the whole residue")
-    vals = [root_membership(ball, root, m) for m in res.members]
-    if True in vals and False in vals:
+    cut = _cuts(ball, root.reflection, res.members)
+    if cut is None:
+        raise DepthExceededError("no chamber of the residue folds under the reflection")
+    if cut:
         return IN_BOUNDARY
-    if None in vals:
-        raise DepthExceededError("membership undecidable for part of the residue")
-    return INSIDE_ALPHA if vals[0] else INSIDE_MINUS_ALPHA
+    side = next(v for m in res.members
+                if (v := root_membership(ball, root, m)) is not None)
+    return INSIDE_ALPHA if side else INSIDE_MINUS_ALPHA
 
 
 @dataclass(frozen=True)
@@ -255,29 +271,6 @@ class WallSample:
     skipped_residues: int
 
 
-def _panel_on_wall(ball: Ball, refl: int, low: int, high: int) -> bool | None:
-    image = left_apply(ball, refl, low)
-    if image is not None:
-        return image == high
-    image = left_apply(ball, refl, high)
-    if image is not None:
-        return image == low
-    return None
-
-
-def _stabilized(ball: Ball, refl: int, res: Residue) -> bool | None:
-    """Whether the reflection's wall cuts the residue; None if undecidable."""
-    root = RootHandle(refl, True)
-    vals = []
-    for m in res.members:
-        vals.append(root_membership(ball, root, m))
-        if True in vals and False in vals:
-            return True
-    if None in vals:
-        return None
-    return False
-
-
 def wall_sample(ball: Ball, root: RootHandle,
                 residues: list[Residue] | None = None) -> WallSample:
     refl = root.reflection
@@ -289,7 +282,7 @@ def wall_sample(ball: Ball, root: RootHandle,
             x = ball.edges[w][s]
             if x < 0 or ball.lengths[x] < lw:
                 continue
-            got = _panel_on_wall(ball, refl, w, x)
+            got = _cuts(ball, refl, (w, x))
             if got is None:
                 skipped_panels += 1
             elif got:
@@ -299,7 +292,7 @@ def wall_sample(ball: Ball, root: RootHandle,
     cut = []
     skipped_res = 0
     for res in residues:
-        got = _stabilized(ball, refl, res)
+        got = _cuts(ball, refl, res.members)
         if got is None:
             skipped_res += 1
         elif got:
@@ -334,7 +327,7 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     for refl in refls:
         mine = set()
         for pos, res in enumerate(residues):
-            got = _stabilized(ball, refl, res)
+            got = _cuts(ball, refl, res.members)
             if got is None:
                 skipped += 1
             elif got:
@@ -416,10 +409,6 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
     return VerificationReport("P29", 0, ball.depth, tuple(checks), checked)
 
 
-def _alt(first: int, second: int, length: int) -> list[int]:
-    return [first if i % 2 == 0 else second for i in range(length)]
-
-
 def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
     """Leaving a rank-2 residue above its gate ascends.
 
@@ -458,8 +447,9 @@ def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
                     if lw + k + 1 > ball.depth:
                         skipped += len(third)
                         continue
+                    inner = _alternating(first, second, k)
                     mid = w
-                    for letter in _alt(first, second, k):
+                    for letter in inner:
                         mid = ball.edges[mid][letter]
                         assert mid >= 0, "ascent within a residue left the ball"
                     for r in third:
@@ -469,7 +459,7 @@ def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
                             checks.append(
                                 Comparison(
                                     {"w": _word_str(ball, w),
-                                     "inner": "".join(map(str, _alt(first, second, k))),
+                                     "inner": "".join(map(str, inner)),
                                      "r": r},
                                     ball.lengths[target], lw + k + 1, "==", False,
                                 )

@@ -36,9 +36,9 @@ ORACLE_MATRICES = [
 
 
 @st.composite
-def coxeter_matrices(draw):
-    """Random Coxeter matrices of rank 1..6 with off-diagonal labels in {2..6, inf}."""
-    n = draw(st.integers(1, 6))
+def coxeter_matrices(draw, max_rank=6):
+    """Random Coxeter matrices of rank 1..max_rank with off-diagonal labels in {2..6, inf}."""
+    n = draw(st.integers(1, max_rank))
     rows = [[1] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
         rows[i][j] = rows[j][i] = draw(st.sampled_from((2, 3, 4, 5, 6, INF)))

@@ -7,8 +7,10 @@ builder existed; the ball must reproduce them.
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import get_ball
+from conftest import coxeter_matrices, get_ball
 from coxgrowth import (
     IDENTITY,
     DepthExceededError,
@@ -130,9 +132,12 @@ def test_layers_sorted_shortlex():
         assert all(len(w) == i for w in words)
 
 
-def test_element_words_are_reduced_and_least():
+@settings(max_examples=60, deadline=None)
+@given(coxeter_matrices(max_rank=4), st.just(4))
+@example(uniform_matrix(3, 4), 5)
+def test_element_words_are_reduced_and_least(matrix, depth):
     # every stored word re-reduces to itself through the oracle
-    ball = get_ball(uniform_matrix(3, 4), 5)
+    ball = build_ball(matrix, depth)
     for idx in range(ball.size):
         assert oracle_reduce(ball.words[idx], ball.matrix).word == ball.words[idx]
 

@@ -174,11 +174,12 @@ def test_verify_suite_selection(tmp_path, capsys):
 
 
 def test_verify_unknown_suite(tmp_path, capsys):
-    code = cli.main(
-        ["verify", "--matrix", matrix_file(tmp_path, M344), "--suite", "L99"]
-    )
-    assert code == 3
-    assert "unknown suite" in capsys.readouterr().err
+    path = matrix_file(tmp_path, M344)
+    for suite, message in (("L99", "unknown suite"), ("", "no suite selected"),
+                           (" , ", "no suite selected")):
+        code = cli.main(["verify", "--matrix", path, "--suite", suite])
+        assert code == 3
+        assert message in capsys.readouterr().err
 
 
 def test_verify_diagnostic_counterexamples_exit_zero(tmp_path, capsys):

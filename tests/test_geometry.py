@@ -1,8 +1,9 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import get_ball
+from conftest import coxeter_matrices, get_ball
 from coxgrowth import (
     IN_BOUNDARY,
     INSIDE_ALPHA,
@@ -35,6 +36,7 @@ from coxgrowth import (
     verify_wall_pair_uniqueness,
     wall_sample,
 )
+from coxgrowth.geometry import _cuts
 
 
 # -- residues ---------------------------------------------------------------
@@ -290,6 +292,56 @@ def test_trichotomy_is_exclusive():
             except DepthExceededError:
                 pass
     assert all(outcomes.values())
+
+
+def membership_scan(ball, res, root):
+    """Wall test by membership: the side of every member; mixed sides mean a cut."""
+    vals = [root_membership(ball, root, m) for m in res.members]
+    if True in vals and False in vals:
+        return IN_BOUNDARY
+    if None in vals:
+        return None
+    return INSIDE_ALPHA if vals[0] else INSIDE_MINUS_ALPHA
+
+
+def assert_cuts_extend_membership_scan(ball):
+    """_cuts and the trichotomy agree with the scan and decide all it decides.
+
+    Returns how many (reflection, residue) pairs the scan and _cuts decide.
+    """
+    residues = rank2_complete_residues(ball)
+    by_scan = by_cuts = 0
+    for refl in reflections(ball):
+        for res in residues:
+            cut = _cuts(ball, refl, res.members)
+            by_cuts += cut is not None
+            for root in (RootHandle(refl, True), RootHandle(refl, False)):
+                old = membership_scan(ball, res, root)
+                try:
+                    new = residue_root_trichotomy(ball, res, root)
+                except DepthExceededError:
+                    new = None
+                assert (new is None) == (cut is None)
+                assert cut is None or cut == (new == IN_BOUNDARY)
+                if old is not None:
+                    assert new == old
+            by_scan += old is not None
+    return by_scan, by_cuts
+
+
+@pytest.mark.parametrize(
+    "matrix_args,depth", [((3, 4), 8), ((4, 3), 6), ((3, 5), 8)]
+)
+def test_cuts_extend_membership_scan(matrix_args, depth):
+    ball = get_ball(uniform_matrix(*matrix_args), depth)
+    by_scan, by_cuts = assert_cuts_extend_membership_scan(ball)
+    assert 0 < by_scan < by_cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_matrices(max_rank=4))
+def test_cuts_extend_membership_scan_random(matrix):
+    assert_cuts_extend_membership_scan(build_ball(matrix, 6))
 
 
 # -- galleries ---------------------------------------------------------------
