@@ -160,10 +160,6 @@ class Ball:
             )
         return j
 
-    def step_or_none(self, idx: int, s: int) -> int | None:
-        j = self.edges[idx][s]
-        return None if j < 0 else j
-
     def multiply_right(self, w: GroupElement, s: int) -> tuple[GroupElement, str]:
         idx = self.index(w)
         j = self.step(idx, s)
@@ -193,11 +189,6 @@ class Ball:
                 inv.append(cur)
             self._inverse = inv
         return self._inverse[idx]
-
-    def left_step(self, s: int, idx: int) -> int | None:
-        """Index of s * (element idx), or None if it leaves the ball."""
-        j = self.edges[self.inverse_index(idx)][s]
-        return None if j < 0 else self.inverse_index(j)
 
     def fold_right(self, idx: int, letters) -> int | None:
         """Right-multiply by a word, None as soon as the path leaves the ball."""

@@ -179,7 +179,9 @@ def cmd_verify(args) -> int:
     if args.suite is None:
         tokens = list(_SUITE_ORDER)
     else:
-        tokens = [tok.strip() for tok in args.suite.split(",") if tok.strip()]
+        # a repeated suite runs once, at its first position
+        tokens = list(dict.fromkeys(
+            tok.strip() for tok in args.suite.split(",") if tok.strip()))
         if not tokens:
             raise ValueError(f"no suite selected; choose from {', '.join(_SUITE_ORDER)}")
         unknown = [tok for tok in tokens if tok not in _SUITE_ORDER]

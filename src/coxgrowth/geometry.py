@@ -1,10 +1,11 @@
 """Chamber-level geometry over a finite ball: residues, projections, walls.
 
-Chambers are ball elements; s-adjacency is right multiplication.  Every
-computation is exact but ball-scoped: products are folded through stored
-edges, and a scan instance whose chambers would leave the ball is counted
-as skipped rather than guessed.  Verifier reports therefore carry both a
-checked and a skipped count.
+Chambers are ball elements, named by ball index in every argument and
+result; s-adjacency is right multiplication.  Every computation is exact
+but ball-scoped: products are folded through stored edges, and a scan
+instance whose chambers would leave the ball is counted as skipped rather
+than guessed.  Verifier reports therefore carry both a checked and a
+skipped count.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import inf as INF
 
-from .ball import Ball, GroupElement, _alternating
+from .ball import Ball, _alternating
 from .coxmatrix import classify_subset, diagram_properties
 from .errors import (
     DepthExceededError,
@@ -45,23 +46,16 @@ class Residue:
         return len(self.gens)
 
 
-def _as_index(ball: Ball, x) -> int:
-    if isinstance(x, GroupElement):
-        return ball.index(x)
-    return x
-
-
-def residue(ball: Ball, chamber, gens) -> Residue:
+def residue(ball: Ball, chamber: int, gens) -> Residue:
     """The J-residue through a chamber, as far as the ball can see."""
-    start = _as_index(ball, chamber)
     gens = tuple(sorted(set(gens)))
-    seen = {start}
-    frontier = [start]
+    seen = {chamber}
+    frontier = [chamber]
     while frontier:
         cur = frontier.pop()
         for s in gens:
-            nxt = ball.step_or_none(cur, s)
-            if nxt is not None and nxt not in seen:
+            nxt = ball.edges[cur][s]
+            if nxt >= 0 and nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     members = tuple(sorted(seen))
@@ -79,28 +73,27 @@ def _residue_distances(ball: Ball, res: Residue, start: int) -> dict[int, int]:
         nxt_frontier = []
         for cur in frontier:
             for s in res.gens:
-                nxt = ball.step_or_none(cur, s)
-                if nxt is not None and nxt in res.members and nxt not in dist:
+                nxt = ball.edges[cur][s]
+                if nxt >= 0 and nxt in res.members and nxt not in dist:
                     dist[nxt] = dist[cur] + 1
                     nxt_frontier.append(nxt)
         frontier = nxt_frontier
     return dist
 
 
-def gallery_distance(ball: Ball, x, y) -> int:
+def gallery_distance(ball: Ball, x: int, y: int) -> int:
     """Length of x^{-1} y, folded through the ball from either end."""
-    xi, yi = _as_index(ball, x), _as_index(ball, y)
-    if xi == yi:
+    if x == y:
         return 0
-    got = ball.fold_right(ball.inverse_index(xi), ball.words[yi])
+    got = ball.fold_right(ball.inverse_index(x), ball.words[y])
     if got is None:
-        got = ball.fold_right(ball.inverse_index(yi), ball.words[xi])
+        got = ball.fold_right(ball.inverse_index(y), ball.words[x])
     if got is None:
         raise DepthExceededError("gallery distance leaves the ball")
     return ball.lengths[got]
 
 
-def projection(ball: Ball, chamber, res: Residue) -> GroupElement:
+def projection(ball: Ball, chamber: int, res: Residue) -> int:
     """The gate of the residue as seen from a chamber.
 
     Returns the unique member z minimizing gallery distance, after checking
@@ -108,8 +101,7 @@ def projection(ball: Ball, chamber, res: Residue) -> GroupElement:
     """
     if not res.complete:
         raise ResidueIncompleteError("projection needs the whole residue in the ball")
-    xi = _as_index(ball, chamber)
-    dist = {m: gallery_distance(ball, xi, m) for m in res.members}
+    dist = {m: gallery_distance(ball, chamber, m) for m in res.members}
     z = min(res.members, key=lambda m: (dist[m], m))
     ties = [m for m in res.members if dist[m] == dist[z]]
     if len(ties) != 1:
@@ -118,17 +110,17 @@ def projection(ball: Ball, chamber, res: Residue) -> GroupElement:
     for y in res.members:
         if dist[y] != dist[z] + inner[y]:
             raise ArithmeticError("gate identity failed; ball data inconsistent")
-    return ball.element(z)
+    return z
 
 
 def parallel_check(ball: Ball, first: Residue, second: Residue) -> bool:
     """Whether each residue projects onto the whole of the other."""
     if not (first.complete and second.complete):
         raise ResidueIncompleteError("parallelism needs both residues in the ball")
-    onto_second = {ball.index(projection(ball, m, second)) for m in first.members}
+    onto_second = {projection(ball, m, second) for m in first.members}
     if onto_second != set(second.members):
         return False
-    onto_first = {ball.index(projection(ball, m, first)) for m in second.members}
+    onto_first = {projection(ball, m, first) for m in second.members}
     return onto_first == set(first.members)
 
 
@@ -147,7 +139,7 @@ class RootHandle:
 
 
 def simple_root(ball: Ball, s: int) -> RootHandle:
-    return RootHandle(ball.index(GroupElement((s,))), True)
+    return RootHandle(ball.step(0, s), True)
 
 
 def reflections(ball: Ball) -> list[int]:
@@ -178,27 +170,27 @@ def reflections(ball: Ball) -> list[int]:
     return sorted(out)
 
 
-def left_apply(ball: Ball, g, x) -> int | None:
-    """Index of g * x, or None when an intermediate leaves the ball."""
-    gi, cur = _as_index(ball, g), _as_index(ball, x)
-    for s in reversed(ball.words[gi]):
-        cur = ball.left_step(s, cur)
-        if cur is None:
-            return None
-    return cur
+def left_apply(ball: Ball, g: int, x: int) -> int | None:
+    """Index of g * x, or None when an intermediate leaves the ball.
+
+    Folds x^{-1} g^{-1} through the ball and inverts once; its intermediates
+    are the inverses of those of g * x built letter by letter on the left,
+    so both leave the ball at the same step.
+    """
+    got = ball.fold_right(ball.inverse_index(x), reversed(ball.words[g]))
+    return None if got is None else ball.inverse_index(got)
 
 
-def root_membership(ball: Ball, root: RootHandle, chamber) -> bool | None:
+def root_membership(ball: Ball, root: RootHandle, chamber: int) -> bool | None:
     """Whether the chamber lies on the root's side; None if undecidable here.
 
     A chamber w is on the positive side of the reflection r exactly when
     r*w is longer than w.
     """
-    xi = _as_index(ball, chamber)
-    image = left_apply(ball, root.reflection, xi)
+    image = left_apply(ball, root.reflection, chamber)
     if image is None:
         return None
-    raised = ball.lengths[image] > ball.lengths[xi]
+    raised = ball.lengths[image] > ball.lengths[chamber]
     return raised == root.positive
 
 
@@ -516,15 +508,14 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
     return VerificationReport("L211", 0, ball.depth, tuple(checks), checked, skipped)
 
 
-def gallery_crossings(ball: Ball, chamber) -> list[int]:
+def gallery_crossings(ball: Ball, chamber: int) -> list[int]:
     """Reflections of the walls crossed by the canonical minimal gallery.
 
     Wall-crossing sets are gallery independent, so any minimal gallery
     would do; this one follows the canonical word.  Raises when a crossing
     reflection cannot be folded inside the ball.
     """
-    xi = _as_index(ball, chamber)
-    word = ball.words[xi]
+    word = ball.words[chamber]
     out = []
     prefix = 0
     for k, s in enumerate(word):

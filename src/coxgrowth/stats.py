@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .ball import Ball
@@ -39,7 +40,7 @@ class SphereStats:
     def n(self) -> int:
         return self.matrix.rank
 
-    @property
+    @cached_property
     def m(self) -> int | None:
         return diagram_properties(self.matrix).uniform_label
 

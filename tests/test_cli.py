@@ -162,15 +162,17 @@ def test_verify_default_suites(tmp_path, capsys):
 
 
 def test_verify_suite_selection(tmp_path, capsys):
-    code, payload, _ = run_json(
-        capsys,
-        ["verify", "--matrix", matrix_file(tmp_path, M344),
-         "--depth", "8", "--suite", "L32,L33"],
-    )
-    assert code == 0
-    assert [entry["lemma"] for entry in payload["suites"]] == ["L32", "L33"]
-    assert payload["skipped"] == []
-    assert payload["all_hold"] is True
+    path = matrix_file(tmp_path, M344)
+    # a repeated suite runs once, at its first position
+    for suite in ("L32,L33", "L32,L33,L32"):
+        code, payload, err = run_json(
+            capsys, ["verify", "--matrix", path, "--depth", "8", "--suite", suite],
+        )
+        assert code == 0
+        assert [entry["lemma"] for entry in payload["suites"]] == ["L32", "L33"]
+        assert len(err.splitlines()) == 2
+        assert payload["skipped"] == []
+        assert payload["all_hold"] is True
 
 
 def test_verify_unknown_suite(tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_projection_fixes_members():
     ball = get_ball(uniform_matrix(3, 4), 6)
     res = residue(ball, 0, (0, 1))
     for member in res.members:
-        assert projection(ball, member, res) == ball.element(member)
+        assert projection(ball, member, res) == member
 
 
 def test_projection_of_identity_is_gate():
@@ -120,14 +120,14 @@ def test_projection_of_identity_is_gate():
     start = ball.index(GroupElement((2, 0, 1)))
     res = residue(ball, start, (0, 1))
     assert res.complete
-    assert projection(ball, 0, res) == ball.element(res.gate)
+    assert projection(ball, 0, res) == res.gate
 
 
 def test_projection_two_candidate_panel():
     # x = s against the {t}-panel of the identity: the identity is closer
     ball = get_ball(uniform_matrix(3, 4), 6)
     panel = residue(ball, 0, (1,))
-    assert projection(ball, GroupElement((0,)), panel) == GroupElement(())
+    assert projection(ball, ball.index(GroupElement((0,))), panel) == 0
 
 
 def test_projection_needs_complete_residue():
@@ -225,6 +225,38 @@ def test_reflections_match_oracle_conjugates():
                     expected.add(w.word)
     got = {ball.words[idx] for idx in reflections(ball)}
     assert got == expected
+
+
+def left_apply_by_letters(ball, g, x):
+    """g * x built one letter at a time on the left: s * y = (y^{-1} s)^{-1}."""
+    cur = x
+    for s in reversed(ball.words[g]):
+        j = ball.edges[ball.inverse_index(cur)][s]
+        if j < 0:
+            return None
+        cur = ball.inverse_index(j)
+    return cur
+
+
+def assert_left_apply_matches_letters(ball):
+    for g in range(ball.size):
+        for x in range(ball.size):
+            got = left_apply(ball, g, x)
+            assert got == left_apply_by_letters(ball, g, x)
+            if got is not None:
+                expected = oracle_reduce(ball.words[g] + ball.words[x], ball.matrix)
+                assert ball.words[got] == expected.word
+
+
+@pytest.mark.parametrize("matrix_args,depth", [((3, 4), 6), ((4, 3), 5)])
+def test_left_apply_matches_letter_by_letter(matrix_args, depth):
+    assert_left_apply_matches_letters(get_ball(uniform_matrix(*matrix_args), depth))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(max_rank=4))
+def test_left_apply_matches_letter_by_letter_random(matrix):
+    assert_left_apply_matches_letters(build_ball(matrix, 5))
 
 
 def test_reflections_are_involutions():
@@ -448,9 +480,11 @@ def test_not_both_down_affine_counterexample():
 
 def test_wall_pair_uniqueness_scans():
     report = verify_wall_pair_uniqueness(get_ball(uniform_matrix(3, 4), 8))
-    assert report.holds and report.checked > 0
+    assert report.holds
+    assert (report.checked, report.skipped) == (351, 342)
     report = verify_wall_pair_uniqueness(get_ball(uniform_matrix(4, 3), 6))
     assert report.holds
+    assert (report.checked, report.skipped) == (231, 768)
 
 
 def test_wall_pair_uniqueness_gate():
