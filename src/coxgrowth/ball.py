@@ -1,7 +1,9 @@
 """Exact element arithmetic in a Coxeter system via layered Cayley balls.
 
-Elements are identified with their ShortLex-least reduced words.  Two
-independent routes to that normal form live here and are never merged:
+An element is an index into a ball; outside the ball it is named by its
+ShortLex-least reduced word, a plain tuple of generators (ball.index and
+ball.words convert).  Two independent routes to that normal form live here
+and are never merged:
 
 * oracle_reduce -- exhaustive rewriting closure (braid moves plus deletion
   of equal adjacent letters).  Exponential, used as the ground-truth
@@ -11,7 +13,6 @@ independent routes to that normal form live here and are never merged:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf as INF
 
 from .coxmatrix import CoxeterMatrix
@@ -21,27 +22,6 @@ from .errors import (
     OracleBudgetError,
     ResourceLimitError,
 )
-
-UP = "up"
-DOWN = "down"
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element named by its ShortLex-least reduced word."""
-
-    word: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def __repr__(self) -> str:
-        return "GroupElement(%s)" % ("".join(map(str, self.word)) or "e")
-
-
-IDENTITY = GroupElement(())
-
 
 def _alternating(first: int, second: int, length: int) -> tuple[int, ...]:
     pair = (first, second)
@@ -56,7 +36,7 @@ def _check_word(word, rank: int) -> tuple[int, ...]:
     return w
 
 
-def oracle_reduce(word, matrix: CoxeterMatrix, budget: int = 200_000) -> GroupElement:
+def oracle_reduce(word, matrix: CoxeterMatrix, budget: int = 200_000) -> tuple[int, ...]:
     """Canonical form of an arbitrary word by exhaustive rewriting.
 
     Keeps applying two moves: replace an alternating run st... of length
@@ -98,7 +78,7 @@ def oracle_reduce(word, matrix: CoxeterMatrix, budget: int = 200_000) -> GroupEl
                         seen.add(v)
                         stack.append(v)
         if shorter is None:
-            return GroupElement(min(seen))
+            return min(seen)
         cur = shorter
 
 
@@ -135,13 +115,11 @@ class Ball:
     def layer(self, i: int) -> range:
         return range(self._offsets[i], self._offsets[i + 1])
 
-    def element(self, idx: int) -> GroupElement:
-        return GroupElement(self.words[idx])
-
-    def index(self, w: GroupElement | tuple[int, ...]) -> int:
+    def index(self, word) -> int:
+        """Index of the element whose canonical word is `word`."""
         if self._by_word is None:
             self._by_word = {word: i for i, word in enumerate(self.words)}
-        word = w.word if isinstance(w, GroupElement) else tuple(w)
+        word = tuple(word)
         try:
             return self._by_word[word]
         except KeyError:
@@ -160,23 +138,14 @@ class Ball:
             )
         return j
 
-    def multiply_right(self, w: GroupElement, s: int) -> tuple[GroupElement, str]:
-        idx = self.index(w)
-        j = self.step(idx, s)
-        direction = UP if self.lengths[j] > self.lengths[idx] else DOWN
-        return self.element(j), direction
-
     def descent_indices(self, idx: int) -> tuple[int, ...]:
+        """Generators s with length(w s) < length(w), w = element idx."""
         mine = self.lengths[idx]
         row = self.edges[idx]
         return tuple(
             s for s in range(self.matrix.rank)
             if row[s] >= 0 and self.lengths[row[s]] < mine
         )
-
-    def right_descents(self, w: GroupElement) -> frozenset[int]:
-        """Generators s with length(w s) < length(w)."""
-        return frozenset(self.descent_indices(self.index(w)))
 
     def inverse_index(self, idx: int) -> int:
         """Index of the inverse element (same length, so always in the ball)."""

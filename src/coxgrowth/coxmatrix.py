@@ -16,6 +16,8 @@ from .errors import (
     BadDiagonalError,
     BadOffDiagonalError,
     ClassificationError,
+    DiagramNotCompleteError,
+    HypothesisError,
     NonSymmetricError,
     NotSphericalError,
     NotSquareError,
@@ -176,6 +178,15 @@ def diagram_properties(matrix: CoxeterMatrix) -> DiagramProperties:
     if off and all(x == off[0] for x in off) and off[0] != INF:
         uniform = off[0]
     return DiagramProperties(two_spherical, complete, uniform)
+
+
+def require_complete_two_spherical(matrix: CoxeterMatrix) -> None:
+    """Raise unless every pairwise order is finite and >= 3."""
+    props = diagram_properties(matrix)
+    if not props.two_spherical:
+        raise HypothesisError("needs every pairwise order finite")
+    if not props.complete_diagram:
+        raise DiagramNotCompleteError("needs every pairwise order >= 3")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ from itertools import combinations
 from math import inf as INF
 
 from .ball import Ball, _alternating
-from .coxmatrix import classify_subset, diagram_properties
+from .coxmatrix import classify_subset, require_complete_two_spherical
 from .errors import (
     DepthExceededError,
-    DiagramNotCompleteError,
+    GeneratorOutOfRangeError,
     HypothesisError,
     ResidueIncompleteError,
 )
@@ -49,6 +49,8 @@ class Residue:
 def residue(ball: Ball, chamber: int, gens) -> Residue:
     """The J-residue through a chamber, as far as the ball can see."""
     gens = tuple(sorted(set(gens)))
+    if gens and (gens[0] < 0 or gens[-1] >= ball.matrix.rank):
+        raise GeneratorOutOfRangeError(f"generators {gens} outside the system")
     seen = {chamber}
     frontier = [chamber]
     while frontier:
@@ -365,12 +367,8 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
     be the shorter chamber of P.  Needs every pairwise order finite and
     >= 3.
     """
-    props = diagram_properties(ball.matrix)
     if gate:
-        if not props.two_spherical:
-            raise HypothesisError("needs every pairwise order finite")
-        if not props.complete_diagram:
-            raise DiagramNotCompleteError("needs every pairwise order >= 3")
+        require_complete_two_spherical(ball.matrix)
     n = ball.matrix.rank
     checks = []
     checked = 0
@@ -409,12 +407,8 @@ def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
     length(w) + length(w') + 1.  Needs every pairwise order finite and
     >= 3.
     """
-    props = diagram_properties(ball.matrix)
     if gate:
-        if not props.two_spherical:
-            raise HypothesisError("needs every pairwise order finite")
-        if not props.complete_diagram:
-            raise DiagramNotCompleteError("needs every pairwise order >= 3")
+        require_complete_two_spherical(ball.matrix)
     n = ball.matrix.rank
     checks = []
     checked = 0

@@ -16,10 +16,8 @@ from functools import cached_property
 from math import comb
 
 from .ball import Ball
-from .coxmatrix import CoxeterMatrix, diagram_properties
+from .coxmatrix import CoxeterMatrix, diagram_properties, require_complete_two_spherical
 from .errors import (
-    DiagramNotCompleteError,
-    HypothesisError,
     LabelTooSmallError,
     NotUniformError,
     RangeEmptyError,
@@ -150,15 +148,11 @@ def verify_descent_sum_lower(stats: SphereStats, gate: bool = True) -> Verificat
     Needs rank >= 4 and every pairwise order finite and >= 3; holds from
     the very bottom of the ball, unlike the uniform-label identities.
     """
-    props = diagram_properties(stats.matrix)
     n = stats.n
     if gate:
         if n < 4:
             raise RankTooSmallError(f"needs rank >= 4, got {n}")
-        if not props.two_spherical:
-            raise HypothesisError("needs every pairwise order finite")
-        if not props.complete_diagram:
-            raise DiagramNotCompleteError("needs every pairwise order >= 3")
+        require_complete_two_spherical(stats.matrix)
     N = stats.depth
     checks = []
     for i in _span(0, N - 1, "descent sum lower bound"):

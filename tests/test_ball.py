@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import coxeter_matrices, get_ball
 from coxgrowth import (
-    IDENTITY,
     DepthExceededError,
     GeneratorOutOfRangeError,
-    GroupElement,
     OracleBudgetError,
     ResourceLimitError,
     build_ball,
@@ -34,14 +32,15 @@ ORACLE_C = {
 
 
 def test_identity_element():
-    assert IDENTITY.word == ()
-    assert IDENTITY.length == 0
+    ball = get_ball(uniform_matrix(3, 4), 6)
+    assert ball.words[0] == ()
+    assert ball.lengths[0] == 0
 
 
 def test_oracle_squares_cancel():
     m = uniform_matrix(3, 4)
-    assert oracle_reduce((0, 0), m) == IDENTITY
-    assert oracle_reduce((2, 1, 1, 2), m) == IDENTITY
+    assert oracle_reduce((0, 0), m) == ()
+    assert oracle_reduce((2, 1, 1, 2), m) == ()
 
 
 def test_oracle_braid_identification():
@@ -53,7 +52,7 @@ def test_oracle_dihedral_longest():
     # in I2(4), stst = tsts; ShortLex picks the word starting with 0
     m = uniform_matrix(2, 4)
     assert oracle_reduce((0, 1, 0, 1), m) == oracle_reduce((1, 0, 1, 0), m)
-    assert oracle_reduce((1, 0, 1, 0), m).word == (0, 1, 0, 1)
+    assert oracle_reduce((1, 0, 1, 0), m) == (0, 1, 0, 1)
 
 
 def test_oracle_generator_range():
@@ -76,35 +75,38 @@ def test_layer_sizes_match_oracle_tables(key):
     assert ball.layer_sizes() == expected
 
 
-def test_multiply_right_from_identity():
+def test_step_from_identity():
     ball = get_ball(uniform_matrix(3, 4), 6)
     for s in range(3):
-        got, direction = ball.multiply_right(IDENTITY, s)
-        assert got.word == (s,)
-        assert direction == "up"
+        got = ball.step(0, s)
+        assert ball.words[got] == (s,)
+        assert ball.lengths[got] > ball.lengths[0]
 
 
-def test_multiply_right_dihedral_examples():
+def test_step_dihedral_examples():
     # with s=0, t=1: sts * t climbs to the longest element, canonical 0101;
     # the longest element * s descends to tst = 101
     ball = get_ball(uniform_matrix(2, 4), 4)
-    top, direction = ball.multiply_right(GroupElement((0, 1, 0)), 1)
-    assert (top.word, direction) == ((0, 1, 0, 1), "up")
-    down, direction = ball.multiply_right(GroupElement((0, 1, 0, 1)), 0)
-    assert (down.word, direction) == ((1, 0, 1), "down")
+    sts = ball.index((0, 1, 0))
+    top = ball.step(sts, 1)
+    assert ball.words[top] == (0, 1, 0, 1)
+    assert ball.lengths[top] > ball.lengths[sts]
+    down = ball.step(ball.index((0, 1, 0, 1)), 0)
+    assert ball.words[down] == (1, 0, 1)
+    assert ball.lengths[down] < ball.lengths[top]
 
 
 def test_descents_of_identity_and_generators():
     ball = get_ball(uniform_matrix(3, 4), 6)
-    assert ball.right_descents(IDENTITY) == frozenset()
+    assert ball.descent_indices(0) == ()
     for s in range(3):
-        assert ball.right_descents(GroupElement((s,))) == frozenset({s})
+        assert ball.descent_indices(ball.index((s,))) == (s,)
 
 
 def test_descents_of_dihedral_top():
     # stst has both letters of its pair as descents
     ball = get_ball(uniform_matrix(3, 4), 6)
-    assert ball.right_descents(GroupElement((0, 1, 0, 1))) == frozenset({0, 1})
+    assert ball.descent_indices(ball.index((0, 1, 0, 1))) == (0, 1)
 
 
 def test_oracle_equivalence_words_up_to_six():
@@ -118,10 +120,10 @@ def test_oracle_equivalence_words_up_to_six():
         ball = get_ball(matrix, 7)
         for length in range(5):
             for word in product(range(matrix.rank), repeat=length):
-                folded = IDENTITY
+                folded = 0
                 for s in word:
-                    folded, _ = ball.multiply_right(folded, s)
-                assert folded == oracle_reduce(word, matrix)
+                    folded = ball.step(folded, s)
+                assert ball.words[folded] == oracle_reduce(word, matrix)
 
 
 def test_layers_sorted_shortlex():
@@ -139,7 +141,7 @@ def test_element_words_are_reduced_and_least(matrix, depth):
     # every stored word re-reduces to itself through the oracle
     ball = build_ball(matrix, depth)
     for idx in range(ball.size):
-        assert oracle_reduce(ball.words[idx], ball.matrix).word == ball.words[idx]
+        assert oracle_reduce(ball.words[idx], ball.matrix) == ball.words[idx]
 
 
 def test_no_level_edges():
@@ -154,13 +156,12 @@ def test_no_level_edges():
 def test_involution_closure():
     ball = get_ball(uniform_matrix(3, 4), 6)
     for idx in range(ball.size):
-        w = ball.element(idx)
         for s in range(3):
             if ball.edges[idx][s] < 0:
                 continue  # product leaves the ball
-            once, _ = ball.multiply_right(w, s)
-            twice, _ = ball.multiply_right(once, s)
-            assert twice == w
+            once = ball.step(idx, s)
+            twice = ball.step(once, s)
+            assert twice == idx
 
 
 def test_descent_cardinality_bound():
@@ -205,7 +206,7 @@ def test_cap_enforced():
 def test_index_of_unknown_word():
     ball = build_ball(uniform_matrix(3, 4), 2)
     with pytest.raises(ValueError):
-        ball.index(GroupElement((0, 1, 0)))
+        ball.index((0, 1, 0))
 
 
 def test_inverse_index():
@@ -215,7 +216,7 @@ def test_inverse_index():
         assert ball.lengths[inv] == ball.lengths[idx]
         assert ball.inverse_index(inv) == idx
     # a concrete non-involution: (01)^-1 = 10
-    idx01 = ball.index(GroupElement((0, 1)))
+    idx01 = ball.index((0, 1))
     assert ball.words[ball.inverse_index(idx01)] == (1, 0)
 
 

@@ -161,6 +161,38 @@ def test_verify_default_suites(tmp_path, capsys):
     assert "L35: skipped (hypothesis)" in err
 
 
+def test_verify_hypothesis_reasons(tmp_path, capsys):
+    uniform = "identity needs one uniform edge label"
+    ratio = "descent ratio floor needs one uniform edge label"
+    cases = (
+        ({"m": [[1, 3, 4, "inf"], [3, 1, 5, 4], [4, 5, 1, 3], ["inf", 4, 3, 1]]},
+         "needs every pairwise order finite",
+         [("L211", "pair (0,1) has order 3 < 4")]),
+        ({"m": [[1, 2, 3, 3], [2, 1, 3, 3], [3, 3, 1, 3], [3, 3, 3, 1]]},
+         "needs every pairwise order >= 3",
+         [("L211", "pair (0,1) has order 2 < 4"),
+          ("L24", "rank-3 subsystem (0, 1, 2) is finite; wall pairs may collide")]),
+        # an order 2 and an infinite order: finiteness is tested first
+        ({"m": [[1, 2, 3, "inf"], [2, 1, 3, 3], [3, 3, 1, 3], ["inf", 3, 3, 1]]},
+         "needs every pairwise order finite",
+         [("L211", "pair (0,1) has order 2 < 4"),
+          ("L24", "rank-3 subsystem (0, 1, 2) is finite; wall pairs may collide")]),
+    )
+    for data, diagram, rest in cases:
+        code, payload, _ = run_json(
+            capsys, ["verify", "--matrix", matrix_file(tmp_path, data), "--depth", "5"],
+        )
+        assert code == 0
+        expected = [
+            ("L32", uniform), ("L33", uniform), ("L34", uniform), ("L35", uniform),
+            ("L45", diagram), ("k-ratio", ratio), ("P29", diagram), ("C210", diagram),
+        ] + rest
+        assert payload["skipped"] == [
+            {"kind": "hypothesis", "reason": reason, "suite": suite}
+            for suite, reason in expected
+        ]
+
+
 def test_verify_suite_selection(tmp_path, capsys):
     path = matrix_file(tmp_path, M344)
     # a repeated suite runs once, at its first position
