@@ -2,7 +2,7 @@
 
 An element is an index into a ball; outside the ball it is named by its
 ShortLex-least reduced word, a plain tuple of generators (ball.index and
-ball.words convert).  Two independent routes to that normal form live here
+ball.word convert).  Two independent routes to that normal form live here
 and are never merged:
 
 * oracle_reduce -- exhaustive rewriting closure (braid moves plus deletion
@@ -88,24 +88,31 @@ class Ball:
     Index order is by length, then ShortLex within a layer.  For every
     element all downward edges are stored, and upward edges are stored
     whenever the product still lies in the ball; a missing edge therefore
-    always means the product has length depth + 1.
+    always means the product has length depth + 1.  Words are not stored:
+    each element keeps its parent (the lower neighbour it was created from)
+    and the letter leading up from it, and its canonical word is the
+    parent's word plus that letter, rebuilt from the chain when asked for.
+    `unique_descents[i]` counts the elements of length i with exactly one
+    right descent.
     """
 
-    def __init__(self, matrix, depth, words, lengths, edges, offsets):
+    def __init__(self, matrix, depth, parent, letter, lengths, edges, offsets,
+                 unique_descents):
         self.matrix = matrix
         self.depth = depth
-        self.words = words
+        self.parent = parent
+        self.letter = letter
         self.lengths = lengths
         self.edges = edges
+        self.unique_descents = unique_descents
         self._offsets = offsets
-        self._by_word: dict | None = None
         self._inverse: list[int] | None = None
 
     # -- lookup ---------------------------------------------------------
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.lengths)
 
     def layer_sizes(self) -> list[int]:
         return [
@@ -115,20 +122,34 @@ class Ball:
     def layer(self, i: int) -> range:
         return range(self._offsets[i], self._offsets[i + 1])
 
+    def check_index(self, idx: int) -> None:
+        """Raise IndexError unless idx names an element of this ball."""
+        if not 0 <= idx < len(self.lengths):
+            raise IndexError(f"index {idx} outside the ball 0..{len(self.lengths) - 1}")
+
+    def word(self, idx: int) -> tuple[int, ...]:
+        """Canonical word of the element idx, read off its parent chain."""
+        self.check_index(idx)
+        letters = []
+        while idx:
+            letters.append(self.letter[idx])
+            idx = self.parent[idx]
+        letters.reverse()
+        return tuple(letters)
+
     def index(self, word) -> int:
         """Index of the element whose canonical word is `word`."""
-        if self._by_word is None:
-            self._by_word = {word: i for i, word in enumerate(self.words)}
-        word = tuple(word)
-        try:
-            return self._by_word[word]
-        except KeyError:
+        word = _check_word(word, self.matrix.rank)
+        got = self.fold_right(0, word)
+        if got is None or self.word(got) != word:
             raise ValueError(f"{word} is not the canonical word of a ball element")
+        return got
 
     # -- multiplication --------------------------------------------------
 
     def step(self, idx: int, s: int) -> int:
         """Index of (element idx) * s, or DepthExceededError at the rim."""
+        self.check_index(idx)
         if not 0 <= s < self.matrix.rank:
             raise GeneratorOutOfRangeError(f"generator {s} outside the system")
         j = self.edges[idx][s]
@@ -140,6 +161,7 @@ class Ball:
 
     def descent_indices(self, idx: int) -> tuple[int, ...]:
         """Generators s with length(w s) < length(w), w = element idx."""
+        self.check_index(idx)
         mine = self.lengths[idx]
         row = self.edges[idx]
         return tuple(
@@ -150,13 +172,7 @@ class Ball:
     def inverse_index(self, idx: int) -> int:
         """Index of the inverse element (same length, so always in the ball)."""
         if self._inverse is None:
-            inv = []
-            for word in self.words:
-                cur = 0
-                for s in reversed(word):
-                    cur = self.edges[cur][s]
-                inv.append(cur)
-            self._inverse = inv
+            self._inverse = [self.fold_inverse(0, g) for g in range(self.size)]
         return self._inverse[idx]
 
     def fold_right(self, idx: int, letters) -> int | None:
@@ -168,16 +184,36 @@ class Ball:
                 return None
         return cur
 
+    def fold_inverse(self, idx: int, g: int) -> int | None:
+        """Index of (element idx) * g^-1, None as soon as the path leaves the ball.
+
+        Folds the canonical word of g backwards: its letters in reverse are
+        the letters met walking g, parent[g], ... down to the identity.
+        """
+        edges, parent, letter = self.edges, self.parent, self.letter
+        cur = idx
+        while g:
+            cur = edges[cur][letter[g]]
+            if cur < 0:
+                return None
+            g = parent[g]
+        return cur
+
     # -- export -----------------------------------------------------------
 
     def export_records(self):
         """One dict per element, in layer-then-ShortLex order."""
-        for idx in range(self.size):
-            yield {
-                "i": self.lengths[idx],
-                "w": "".join(map(str, self.words[idx])),
-                "desc": list(self.descent_indices(idx)),
-            }
+        digits = [str(s) for s in range(self.matrix.rank)]
+        # only the layer below keeps its strings; each is its parent's plus a letter
+        below, start = [""], 0
+        yield {"i": 0, "w": "", "desc": []}
+        for i in range(1, self.depth + 1):
+            strings = []
+            for idx in self.layer(i):
+                w = below[self.parent[idx] - start] + digits[self.letter[idx]]
+                strings.append(w)
+                yield {"i": i, "w": w, "desc": list(self.descent_indices(idx))}
+            below, start = strings, self._offsets[i]
 
 
 def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball:
@@ -187,7 +223,9 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
     up: each new element registers all of its downward edges at creation,
     found by walking the two descending chains of each rank-2 residue it
     tops.  Words never enter the comparison; identity resolution is pure
-    graph walking through layers already built.
+    graph walking through layers already built.  No later element adds a
+    downward edge to an earlier one, so the descents found at creation are
+    final and the unique-descent census is counted there.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -197,16 +235,19 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
         [None if matrix.order(s, t) == INF else int(matrix.order(s, t)) for t in range(n)]
         for s in range(n)
     ]
-    words: list[tuple[int, ...]] = [()]
+    parent = [-1]
+    letter = [-1]
     lengths = [0]
     edges: list[list[int]] = [[-1] * n]
     offsets = [0, 1]
+    unique_descents = [0]
     for layer in range(depth):
+        unique = 0
         for w in range(offsets[layer], offsets[layer + 1]):
             for s in range(n):
                 if edges[w][s] != -1:
                     continue
-                if len(words) >= cap:
+                if len(lengths) >= cap:
                     raise ResourceLimitError(
                         f"element cap {cap} reached at length {layer + 1}"
                     )
@@ -234,15 +275,20 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
                         v = edges[v][a]
                         a, b = b, a
                     downs.append((v, t))
-                x = len(words)
+                x = len(lengths)
                 # (w, s) is met first, so w is x's lowest-index lower neighbour;
-                # layers are in ShortLex order, so this is x's least reduced word
-                words.append(words[w] + (s,))
+                # layers are in ShortLex order, so w's word plus s is x's least
+                # reduced word
+                parent.append(w)
+                letter.append(s)
                 lengths.append(layer + 1)
                 row = [-1] * n
                 for v, t in downs:
                     row[t] = v
                     edges[v][t] = x
                 edges.append(row)
-        offsets.append(len(words))
-    return Ball(matrix, depth, words, lengths, edges, offsets)
+                if len(downs) == 1:
+                    unique += 1
+        offsets.append(len(lengths))
+        unique_descents.append(unique)
+    return Ball(matrix, depth, parent, letter, lengths, edges, offsets, unique_descents)

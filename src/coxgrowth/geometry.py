@@ -48,6 +48,7 @@ class Residue:
 
 def residue(ball: Ball, chamber: int, gens) -> Residue:
     """The J-residue through a chamber, as far as the ball can see."""
+    ball.check_index(chamber)
     gens = tuple(sorted(set(gens)))
     if gens and (gens[0] < 0 or gens[-1] >= ball.matrix.rank):
         raise GeneratorOutOfRangeError(f"generators {gens} outside the system")
@@ -87,9 +88,9 @@ def gallery_distance(ball: Ball, x: int, y: int) -> int:
     """Length of x^{-1} y, folded through the ball from either end."""
     if x == y:
         return 0
-    got = ball.fold_right(ball.inverse_index(x), ball.words[y])
+    got = ball.fold_right(ball.inverse_index(x), ball.word(y))
     if got is None:
-        got = ball.fold_right(ball.inverse_index(y), ball.words[x])
+        got = ball.fold_right(ball.inverse_index(y), ball.word(x))
     if got is None:
         raise DepthExceededError("gallery distance leaves the ball")
     return ball.lengths[got]
@@ -145,30 +146,19 @@ def simple_root(ball: Ball, s: int) -> RootHandle:
 
 
 def reflections(ball: Ball) -> list[int]:
-    """Every reflection of length <= depth, found by its reduced pattern.
+    """Every reflection of length <= depth, as the conjugates u s u^{-1}.
 
     Each reflection of length 2k+1 has a reduced expression u s u^{-1} with
-    length(u) = k, so folding that word ascends at every step and stays in
-    the ball; non-ascending folds are skipped as non-reduced patterns.
+    length(u) = k.  Conversely every u s u^{-1} with 2*length(u) + 1 <=
+    depth is a reflection whose fold, and each step of it, stays within
+    that length, so taking all of them finds exactly the reflections in
+    the ball.
     """
     out = set()
     for u in range(ball.size):
-        lu = ball.lengths[u]
-        if 2 * lu + 1 > ball.depth:
-            continue
-        for s in range(ball.matrix.rank):
-            cur = ball.edges[u][s]
-            if cur < 0 or ball.lengths[cur] < lu:
-                continue
-            ok = True
-            for letter in reversed(ball.words[u]):
-                nxt = ball.edges[cur][letter]
-                if nxt < 0 or ball.lengths[nxt] < ball.lengths[cur]:
-                    ok = False
-                    break
-                cur = nxt
-            if ok:
-                out.add(cur)
+        if 2 * ball.lengths[u] + 1 <= ball.depth:
+            for s in range(ball.matrix.rank):
+                out.add(ball.fold_inverse(ball.edges[u][s], u))
     return sorted(out)
 
 
@@ -179,7 +169,7 @@ def left_apply(ball: Ball, g: int, x: int) -> int | None:
     are the inverses of those of g * x built letter by letter on the left,
     so both leave the ball at the same step.
     """
-    got = ball.fold_right(ball.inverse_index(x), reversed(ball.words[g]))
+    got = ball.fold_inverse(ball.inverse_index(x), g)
     return None if got is None else ball.inverse_index(got)
 
 
@@ -298,7 +288,7 @@ def wall_sample(ball: Ball, root: RootHandle,
 
 
 def _word_str(ball: Ball, idx: int) -> str:
-    return "".join(map(str, ball.words[idx])) or "e"
+    return "".join(map(str, ball.word(idx))) or "e"
 
 
 def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationReport:
@@ -509,12 +499,11 @@ def gallery_crossings(ball: Ball, chamber: int) -> list[int]:
     would do; this one follows the canonical word.  Raises when a crossing
     reflection cannot be folded inside the ball.
     """
-    word = ball.words[chamber]
     out = []
     prefix = 0
-    for k, s in enumerate(word):
+    for s in ball.word(chamber):
         cur = ball.edges[prefix][s]
-        refl = ball.fold_right(cur, reversed(word[:k]))
+        refl = ball.fold_inverse(cur, prefix)
         if refl is None:
             raise DepthExceededError("crossing reflection leaves the ball")
         out.append(refl)

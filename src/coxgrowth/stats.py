@@ -48,13 +48,9 @@ class SphereStats:
 
 
 def compute_stats(ball: Ball) -> SphereStats:
-    c = ball.layer_sizes()
-    d = []
-    for i in range(ball.depth + 1):
-        d.append(
-            sum(1 for idx in ball.layer(i) if len(ball.descent_indices(idx)) == 1)
-        )
-    return SphereStats(ball.matrix, tuple(c), tuple(d))
+    return SphereStats(
+        ball.matrix, tuple(ball.layer_sizes()), tuple(ball.unique_descents)
+    )
 
 
 def _need_uniform(stats: SphereStats, min_m: int, min_n: int, gate: bool) -> tuple[int, int]:

@@ -35,6 +35,19 @@ ORACLE_MATRICES = [
 ]
 
 
+# balls on which the fused build data is compared with the per-element scans
+SCAN_BALLS = [
+    pytest.param(uniform_matrix(3, 4), 12, id="(4,4,4)"),
+    pytest.param(uniform_matrix(4, 3), 7, id="uniform(4,3)"),
+    pytest.param(uniform_matrix(4, 4), 7, id="uniform(4,4)"),
+    pytest.param(
+        validate_matrix([[1, 3, 4, INF], [3, 1, 5, 4], [4, 5, 1, 3], [INF, 4, 3, 1]]),
+        7, id="mixed",
+    ),
+    pytest.param(path_matrix([5, 3]), 16, id="H3"),
+]
+
+
 @st.composite
 def coxeter_matrices(draw, max_rank=6):
     """Random Coxeter matrices of rank 1..max_rank with off-diagonal labels in {2..6, inf}."""

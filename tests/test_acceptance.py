@@ -62,7 +62,7 @@ def test_criterion_1_oracle_equivalence(criterion):
                 w = 0
                 for letter in word:
                     w = ball.step(w, letter)
-                if ball.words[w] != oracle_reduce(word, matrix):
+                if ball.word(w) != oracle_reduce(word, matrix):
                     bad.append((name, word))
                 checked += 1
     elapsed = time.monotonic() - start

@@ -4,14 +4,16 @@ The frozen tables below were produced by exhaustive Tits-rewriting
 (oracle_reduce over all words up to the stated length) before the ball
 builder existed; the ball must reproduce them.
 """
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coxeter_matrices, get_ball
+from conftest import SCAN_BALLS, coxeter_matrices, get_ball
 from coxgrowth import (
+    INF,
     DepthExceededError,
     GeneratorOutOfRangeError,
     OracleBudgetError,
@@ -33,7 +35,7 @@ ORACLE_C = {
 
 def test_identity_element():
     ball = get_ball(uniform_matrix(3, 4), 6)
-    assert ball.words[0] == ()
+    assert ball.word(0) == ()
     assert ball.lengths[0] == 0
 
 
@@ -79,7 +81,7 @@ def test_step_from_identity():
     ball = get_ball(uniform_matrix(3, 4), 6)
     for s in range(3):
         got = ball.step(0, s)
-        assert ball.words[got] == (s,)
+        assert ball.word(got) == (s,)
         assert ball.lengths[got] > ball.lengths[0]
 
 
@@ -89,10 +91,10 @@ def test_step_dihedral_examples():
     ball = get_ball(uniform_matrix(2, 4), 4)
     sts = ball.index((0, 1, 0))
     top = ball.step(sts, 1)
-    assert ball.words[top] == (0, 1, 0, 1)
+    assert ball.word(top) == (0, 1, 0, 1)
     assert ball.lengths[top] > ball.lengths[sts]
     down = ball.step(ball.index((0, 1, 0, 1)), 0)
-    assert ball.words[down] == (1, 0, 1)
+    assert ball.word(down) == (1, 0, 1)
     assert ball.lengths[down] < ball.lengths[top]
 
 
@@ -123,13 +125,13 @@ def test_oracle_equivalence_words_up_to_six():
                 folded = 0
                 for s in word:
                     folded = ball.step(folded, s)
-                assert ball.words[folded] == oracle_reduce(word, matrix)
+                assert ball.word(folded) == oracle_reduce(word, matrix)
 
 
 def test_layers_sorted_shortlex():
     ball = get_ball(uniform_matrix(3, 4), 6)
     for i in range(ball.depth + 1):
-        words = [ball.words[idx] for idx in ball.layer(i)]
+        words = [ball.word(idx) for idx in ball.layer(i)]
         assert words == sorted(words)
         assert all(len(w) == i for w in words)
 
@@ -141,7 +143,7 @@ def test_element_words_are_reduced_and_least(matrix, depth):
     # every stored word re-reduces to itself through the oracle
     ball = build_ball(matrix, depth)
     for idx in range(ball.size):
-        assert oracle_reduce(ball.words[idx], ball.matrix) == ball.words[idx]
+        assert oracle_reduce(ball.word(idx), ball.matrix) == ball.word(idx)
 
 
 def test_no_level_edges():
@@ -207,6 +209,12 @@ def test_index_of_unknown_word():
     ball = build_ball(uniform_matrix(3, 4), 2)
     with pytest.raises(ValueError):
         ball.index((0, 1, 0))
+    # both fold inside the ball, but 00 is not reduced and 1010 is the
+    # other reduced word of 0101
+    deeper = get_ball(uniform_matrix(3, 4), 4)
+    for word in ((0, 0), (1, 0, 1, 0)):
+        with pytest.raises(ValueError):
+            deeper.index(word)
 
 
 def test_inverse_index():
@@ -217,7 +225,7 @@ def test_inverse_index():
         assert ball.inverse_index(inv) == idx
     # a concrete non-involution: (01)^-1 = 10
     idx01 = ball.index((0, 1))
-    assert ball.words[ball.inverse_index(idx01)] == (1, 0)
+    assert ball.word(ball.inverse_index(idx01)) == (1, 0)
 
 
 def test_export_records_shape():
@@ -228,6 +236,65 @@ def test_export_records_shape():
     assert records[1] == {"i": 1, "w": "0", "desc": [0]}
     lengths = [r["i"] for r in records]
     assert lengths == sorted(lengths)
+
+
+def export_by_words(ball):
+    """Export records built from each element's whole word."""
+    for idx in range(ball.size):
+        yield {
+            "i": ball.lengths[idx],
+            "w": "".join(map(str, ball.word(idx))),
+            "desc": list(ball.descent_indices(idx)),
+        }
+
+
+@pytest.mark.parametrize(
+    "matrix, depth",
+    SCAN_BALLS + [pytest.param(uniform_matrix(12, INF), 2, id="rank12-letters")],
+)
+def test_streamed_export_matches_word_export(matrix, depth):
+    ball = get_ball(matrix, depth)
+    assert list(ball.export_records()) == list(export_by_words(ball))
+
+
+@pytest.mark.parametrize(
+    "matrix, depth",
+    [(uniform_matrix(3, 4), 6), (uniform_matrix(4, 3), 4), (path_matrix([5, 3]), 16)],
+)
+def test_word_matches_oracle_on_every_element(matrix, depth):
+    # reach each element from its last lower neighbour, not from its parent,
+    # and let the rewriting oracle name the product
+    ball = get_ball(matrix, depth)
+    for idx in range(1, ball.size):
+        t = ball.descent_indices(idx)[-1]
+        below = ball.step(idx, t)
+        assert ball.word(idx) == oracle_reduce(ball.word(below) + (t,), matrix)
+        assert ball.index(ball.word(idx)) == idx
+
+
+def test_indices_outside_the_ball_are_rejected():
+    ball = get_ball(uniform_matrix(3, 4), 4)
+    for idx in (-1, ball.size):
+        with pytest.raises(IndexError, match="outside the ball"):
+            ball.step(idx, 0)
+        with pytest.raises(IndexError, match="outside the ball"):
+            ball.descent_indices(idx)
+        with pytest.raises(IndexError, match="outside the ball"):
+            ball.word(idx)
+
+
+def test_ball_memory_per_element():
+    # parent and letter in place of a stored word: about 160 B per element
+    # on (4,4,4), where a tuple per word made it about 300 B
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ball = build_ball(uniform_matrix(3, 4), 16)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ball.size == 34_342
+    assert grown / ball.size <= 200
 
 
 def test_ball_rejects_negative_depth():

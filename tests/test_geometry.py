@@ -57,6 +57,13 @@ def test_residue_rejects_generators_outside_the_system():
             residue(ball, 0, gens)
 
 
+def test_residue_rejects_chambers_outside_the_ball():
+    ball = get_ball(uniform_matrix(3, 4), 4)
+    for chamber in (-1, ball.size):
+        with pytest.raises(IndexError, match="outside the ball"):
+            residue(ball, chamber, (0, 1))
+
+
 def test_residue_membership_and_connectivity():
     ball = get_ball(uniform_matrix(3, 4), 6)
     start = ball.index((2, 0))
@@ -155,7 +162,7 @@ def test_parallel_opposite_panels():
     ball = get_ball(uniform_matrix(3, 4), 6)
     near = residue(ball, 0, (0,))
     far = residue(ball, ball.index((1, 0, 1)), (0,))
-    assert set(map(ball.words.__getitem__, far.members)) == {
+    assert set(map(ball.word, far.members)) == {
         (0, 1, 0, 1), (1, 0, 1)
     }
     assert parallel_check(ball, near, far)
@@ -181,7 +188,7 @@ def test_simple_root_matches_length_test():
         for idx in range(ball.size):
             got = root_membership(ball, root, idx)
             expected = (
-                len(oracle_reduce((s,) + ball.words[idx], matrix)) > ball.lengths[idx]
+                len(oracle_reduce((s,) + ball.word(idx), matrix)) > ball.lengths[idx]
             )
             if got is not None:
                 assert got == expected
@@ -229,14 +236,14 @@ def test_reflections_match_oracle_conjugates():
                 w = oracle_reduce(u + (s,) + tuple(reversed(u)), matrix)
                 if len(w) <= 5:
                     expected.add(w)
-    got = {ball.words[idx] for idx in reflections(ball)}
+    got = {ball.word(idx) for idx in reflections(ball)}
     assert got == expected
 
 
 def left_apply_by_letters(ball, g, x):
     """g * x built one letter at a time on the left: s * y = (y^{-1} s)^{-1}."""
     cur = x
-    for s in reversed(ball.words[g]):
+    for s in reversed(ball.word(g)):
         j = ball.edges[ball.inverse_index(cur)][s]
         if j < 0:
             return None
@@ -250,8 +257,8 @@ def assert_left_apply_matches_letters(ball):
             got = left_apply(ball, g, x)
             assert got == left_apply_by_letters(ball, g, x)
             if got is not None:
-                expected = oracle_reduce(ball.words[g] + ball.words[x], ball.matrix)
-                assert ball.words[got] == expected
+                expected = oracle_reduce(ball.word(g) + ball.word(x), ball.matrix)
+                assert ball.word(got) == expected
 
 
 @pytest.mark.parametrize("matrix_args,depth", [((3, 4), 6), ((4, 3), 5)])
@@ -416,7 +423,7 @@ def test_roots_are_convex_along_canonical_galleries():
                 continue
             # walk the canonical gallery from the identity side
             prefix = 0
-            for letter in ball.words[idx]:
+            for letter in ball.word(idx):
                 prefix = ball.edges[prefix][letter]
                 assert root_membership(ball, root, prefix) is not False or (
                     prefix == idx

@@ -7,8 +7,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import get_ball
+from conftest import SCAN_BALLS, coxeter_matrices, get_ball
 from coxgrowth import (
     DiagramNotCompleteError,
     LabelTooSmallError,
@@ -17,6 +18,7 @@ from coxgrowth import (
     RankTooSmallError,
     SphereStats,
     compare_preorder,
+    build_ball,
     compute_stats,
     descent_ratio_floor,
     path_matrix,
@@ -63,6 +65,27 @@ def test_d_bounded_by_c():
     for key in ORACLE_D:
         stats = stats_for(*key, depth=len(ORACLE_D[key]) - 1)
         assert all(0 <= d <= c for c, d in zip(stats.c, stats.d))
+
+
+def unique_descents_by_scan(ball):
+    """d_i recounted from every element's descent set, independent of the build."""
+    return tuple(
+        sum(1 for idx in ball.layer(i) if len(ball.descent_indices(idx)) == 1)
+        for i in range(ball.depth + 1)
+    )
+
+
+@pytest.mark.parametrize("matrix, depth", SCAN_BALLS)
+def test_fused_descent_census_matches_scan(matrix, depth):
+    ball = get_ball(matrix, depth)
+    assert compute_stats(ball).d == unique_descents_by_scan(ball)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_matrices(max_rank=4))
+def test_fused_descent_census_matches_scan_random(matrix):
+    ball = build_ball(matrix, 5)
+    assert compute_stats(ball).d == unique_descents_by_scan(ball)
 
 
 def test_descent_partition():
