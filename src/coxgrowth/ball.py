@@ -171,12 +171,14 @@ class Ball:
 
     def inverse_index(self, idx: int) -> int:
         """Index of the inverse element (same length, so always in the ball)."""
+        self.check_index(idx)
         if self._inverse is None:
             self._inverse = [self.fold_inverse(0, g) for g in range(self.size)]
         return self._inverse[idx]
 
     def fold_right(self, idx: int, letters) -> int | None:
         """Right-multiply by a word, None as soon as the path leaves the ball."""
+        self.check_index(idx)
         cur = idx
         for s in letters:
             cur = self.edges[cur][s]
@@ -190,6 +192,8 @@ class Ball:
         Folds the canonical word of g backwards: its letters in reverse are
         the letters met walking g, parent[g], ... down to the identity.
         """
+        self.check_index(idx)
+        self.check_index(g)
         edges, parent, letter = self.edges, self.parent, self.letter
         cur = idx
         while g:

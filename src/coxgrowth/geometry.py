@@ -10,8 +10,9 @@ skipped count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import inf as INF
+from operator import neg, sub
 
 from .ball import Ball, _alternating
 from .coxmatrix import classify_subset, require_complete_two_spherical
@@ -291,12 +292,25 @@ def _word_str(ball: Ball, idx: int) -> str:
     return "".join(map(str, ball.word(idx))) or "e"
 
 
-def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationReport:
-    """Two distinct walls share at most one stabilized rank-2 residue.
+def _reflection_word(ball: Ball, wall: int) -> str:
+    """The word p x p^-1 of the wall coded chamber * rank + letter."""
+    chamber, x = divmod(wall, ball.matrix.rank)
+    w = ball.word(chamber)
+    return "".join(map(str, w + (x,) + w[::-1]))
 
-    Runs over every pair of reflections representable in the ball; needs
-    every rank-3 subsystem infinite.  Undecidable (reflection, residue)
-    stabilization questions are skipped and counted.
+
+def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationReport:
+    """Two distinct walls share at most one complete rank-2 residue.
+
+    Each wall is named by its root over Z[zeta_N] up to sign, so every
+    complete residue is decided and nothing is skipped.  The walls of
+    g<s,t> are g gamma_k for the m positive roots gamma_0 = alpha_s,
+    gamma_1 = s alpha_t, gamma_2 = st alpha_s, ... of <s,t>, and g gamma_k
+    is the wall between the chamber g(st...)_k and its next neighbour.  The
+    gamma_k lie pi/m apart, so gamma_{k+1} = c_st gamma_k - gamma_{k-1} with
+    gamma_{-1} = -alpha_t, and only g alpha_s and g alpha_t are folded.
+    `checked` counts the distinct wall pairs seen; a failure names each wall
+    by a reflection word.  Needs every rank-3 subsystem infinite.
     """
     if gate:
         for subset in combinations(range(ball.matrix.rank), 3):
@@ -304,32 +318,55 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
                 raise HypothesisError(
                     f"rank-3 subsystem {subset} is finite; wall pairs may collide"
                 )
-    residues = rank2_complete_residues(ball)
-    refls = reflections(ball)
-    cut_sets = {}
-    skipped = 0
-    for refl in refls:
-        mine = set()
-        for pos, res in enumerate(residues):
-            got = _cuts(ball, refl, res.members)
-            if got is None:
-                skipped += 1
-            elif got:
-                mine.add(pos)
-        cut_sets[refl] = mine
+    from .roots import Roots  # only L24 needs the ring; other commands never load it
+
+    n = ball.matrix.rank
+    # one int per residue, gate first, so the residues of a gate come together
+    residues = sorted((res.gate * n + res.gens[0]) * n + res.gens[1]
+                      for res in rank2_complete_residues(ball))
+    roots = Roots(ball.matrix)
+    walls = {}  # rendered root -> wall id
+    origins = []  # wall id -> chamber * n + letter of its first residue
+    pairs = []  # a << 32 | b for walls a < b, once per residue
+    for g, group in groupby(residues, key=lambda code: code // (n * n)):
+        gens = [divmod(code % (n * n), n) for code in group]
+        letters = sorted({x for st in gens for x in st})
+        images = dict(zip(letters, roots.fold(ball, g, letters)))
+        for s, t in gens:
+            m = ball.matrix.order(s, t)
+            prev, cur = list(map(neg, images[t])), images[s]
+            chamber, x, y = g, s, t
+            ids = []
+            for k in range(m):
+                if k:
+                    prev, cur = cur, list(map(sub, roots.times(m, cur), prev))
+                key = roots.key(cur)
+                wall = walls.get(key)
+                if wall is None:
+                    wall = walls[key] = len(origins)
+                    origins.append(chamber * n + x)
+                ids.append(wall)
+                chamber, x, y = ball.edges[chamber][x], y, x
+            assert len(set(ids)) == m, "a residue's walls must be distinct"
+            for a, b in combinations(sorted(ids), 2):
+                pairs.append(a << 32 | b)
+    del walls  # the roots are not needed to count pairs; free them first
+    pairs.sort()
     checks = []
     checked = 0
-    for a, b in combinations(refls, 2):
+    for pair, run in groupby(pairs):
         checked += 1
-        common = cut_sets[a] & cut_sets[b]
-        if len(common) > 1:
+        count = sum(1 for _ in run)
+        if count > 1:
+            alpha, beta = origins[pair >> 32], origins[pair & 0xFFFFFFFF]
             checks.append(
                 Comparison(
-                    {"alpha": _word_str(ball, a), "beta": _word_str(ball, b)},
-                    len(common), 1, "<=", False,
+                    {"alpha": _reflection_word(ball, alpha),
+                     "beta": _reflection_word(ball, beta)},
+                    count, 1, "<=", False,
                 )
             )
-    return VerificationReport("L24", 0, ball.depth, tuple(checks), checked, skipped)
+    return VerificationReport("L24", 0, ball.depth, tuple(checks), checked, 0)
 
 
 def _gate_of(ball: Ball, start: int, s: int, t: int) -> int:

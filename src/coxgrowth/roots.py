@@ -1,0 +1,135 @@
+"""Roots of the geometric representation over the cyclotomic integers Z[zeta_N].
+
+A wall of the Coxeter complex is named exactly by its root up to sign;
+the arithmetic is integer only, so two walls are equal exactly when their
+rendered keys are.
+"""
+from __future__ import annotations
+
+from itertools import combinations
+from math import inf as INF, lcm
+from operator import add, itemgetter, mul, neg, sub
+
+from .ball import Ball
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, p^k) for each prime power p^k exactly dividing n, p ascending."""
+    out, p = [], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
+        p += 1
+    return out
+
+
+class Roots:
+    """The geometric representation over Z[zeta_N], in integers only.
+
+    N is twice the lcm of the finite labels (2 when there are none), so
+    zeta^(N/2) = -1 and the arithmetic runs in Z[x]/(x^(N/2) + 1), where
+    multiplication by c_st = -2B(alpha_s, alpha_t) = zeta^a + zeta^-a
+    (a = N/2m_st) is two shifts that negate what wraps around; c_st is 1
+    for m_st = 3, 0 for 2 and 2 for inf.  A vector is one flat list with
+    coefficient e of coordinate j at e * rank + j, so a shift of the whole
+    vector is one slice.  The reflection s changes only coordinate s:
+    v_s <- -v_s + sum over j != s of c_sj v_j.  Only `key` maps a root
+    into Z[zeta_N] itself, to its one form in an integer basis.
+    """
+
+    def __init__(self, matrix):
+        n = matrix.rank
+        labels = {matrix.order(s, t) for s, t in combinations(range(n), 2)}
+        big = 2 * lcm(*(int(m) for m in labels if m != INF))
+        self.big = big
+        self.rank = n
+        self.reflection = [[(j, matrix.order(s, j)) for j in range(n)
+                            if j != s and matrix.order(s, j) != 2] for s in range(n)]
+        # Z[x]/(x^(N/2) + 1) is Z[y]/(y^h + 1) (2h the power of 2 in N) times
+        # Z[x]/(x^q - 1) for each odd prime power q || N: x^e goes to
+        # +-y^(e mod h) times digit e mod q on the axis of q (the CRT), with
+        # - when e mod 2h >= h.  Each odd axis in turn is brought outermost
+        # by one permutation; then its Phi_q = sum of y^(v q/p) over v < p
+        # drops the top chunk of q/p digits into the p - 1 below it.  What is
+        # left is the integer basis of Z[zeta_N] made of the products of the
+        # axes' power bases.
+        (_, two), *odd = _prime_powers(big)
+        h = two // 2
+        cells = [(e % h, *(e % q for _, q in odd), j)
+                 for e in range(big // 2) for j in range(n)]
+        signs = [-1 if e % two >= h else 1 for e in range(big // 2) for _ in range(n)]
+        self._signs = signs if -1 in signs else None
+        self._stages = []
+        for axis, (p, q) in enumerate(odd, 1):
+            order = sorted(range(len(cells)), key=lambda c: (cells[c][axis], cells[c]))
+            chunk = len(cells) // p
+            self._stages.append((itemgetter(*order), p, chunk))
+            cells = [cells[c] for c in order[:(p - 1) * chunk]]
+
+    def times(self, m, w: list[int]) -> list[int]:
+        """c_st w for the label m = m_st; w is one coordinate or a whole vector.
+
+        May return w itself.
+        """
+        if m == INF:
+            return list(map(add, w, w))
+        if m == 3:
+            return w
+        if m == 2:
+            return [0] * len(w)
+        # x^a moves a coefficient a places in a coordinate, a * rank in a vector
+        a = self.big // (2 * int(m)) * (2 * len(w) // self.big)
+        return list(map(add, list(map(neg, w[-a:])) + w[:-a], w[a:] + list(map(neg, w[:a]))))
+
+    def fold(self, ball: Ball, g: int, letters) -> list[list[int]]:
+        """g alpha_x for each letter x, folding g's parent chain onto alpha_x.
+
+        The k roots are folded as one vector with k times the coefficients,
+        root r's coefficient e at e * k + r, so each step is one pass.
+        """
+        n, k = self.rank, len(letters)
+        v = [0] * (n * k * self.big // 2)
+        for r, x in enumerate(letters):
+            v[r * n + x] = 1
+        parent, letter = ball.parent, ball.letter
+        while g:
+            s = letter[g]
+            out = list(map(neg, v[s::n]))
+            for j, m in self.reflection[s]:
+                out = list(map(add, out, self.times(m, v[j::n])))
+            v[s::n] = out
+            g = parent[g]
+        roots = []
+        for r in range(k):
+            root = [0] * (n * self.big // 2)
+            for j in range(n):
+                root[j::n] = v[r * n + j::k * n]
+            roots.append(root)
+        return roots
+
+    def reduce(self, v: list[int]) -> list[int]:
+        """The coefficients of v's image in Z[zeta_N]^rank, in the product basis."""
+        if self._signs:
+            v = list(map(mul, v, self._signs))
+        for perm, p, chunk in self._stages:
+            v = perm(v)
+            top = v[(p - 1) * chunk:]
+            out = []
+            for start in range(0, (p - 1) * chunk, chunk):
+                out += map(sub, v[start:start + chunk], top)
+            v = out
+        return v
+
+    def key(self, root: list[int]) -> str:
+        """The root up to sign, rendered with its first nonzero coefficient positive."""
+        flat = self.reduce(root)
+        for a in flat:
+            if a:
+                break
+        return str(flat) if a > 0 else str(list(map(neg, flat)))

@@ -283,6 +283,19 @@ def test_indices_outside_the_ball_are_rejected():
             ball.word(idx)
 
 
+def test_folds_reject_indices_outside_the_ball():
+    # -1 used to read as the last element: on this ball inverse_index(-1)
+    # gave 29, and fold_right(-1, (0,)) and fold_inverse(-1, 1) gave 21
+    ball = get_ball(uniform_matrix(3, 4), 4)
+    for idx in (-1, ball.size):
+        calls = (lambda: ball.inverse_index(idx), lambda: ball.fold_right(idx, (0,)),
+                 lambda: ball.fold_right(idx, ()), lambda: ball.fold_inverse(idx, 1),
+                 lambda: ball.fold_inverse(1, idx))
+        for call in calls:
+            with pytest.raises(IndexError, match="outside the ball"):
+                call()
+
+
 def test_ball_memory_per_element():
     # parent and letter in place of a stored word: about 160 B per element
     # on (4,4,4), where a tuple per word made it about 300 B

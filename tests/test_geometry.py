@@ -1,10 +1,15 @@
-from itertools import product
+import time
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import coxeter_matrices, get_ball
 from coxgrowth import (
+    INF,
     IN_BOUNDARY,
     INSIDE_ALPHA,
     INSIDE_MINUS_ALPHA,
@@ -36,7 +41,9 @@ from coxgrowth import (
     verify_wall_pair_uniqueness,
     wall_sample,
 )
+from coxgrowth import polys
 from coxgrowth.geometry import _cuts
+from coxgrowth.roots import Roots
 
 
 # -- residues ---------------------------------------------------------------
@@ -272,6 +279,16 @@ def test_left_apply_matches_letter_by_letter_random(matrix):
     assert_left_apply_matches_letters(build_ball(matrix, 5))
 
 
+def test_left_apply_rejects_indices_outside_the_ball():
+    # both gave 42, the last element, for -1 on this ball
+    ball = get_ball(uniform_matrix(3, 4), 4)
+    for idx in (-1, ball.size):
+        with pytest.raises(IndexError, match="outside the ball"):
+            left_apply(ball, 0, idx)
+        with pytest.raises(IndexError, match="outside the ball"):
+            left_apply(ball, idx, 0)
+
+
 def test_reflections_are_involutions():
     ball = get_ball(uniform_matrix(3, 4), 6)
     for refl in reflections(ball):
@@ -492,12 +509,235 @@ def test_not_both_down_affine_counterexample():
 
 
 def test_wall_pair_uniqueness_scans():
+    # checked counts wall pairs, six per residue when no pair repeats
     report = verify_wall_pair_uniqueness(get_ball(uniform_matrix(3, 4), 8))
     assert report.holds
-    assert (report.checked, report.skipped) == (351, 342)
+    assert (report.checked, report.skipped) == (252, 0)
     report = verify_wall_pair_uniqueness(get_ball(uniform_matrix(4, 3), 6))
     assert report.holds
-    assert (report.checked, report.skipped) == (231, 768)
+    assert (report.checked, report.skipped) == (396, 0)
+
+
+# -- walls as roots against the reflection scan --------------------------------
+
+
+def cut_scan(ball, residues):
+    """The former L24 scan: _cuts of every in-ball reflection on every residue.
+
+    Maps (reflection, residue position) to whether the reflection's wall
+    cuts the residue, for every pair that _cuts decides.
+    """
+    return {(refl, pos): got
+            for refl in reflections(ball)
+            for pos, res in enumerate(residues)
+            if (got := _cuts(ball, refl, res.members)) is not None}
+
+
+def cut_scan_failures(ball):
+    """Reflection pairs whose walls the scan finds cutting two or more residues."""
+    residues = rank2_complete_residues(ball)
+    cut_sets = {}
+    for (refl, pos), cut in cut_scan(ball, residues).items():
+        if cut:
+            cut_sets.setdefault(refl, set()).add(pos)
+    return [(a, b) for a, b in combinations(sorted(cut_sets), 2)
+            if len(cut_sets[a] & cut_sets[b]) > 1]
+
+
+def reflection_keys(ball, roots):
+    """Root key of each in-ball reflection u s u^-1, alike for every (u, s) giving it."""
+    keys = {}
+    for u in range(ball.size):
+        if 2 * ball.lengths[u] + 1 <= ball.depth:
+            for s in range(ball.matrix.rank):
+                refl = ball.fold_inverse(ball.edges[u][s], u)
+                key = roots.key(roots.fold(ball, u, (s,))[0])
+                assert keys.setdefault(refl, key) == key
+    assert len(set(keys.values())) == len(keys)
+    return keys
+
+
+def chain_walls(ball, roots, res):
+    """Keys of p_k alpha_{x_k} along the chain g, gs, gst, ..., each folded alone."""
+    chamber, x, y = res.gate, *res.gens
+    out = []
+    for _ in range(len(res.members) // 2):
+        out.append(roots.key(roots.fold(ball, chamber, (x,))[0]))
+        chamber, x, y = ball.edges[chamber][x], y, x
+    assert len(set(out)) == len(out)
+    return out
+
+
+def wall_of(ball, roots, word):
+    """Root key of the wall named by a failure's reflection word p x p^-1."""
+    half = len(word) // 2
+    chamber = ball.index(tuple(map(int, word[:half])))
+    return roots.key(roots.fold(ball, chamber, (int(word[half]),))[0])
+
+
+def reported_failures(ball, roots, report):
+    """The failing wall pairs of an L24 report, as sets of root keys."""
+    return {frozenset((wall_of(ball, roots, c.where["alpha"]),
+                       wall_of(ball, roots, c.where["beta"]))): c.lhs
+            for c in report.failures}
+
+
+def assert_root_walls_match_cut_scan(ball):
+    """Root keys agree with _cuts wherever it decides, and L24 counts their pairs."""
+    roots = Roots(ball.matrix)
+    keys = reflection_keys(ball, roots)
+    residues = rank2_complete_residues(ball)
+    walls = [chain_walls(ball, roots, res) for res in residues]
+    decided = cut_scan(ball, residues)
+    for (refl, pos), cut in decided.items():
+        assert (keys[refl] in walls[pos]) == cut
+    pairs = Counter(frozenset(pair) for w in walls for pair in combinations(w, 2))
+    report = verify_wall_pair_uniqueness(ball, gate=False)
+    assert report.skipped == 0
+    assert report.checked == len(pairs)
+    assert reported_failures(ball, roots, report) == {
+        pair: count for pair, count in pairs.items() if count > 1}
+    return len(decided), len(keys) * len(residues)
+
+
+def cyclotomic_by_division(n):
+    """Phi_n as x^n - 1 over Phi_k for every proper divisor k, over the rationals."""
+    phi = {}
+    for k in range(1, n + 1):
+        if n % k == 0:
+            p = (-1,) + (0,) * (k - 1) + (1,)
+            for j, q in phi.items():
+                if k % j == 0:
+                    p, rem = polys.divmod_exact(p, q)
+                    assert not rem
+            phi[k] = tuple(int(a) for a in p)
+    return phi[n]
+
+
+def exact_det(rows):
+    """Determinant over the rationals, by elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(a)):
+        pivot = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+@pytest.mark.parametrize("m", [INF, 2, 3, 4, 5, 6, 8, 9, 12, 15, 35, 105])
+def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
+    # reduce kills every multiple of Phi_N and is unimodular on the powers
+    # x^e e_j (e < phi(N)), so it is the coordinate map of Z[zeta_N]^rank in
+    # an integer basis: two roots get the same key exactly when they are equal
+    roots = Roots(validate_matrix([[1, m], [m, 1]]))
+    half = roots.big // 2
+    phi = cyclotomic_by_division(roots.big)
+    d = len(phi) - 1
+
+    def vector(poly, j):
+        # a polynomial in coordinate j, with x^half = -1
+        v = [0] * (2 * half)
+        for e, c in enumerate(poly):
+            v[e % half * 2 + j] += -c if e // half % 2 else c
+        return v
+
+    for e in range(half):
+        assert not any(roots.reduce(vector((0,) * e + phi, 1)))
+    basis = [roots.reduce(vector((0,) * e + (1,), j)) for e in range(d) for j in range(2)]
+    assert len(basis[0]) == 2 * d
+    assert abs(exact_det(basis)) == 1
+    if m != INF:
+        # the shortcuts for m = 2 and 3 are zeta^a + zeta^-a as well
+        a = roots.big // (2 * m)
+        unit = vector((1,), 0)
+        generic = vector((0,) * a + (1,), 0)
+        generic = [x + y for x, y in zip(generic, vector((0,) * (roots.big - a) + (1,), 0))]
+        assert roots.reduce(roots.times(m, unit)) == roots.reduce(generic)
+
+
+FINITE_RANK3 = validate_matrix([[1, 3, 2, 4], [3, 1, 3, 4], [2, 3, 1, 4], [4, 4, 4, 1]])
+
+
+@pytest.mark.parametrize("matrix,depth", [
+    pytest.param(uniform_matrix(3, 4), 8, id="(4,4,4)"),
+    pytest.param(uniform_matrix(4, 4), 7, id="uniform(4,4)"),
+    pytest.param(validate_matrix([[1, 4, 5], [4, 1, 6], [5, 6, 1]]), 9, id="(4,5,6)"),
+    pytest.param(
+        validate_matrix([[1, 3, 4, INF], [3, 1, 5, 4], [4, 5, 1, 3], [INF, 4, 3, 1]]),
+        7, id="mixed",
+    ),
+    pytest.param(uniform_matrix(3, 3), 8, id="(3,3,3)"),
+    pytest.param(FINITE_RANK3, 7, id="finite-rank-3"),
+])
+def test_root_walls_match_cut_scan(matrix, depth):
+    decided, pairs = assert_root_walls_match_cut_scan(get_ball(matrix, depth))
+    assert 0 < decided < pairs  # the scan skips some pairs the roots decide
+
+
+@pytest.mark.parametrize("labels,depth", [
+    pytest.param((5, 7, 11), 10, id="(5,7,11)"),
+    pytest.param((11, 13, 17), 12, id="(11,13,17)"),
+])
+def test_root_walls_with_large_labels_stay_cheap(labels, depth):
+    # N = 770 and 4862: each wall costs O(N), where a dense product mod
+    # Phi_N cost phi(N)^2 per coordinate and its tables took minutes to build
+    a, b, c = labels
+    ball = get_ball(validate_matrix([[1, a, b], [a, 1, c], [b, c, 1]]), depth)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = verify_wall_pair_uniqueness(ball)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.checked > 0 and report.skipped == 0
+    assert peak <= 4 * 1024 * 1024
+    assert seconds < 10
+    assert_root_walls_match_cut_scan(ball)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_matrices(max_rank=4))
+def test_root_walls_match_cut_scan_random(matrix):
+    assert_root_walls_match_cut_scan(build_ball(matrix, 6))
+
+
+def test_wall_pair_uniqueness_diagnostic():
+    # a finite rank-3 subsystem: wall pairs collide, and the roots see every
+    # collision the reflection scan sees, plus those it cannot decide
+    ball = get_ball(FINITE_RANK3, 7)
+    roots = Roots(ball.matrix)
+    report = verify_wall_pair_uniqueness(ball, gate=False)
+    assert not report.holds and report.skipped == 0
+    found = reported_failures(ball, roots, report)
+    assert len(found) == len(report.failures) == 62
+    keys = reflection_keys(ball, roots)
+    scanned = {frozenset((keys[a], keys[b])) for a, b in cut_scan_failures(ball)}
+    assert len(scanned) == 39
+    assert scanned <= set(found)
+
+
+def test_wall_pair_uniqueness_memory():
+    # one rendered root per wall and one int per wall pair peak at about
+    # 440 KB here; a dict counting the pairs beside the roots took 600 KB
+    ball = build_ball(uniform_matrix(4, 4), 8)
+    tracemalloc.start()
+    try:
+        report = verify_wall_pair_uniqueness(ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak <= 640 * 1024
 
 
 def test_wall_pair_uniqueness_gate():
