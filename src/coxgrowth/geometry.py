@@ -1,11 +1,12 @@
 """Chamber-level geometry over a finite ball: residues, projections, walls.
 
 Chambers are ball elements, named by ball index in every argument and
-result; s-adjacency is right multiplication.  Every computation is exact
-but ball-scoped: products are folded through stored edges, and a scan
-instance whose chambers would leave the ball is counted as skipped rather
-than guessed.  Verifier reports therefore carry both a checked and a
-skipped count.
+result; s-adjacency is right multiplication.  Products are folded through
+stored edges, so every computation is exact.  Walls are named exactly by
+their roots over Z[zeta_N] (see `roots`), so the wall scan L24 decides
+every complete residue.  Only C210 and L211 are still ball-scoped: a case
+whose chambers would leave the ball is counted as skipped rather than
+guessed, and their reports carry both a checked and a skipped count.
 """
 from __future__ import annotations
 
@@ -24,11 +25,6 @@ from .errors import (
 )
 from .report import Comparison, VerificationReport
 
-INSIDE_ALPHA = "inside_alpha"
-INSIDE_MINUS_ALPHA = "inside_minus_alpha"
-IN_BOUNDARY = "in_boundary"
-
-
 @dataclass(frozen=True)
 class Residue:
     """A standard coset w<J> restricted to the ball.
@@ -41,10 +37,6 @@ class Residue:
     gate: int
     members: tuple[int, ...]
     complete: bool
-
-    @property
-    def rank(self) -> int:
-        return len(self.gens)
 
 
 def residue(ball: Ball, chamber: int, gens) -> Residue:
@@ -128,22 +120,7 @@ def parallel_check(ball: Ball, first: Residue, second: Residue) -> bool:
     return onto_first == set(first.members)
 
 
-# -- roots and walls ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RootHandle:
-    """A half-space: a reflection (by ball index) plus a chosen side.
-
-    positive=True names the side containing the identity chamber.
-    """
-
-    reflection: int
-    positive: bool = True
-
-
-def simple_root(ball: Ball, s: int) -> RootHandle:
-    return RootHandle(ball.step(0, s), True)
+# -- reflections and rank-2 residues ---------------------------------------
 
 
 def reflections(ball: Ball) -> list[int]:
@@ -153,7 +130,9 @@ def reflections(ball: Ball) -> list[int]:
     length(u) = k.  Conversely every u s u^{-1} with 2*length(u) + 1 <=
     depth is a reflection whose fold, and each step of it, stays within
     that length, so taking all of them finds exactly the reflections in
-    the ball.
+    the ball.  L24 names walls by their roots and does not call this; it
+    stays as the ball-side list that the reflection-scan oracle of L24 in
+    the tests starts from, and `perfbench/tracer.py` counts it by name.
     """
     out = set()
     for u in range(ball.size):
@@ -161,30 +140,6 @@ def reflections(ball: Ball) -> list[int]:
             for s in range(ball.matrix.rank):
                 out.add(ball.fold_inverse(ball.edges[u][s], u))
     return sorted(out)
-
-
-def left_apply(ball: Ball, g: int, x: int) -> int | None:
-    """Index of g * x, or None when an intermediate leaves the ball.
-
-    Folds x^{-1} g^{-1} through the ball and inverts once; its intermediates
-    are the inverses of those of g * x built letter by letter on the left,
-    so both leave the ball at the same step.
-    """
-    got = ball.fold_inverse(ball.inverse_index(x), g)
-    return None if got is None else ball.inverse_index(got)
-
-
-def root_membership(ball: Ball, root: RootHandle, chamber: int) -> bool | None:
-    """Whether the chamber lies on the root's side; None if undecidable here.
-
-    A chamber w is on the positive side of the reflection r exactly when
-    r*w is longer than w.
-    """
-    image = left_apply(ball, root.reflection, chamber)
-    if image is None:
-        return None
-    raised = ball.lengths[image] > ball.lengths[chamber]
-    return raised == root.positive
 
 
 def rank2_complete_residues(ball: Ball) -> list[Residue]:
@@ -209,80 +164,6 @@ def rank2_complete_residues(ball: Ball) -> list[Residue]:
             assert res.complete and res.gate == g
             out.append(res)
     return out
-
-
-def _cuts(ball: Ball, refl: int, chambers) -> bool | None:
-    """Whether the reflection's wall cuts the residue with these chambers.
-
-    The wall of r cuts a spherical residue R exactly when r maps some
-    chamber of R into R, and then r maps all of R onto itself.  So the
-    first image that folds inside the ball decides; None when none folds.
-    """
-    for x in chambers:
-        image = left_apply(ball, refl, x)
-        if image is not None:
-            return image in chambers
-    return None
-
-
-def residue_root_trichotomy(ball: Ball, res: Residue, root: RootHandle) -> str:
-    """Classify a spherical rank-2 residue against a half-space.
-
-    Exactly one holds: all chambers inside the root, all inside its
-    opposite, or the residue is stabilized by the reflection (its wall cuts
-    the residue).  A wall that does not cut the residue leaves it on one
-    side, so the first chamber whose image folds decides every case.
-    """
-    if not res.complete:
-        raise ResidueIncompleteError("trichotomy needs the whole residue")
-    cut = _cuts(ball, root.reflection, res.members)
-    if cut is None:
-        raise DepthExceededError("no chamber of the residue folds under the reflection")
-    if cut:
-        return IN_BOUNDARY
-    side = next(v for m in res.members
-                if (v := root_membership(ball, root, m)) is not None)
-    return INSIDE_ALPHA if side else INSIDE_MINUS_ALPHA
-
-
-@dataclass(frozen=True)
-class WallSample:
-    """Ball-restricted wall data of one root: panels cut and residues stabilized."""
-
-    root: RootHandle
-    panels: tuple[tuple[int, int], ...]
-    residues: tuple[Residue, ...]
-    skipped_panels: int
-    skipped_residues: int
-
-
-def wall_sample(ball: Ball, root: RootHandle,
-                residues: list[Residue] | None = None) -> WallSample:
-    refl = root.reflection
-    panels = []
-    skipped_panels = 0
-    for w in range(ball.size):
-        lw = ball.lengths[w]
-        for s in range(ball.matrix.rank):
-            x = ball.edges[w][s]
-            if x < 0 or ball.lengths[x] < lw:
-                continue
-            got = _cuts(ball, refl, (w, x))
-            if got is None:
-                skipped_panels += 1
-            elif got:
-                panels.append((w, x))
-    if residues is None:
-        residues = rank2_complete_residues(ball)
-    cut = []
-    skipped_res = 0
-    for res in residues:
-        got = _cuts(ball, refl, res.members)
-        if got is None:
-            skipped_res += 1
-        elif got:
-            cut.append(res)
-    return WallSample(root, tuple(panels), tuple(cut), skipped_panels, skipped_res)
 
 
 # -- scans ----------------------------------------------------------------
@@ -528,21 +409,3 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
                 )
     return VerificationReport("L211", 0, ball.depth, tuple(checks), checked, skipped)
 
-
-def gallery_crossings(ball: Ball, chamber: int) -> list[int]:
-    """Reflections of the walls crossed by the canonical minimal gallery.
-
-    Wall-crossing sets are gallery independent, so any minimal gallery
-    would do; this one follows the canonical word.  Raises when a crossing
-    reflection cannot be folded inside the ball.
-    """
-    out = []
-    prefix = 0
-    for s in ball.word(chamber):
-        cur = ball.edges[prefix][s]
-        refl = ball.fold_inverse(cur, prefix)
-        if refl is None:
-            raise DepthExceededError("crossing reflection leaves the ball")
-        out.append(refl)
-        prefix = cur
-    return out

@@ -10,19 +10,13 @@ from hypothesis import given, settings
 from conftest import coxeter_matrices, get_ball
 from coxgrowth import (
     INF,
-    IN_BOUNDARY,
-    INSIDE_ALPHA,
-    INSIDE_MINUS_ALPHA,
     DepthExceededError,
     DiagramNotCompleteError,
     GeneratorOutOfRangeError,
     HypothesisError,
     ResidueIncompleteError,
-    RootHandle,
     build_ball,
-    gallery_crossings,
     gallery_distance,
-    left_apply,
     oracle_reduce,
     parallel_check,
     path_matrix,
@@ -30,19 +24,14 @@ from coxgrowth import (
     rank2_complete_residues,
     reflections,
     residue,
-    residue_root_trichotomy,
-    root_membership,
-    simple_root,
     uniform_matrix,
     validate_matrix,
     verify_exit_ascent,
     verify_not_both_down,
     verify_projection_collapse,
     verify_wall_pair_uniqueness,
-    wall_sample,
 )
 from coxgrowth import polys
-from coxgrowth.geometry import _cuts
 from coxgrowth.roots import Roots
 
 
@@ -183,54 +172,7 @@ def test_not_parallel_panels():
     assert not parallel_check(ball, one, other)
 
 
-# -- roots and walls --------------------------------------------------------
-
-
-def test_simple_root_matches_length_test():
-    # membership in alpha_s is the ascent test for left multiplication
-    matrix = uniform_matrix(3, 4)
-    ball = get_ball(matrix, 6)
-    for s in range(3):
-        root = simple_root(ball, s)
-        for idx in range(ball.size):
-            got = root_membership(ball, root, idx)
-            expected = (
-                len(oracle_reduce((s,) + ball.word(idx), matrix)) > ball.lengths[idx]
-            )
-            if got is not None:
-                assert got == expected
-
-
-def test_simple_root_membership_always_defined_inside():
-    ball = get_ball(uniform_matrix(3, 4), 6)
-    root = simple_root(ball, 0)
-    for idx in range(ball.size):
-        if ball.lengths[idx] < ball.depth:
-            assert root_membership(ball, root, idx) is not None
-
-
-def test_root_sides_swap_under_reflection():
-    ball = get_ball(uniform_matrix(3, 4), 8)
-    for refl in reflections(ball):
-        root = RootHandle(refl, True)
-        for idx in range(ball.size):
-            image = left_apply(ball, refl, idx)
-            if image is None:
-                continue
-            mine = root_membership(ball, root, idx)
-            theirs = root_membership(ball, root, image)
-            assert mine is not None and theirs is not None
-            assert mine != theirs
-
-
-def test_negative_side_flips_membership():
-    ball = get_ball(uniform_matrix(3, 4), 6)
-    pos = simple_root(ball, 1)
-    neg = RootHandle(pos.reflection, False)
-    for idx in range(ball.size):
-        got = root_membership(ball, pos, idx)
-        if got is not None:
-            assert root_membership(ball, neg, idx) == (not got)
+# -- reflections and left multiplication ---------------------------------------
 
 
 def test_reflections_match_oracle_conjugates():
@@ -247,25 +189,40 @@ def test_reflections_match_oracle_conjugates():
     assert got == expected
 
 
-def left_apply_by_letters(ball, g, x):
-    """g * x built one letter at a time on the left: s * y = (y^{-1} s)^{-1}."""
+def left_apply(ball, g, x):
+    """Index of g * x, or None when an intermediate leaves the ball.
+
+    Folds x^{-1} g^{-1} through the ball and inverts once; its intermediates
+    are the inverses of those of g * x built letter by letter on the left,
+    so both leave the ball at the same step.
+    """
+    got = ball.fold_inverse(ball.inverse_index(x), g)
+    return None if got is None else ball.inverse_index(got)
+
+
+def left_apply_by_letters(ball, inverse, word, x):
+    """g * x built one letter at a time on the left: s * y = (y^{-1} s)^{-1}.
+
+    `word` is the canonical word of g and `inverse` the ball's inverse table.
+    """
     cur = x
-    for s in reversed(ball.word(g)):
-        j = ball.edges[ball.inverse_index(cur)][s]
+    for s in reversed(word):
+        j = ball.edges[inverse[cur]][s]
         if j < 0:
             return None
-        cur = ball.inverse_index(j)
+        cur = inverse[j]
     return cur
 
 
 def assert_left_apply_matches_letters(ball):
-    for g in range(ball.size):
+    inverse = [ball.inverse_index(idx) for idx in range(ball.size)]
+    words = [ball.word(idx) for idx in range(ball.size)]
+    for g, word in enumerate(words):
         for x in range(ball.size):
             got = left_apply(ball, g, x)
-            assert got == left_apply_by_letters(ball, g, x)
+            assert got == left_apply_by_letters(ball, inverse, word, x)
             if got is not None:
-                expected = oracle_reduce(ball.word(g) + ball.word(x), ball.matrix)
-                assert ball.word(got) == expected
+                assert words[got] == oracle_reduce(word + words[x], ball.matrix)
 
 
 @pytest.mark.parametrize("matrix_args,depth", [((3, 4), 6), ((4, 3), 5)])
@@ -295,160 +252,47 @@ def test_reflections_are_involutions():
         assert left_apply(ball, refl, refl) == 0
 
 
-def test_wall_sample_panel_criterion():
-    ball = get_ball(uniform_matrix(3, 4), 6)
-    root = simple_root(ball, 0)
-    sample = wall_sample(ball, root)
-    in_sample = set(sample.panels)
-    for w, x in in_sample:
-        sides = (
-            root_membership(ball, root, w),
-            root_membership(ball, root, x),
-        )
-        assert None not in sides
-        assert sides[0] != sides[1]
-    # converse: any panel with defined, differing memberships is sampled
-    for w in range(ball.size):
-        for s in range(3):
-            x = ball.edges[w][s]
-            if x < 0 or ball.lengths[x] < ball.lengths[w]:
-                continue
-            a = root_membership(ball, root, w)
-            b = root_membership(ball, root, x)
-            if a is not None and b is not None and a != b:
-                assert (w, x) in in_sample
-
-
-def test_wall_sample_residues_are_stabilized():
-    ball = get_ball(uniform_matrix(3, 4), 8)
-    root = simple_root(ball, 2)
-    sample = wall_sample(ball, root)
-    assert sample.residues
-    for res in sample.residues:
-        vals = {root_membership(ball, root, m) for m in res.members}
-        assert True in vals and False in vals
-
-
-def test_trichotomy_cases():
-    ball = get_ball(uniform_matrix(3, 4), 6)
-    res = residue(ball, 0, (0, 1))
-    third = simple_root(ball, 2)
-    assert residue_root_trichotomy(ball, res, third) == INSIDE_ALPHA
-
-    mirrored = residue(ball, ball.index((2,)), (0, 1))
-    assert residue_root_trichotomy(ball, mirrored, third) == INSIDE_MINUS_ALPHA
-
-    inside = simple_root(ball, 0)  # its wall cuts the residue at the identity
-    assert residue_root_trichotomy(ball, res, inside) == IN_BOUNDARY
-
-
-def test_trichotomy_is_exclusive():
-    ball = get_ball(uniform_matrix(3, 4), 8)
-    residues = rank2_complete_residues(ball)
-    outcomes = {INSIDE_ALPHA: 0, INSIDE_MINUS_ALPHA: 0, IN_BOUNDARY: 0}
-    for s in range(3):
-        root = simple_root(ball, s)
-        for res in residues:
-            try:
-                outcomes[residue_root_trichotomy(ball, res, root)] += 1
-            except DepthExceededError:
-                pass
-    assert all(outcomes.values())
-
-
-def membership_scan(ball, res, root):
-    """Wall test by membership: the side of every member; mixed sides mean a cut."""
-    vals = [root_membership(ball, root, m) for m in res.members]
-    if True in vals and False in vals:
-        return IN_BOUNDARY
-    if None in vals:
-        return None
-    return INSIDE_ALPHA if vals[0] else INSIDE_MINUS_ALPHA
-
-
-def assert_cuts_extend_membership_scan(ball):
-    """_cuts and the trichotomy agree with the scan and decide all it decides.
-
-    Returns how many (reflection, residue) pairs the scan and _cuts decide.
-    """
-    residues = rank2_complete_residues(ball)
-    by_scan = by_cuts = 0
-    for refl in reflections(ball):
-        for res in residues:
-            cut = _cuts(ball, refl, res.members)
-            by_cuts += cut is not None
-            for root in (RootHandle(refl, True), RootHandle(refl, False)):
-                old = membership_scan(ball, res, root)
-                try:
-                    new = residue_root_trichotomy(ball, res, root)
-                except DepthExceededError:
-                    new = None
-                assert (new is None) == (cut is None)
-                assert cut is None or cut == (new == IN_BOUNDARY)
-                if old is not None:
-                    assert new == old
-            by_scan += old is not None
-    return by_scan, by_cuts
-
-
-@pytest.mark.parametrize(
-    "matrix_args,depth", [((3, 4), 8), ((4, 3), 6), ((3, 5), 8)]
-)
-def test_cuts_extend_membership_scan(matrix_args, depth):
-    ball = get_ball(uniform_matrix(*matrix_args), depth)
-    by_scan, by_cuts = assert_cuts_extend_membership_scan(ball)
-    assert 0 < by_scan < by_cuts
-
-
-@settings(max_examples=60, deadline=None)
-@given(coxeter_matrices(max_rank=4))
-def test_cuts_extend_membership_scan_random(matrix):
-    assert_cuts_extend_membership_scan(build_ball(matrix, 6))
-
-
 # -- galleries ---------------------------------------------------------------
 
 
-def test_crossings_walk_the_panels():
-    ball = get_ball(uniform_matrix(3, 4), 8)
-    word = (0, 1, 2, 0)
-    idx = ball.index(word)
-    crossings = gallery_crossings(ball, idx)
-    assert len(crossings) == 4
+def gallery_walls(ball, roots, word):
+    """Keys of the walls p_k alpha_{s_k} that the gallery of `word` crosses."""
+    out = []
     prefix = 0
-    for k, refl in enumerate(crossings):
-        nxt = ball.edges[prefix][word[k]]
-        assert left_apply(ball, refl, prefix) == nxt
+    for s in word:
+        out.append(roots.key(roots.fold(ball, prefix, (s,))[0]))
+        prefix = ball.edges[prefix][s]
+    return out
+
+
+def test_crossings_walk_the_panels():
+    # the k-th wall of a gallery is that of the panel {p_k, p_k s_k}: seen
+    # from p_k s_k its root is p_k s_k alpha_{s_k} = -p_k alpha_{s_k}
+    ball = get_ball(uniform_matrix(3, 4), 8)
+    roots = Roots(ball.matrix)
+    word = (0, 1, 2, 0)
+    prefix = 0
+    for s in word:
+        nxt = ball.edges[prefix][s]
+        near = roots.reduce(roots.fold(ball, prefix, (s,))[0])
+        far = roots.reduce(roots.fold(ball, nxt, (s,))[0])
+        assert any(near) and far == [-a for a in near]
         prefix = nxt
+    assert prefix == ball.index(word)
 
 
 def test_minimal_gallery_crosses_each_wall_once():
-    ball = get_ball(uniform_matrix(3, 4), 9)
-    for idx in range(ball.size):
-        if 2 * ball.lengths[idx] - 1 > ball.depth:
-            continue
-        crossings = gallery_crossings(ball, idx)
-        assert len(set(crossings)) == len(crossings) == ball.lengths[idx]
-
-
-def test_roots_are_convex_along_canonical_galleries():
-    ball = get_ball(uniform_matrix(3, 4), 8)
-    for s in range(3):
-        root = simple_root(ball, s)
+    # the walls crossed along a reduced word are distinct, one per letter,
+    # on every element of (4,4,4) to depth 9 and on the whole of H3
+    h3 = validate_matrix([[1, 3, 2], [3, 1, 5], [2, 5, 1]])
+    for matrix, depth in ((uniform_matrix(3, 4), 9), (h3, 15)):
+        ball = get_ball(matrix, depth)
+        roots = Roots(matrix)
         for idx in range(ball.size):
-            if root_membership(ball, root, idx) is not True:
-                continue
-            # walk the canonical gallery from the identity side
-            prefix = 0
-            for letter in ball.word(idx):
-                prefix = ball.edges[prefix][letter]
-                assert root_membership(ball, root, prefix) is not False or (
-                    prefix == idx
-                )
-    # the identity itself lies in every simple root
-    assert all(
-        root_membership(ball, simple_root(ball, s), 0) for s in range(3)
-    )
+            walls = gallery_walls(ball, roots, ball.word(idx))
+            assert len(set(walls)) == ball.lengths[idx]
+    # a word that is not reduced crosses a wall twice: (0, 1, 1) only two
+    assert len(set(gallery_walls(ball, roots, (0, 1, 1)))) == 2
 
 
 # -- verifier scans ----------------------------------------------------------
@@ -519,6 +363,20 @@ def test_wall_pair_uniqueness_scans():
 
 
 # -- walls as roots against the reflection scan --------------------------------
+
+
+def _cuts(ball, refl, chambers):
+    """Whether the reflection's wall cuts the residue with these chambers.
+
+    The wall of r cuts a spherical residue R exactly when r maps some
+    chamber of R into R, and then r maps all of R onto itself.  So the
+    first image that folds inside the ball decides; None when none folds.
+    """
+    for x in chambers:
+        image = left_apply(ball, refl, x)
+        if image is not None:
+            return image in chambers
+    return None
 
 
 def cut_scan(ball, residues):
