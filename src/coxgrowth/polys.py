@@ -1,13 +1,21 @@
-"""Dense univariate polynomial helpers over exact coefficients.
+"""Dense univariate polynomials over the integers.
 
-Polynomials are tuples of coefficients in ascending degree order with no
-trailing zeros; the zero polynomial is the empty tuple.  Coefficients are
-ints or Fractions, and every routine here is exact.
+Polynomials are tuples of int coefficients in ascending degree order with
+no trailing zeros; the zero polynomial is the empty tuple.  Every routine
+takes and returns ints, except at the boundary: clear_denominators takes
+rational coefficients, and eval_at returns the exact value at a rational.
+
+Exact quotients are integer long divisions by a divisor that divides: a
+monic one, or a primitive one by Gauss's lemma.  The gcd and the Sturm
+chain run on pseudo-remainders scaled by |lead|^(delta+1) > 0 and made
+primitive, so each member is a positive multiple of its rational
+counterpart.  The sign of a Sturm member at a/b (b > 0) is the sign of the
+homogenised Horner sum sum c_i a^i b^(d-i), an integer.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def trim(coeffs) -> tuple:
@@ -51,70 +59,82 @@ def scale(p: tuple, k) -> tuple:
     return tuple(a * k for a in p)
 
 
-def eval_at(p: tuple, x: Fraction):
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * x + a
+def horner(p: tuple, a: int, b: int) -> int:
+    """b^deg(p) * p(a/b), so its sign is the sign of p at a/b when b > 0."""
+    acc, bpow = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * bpow
+        bpow *= b
     return acc
+
+
+def eval_at(p: tuple, x) -> Fraction:
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return Fraction(horner(p, a, b), b ** max(degree(p), 0))
 
 
 def derivative(p: tuple) -> tuple:
     return trim(i * a for i, a in enumerate(p) if i > 0)
 
 
-def divmod_exact(p: tuple, q: tuple) -> tuple[tuple, tuple]:
-    """Quotient and remainder over the rationals; q must be nonzero."""
+def quotient(p: tuple, q: tuple) -> tuple:
+    """p / q over Z for a q that divides p: monic, or primitive (Gauss's lemma)."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(a) for a in p]
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = Fraction(q[-1])
-    dq = len(q) - 1
+    rem = list(p)
+    quo = [0] * max(len(p) - len(q) + 1, 0)
+    lead, dq = q[-1], len(q) - 1
     for i in range(len(rem) - 1, dq - 1, -1):
-        if rem[i] == 0:
-            continue
-        f = rem[i] / lead
-        quo[i - dq] = f
+        f, r = divmod(rem[i], lead)
+        if r:
+            raise ArithmeticError("polynomial division is not exact over Z")
+        if f:
+            quo[i - dq] = f
+            for j, b in enumerate(q):
+                rem[i - dq + j] -= f * b
+    if any(rem):
+        raise ArithmeticError("polynomial division left a remainder")
+    return trim(quo)
+
+
+def pseudo_remainder(p: tuple, q: tuple) -> tuple:
+    """Remainder of |lead q|^(deg p - deg q + 1) * p by q, for nonzero q."""
+    rem = list(p)
+    lead, dq = q[-1], len(q) - 1
+    k, sign = abs(lead), 1 if lead > 0 else -1
+    for i in range(len(rem) - 1, dq - 1, -1):
+        f = rem[i] * sign
+        rem = [a * k for a in rem]
         for j, b in enumerate(q):
             rem[i - dq + j] -= f * b
-    return trim(quo), trim(rem)
-
-
-def gcd_poly(p: tuple, q: tuple) -> tuple:
-    """Monic greatest common divisor over the rationals."""
-    a = tuple(Fraction(x) for x in trim(p))
-    b = tuple(Fraction(x) for x in trim(q))
-    while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(x / lead for x in a)
+    return trim(rem)
 
 
 def content(p: tuple) -> int:
-    """Positive gcd of the integer coefficients (0 for the zero polynomial)."""
-    g = 0
-    for a in p:
-        g = gcd(g, int(a))
-    return g
+    """Positive gcd of the coefficients (0 for the zero polynomial)."""
+    return gcd(*p)
 
 
 def primitive(p: tuple) -> tuple:
     g = content(p)
     if g in (0, 1):
-        return tuple(int(a) for a in p)
-    return tuple(int(a) // g for a in p)
+        return p
+    return tuple(a // g for a in p)
+
+
+def gcd_poly(p: tuple, q: tuple) -> tuple:
+    """Primitive greatest common divisor with positive leading coefficient."""
+    a, b = primitive(trim(p)), primitive(trim(q))
+    while b:
+        a, b = b, primitive(pseudo_remainder(a, b))
+    return neg(a) if a and a[-1] < 0 else a
 
 
 def clear_denominators(p: tuple) -> tuple:
     """Scale a rational polynomial by a positive integer to get integer coefficients."""
-    mult = 1
-    for a in p:
-        d = Fraction(a).denominator
-        mult = mult * d // gcd(mult, d)
-    return tuple(int(Fraction(a) * mult) for a in p)
+    mult = lcm(*(a.denominator for a in p))
+    return tuple(int(a * mult) for a in p)
 
 
 def square_free_part(p: tuple) -> tuple:
@@ -122,36 +142,21 @@ def square_free_part(p: tuple) -> tuple:
     p = trim(p)
     if degree(p) < 1:
         return p
-    g = gcd_poly(p, derivative(p))
-    quo, rem = divmod_exact(p, g)
-    if rem:
-        raise ArithmeticError("square-free division left a remainder")
-    out = primitive(clear_denominators(quo))
-    if out and out[-1] < 0:
-        out = neg(out)
-    return out
+    out = primitive(quotient(p, gcd_poly(p, derivative(p))))
+    return neg(out) if out[-1] < 0 else out
 
 
 def sturm_chain(p: tuple) -> list[tuple]:
     chain = [trim(p), derivative(p)]
     while chain[-1]:
-        _, r = divmod_exact(chain[-2], chain[-1])
+        r = pseudo_remainder(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(neg(r))
+        chain.append(neg(primitive(r)))
     return [c for c in chain if c]
 
 
-def sign_variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_halfopen(chain: list[tuple], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b] for a square-free polynomial.
-
-    Precondition: the polynomial does not vanish at a.
-    """
-    va = sign_variations(eval_at(c, a) for c in chain)
-    vb = sign_variations(eval_at(c, b) for c in chain)
-    return va - vb
+def sign_variations(chain: list[tuple], a: int, b: int) -> int:
+    """Sign changes along the chain at a/b (b > 0), zeros dropped."""
+    signs = [v > 0 for v in (horner(c, a, b) for c in chain) if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))

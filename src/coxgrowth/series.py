@@ -7,7 +7,8 @@ subsystems through the alternating sum over spherical subsets J of
 type over one common denominator, a product of q-integers
 [k] = 1 + t + ... + t^(k-1), and reduced once.  Finite groups short-circuit
 to the exponent-product polynomial.  Everything downstream (coefficients,
-evaluation, root isolation) is exact integer/rational arithmetic.
+evaluation, root isolation) is exact: integer polynomials, with Fractions
+only for values that are fractions.
 """
 from __future__ import annotations
 
@@ -38,62 +39,38 @@ class PoleAt:
     point: Fraction
 
 
+@dataclass(frozen=True)
 class RationalFunction:
     """Quotient of integer polynomials, reduced, with denominator(0) > 0.
 
-    Coefficients ascend; gcd(num, den) = 1 and both are primitive.  The
+    Coefficients ascend; gcd(num, den) = 1 and the pair has content 1.  The
     normalization makes Taylor expansion at 0 well defined and the printed
-    form unique.
+    form unique.  Rational input is scaled to integers first.
     """
 
-    __slots__ = ("num", "den")
+    num: tuple
+    den: tuple = (1,)
 
-    def __init__(self, num, den=(1,)):
-        num = tuple(Fraction(a) for a in polys.trim(num))
-        den = tuple(Fraction(a) for a in polys.trim(den))
+    def __post_init__(self):
+        num, den = polys.trim(self.num), polys.trim(self.den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = (Fraction(1),)  # canonical zero
-        else:
-            g = polys.gcd_poly(num, den)
-            if polys.degree(g) > 0:
-                num, _ = polys.divmod_exact(num, g)
-                den, _ = polys.divmod_exact(den, g)
         # one scale for both, so the value of the fraction is kept
         both = polys.clear_denominators(num + den)
         num, den = both[: len(num)], both[len(num) :]
-        cn = polys.content(num)
-        cd = polys.content(den)
-        if cn and cd:
-            from math import gcd as _gcd
-
-            g = _gcd(cn, cd)
-            num = tuple(a // g for a in num)
-            den = tuple(a // g for a in den)
+        if not num:
+            den = (1,)  # canonical zero
+        else:
+            g = polys.gcd_poly(num, den)
+            num, den = polys.quotient(num, g), polys.quotient(den, g)
+            both = polys.primitive(num + den)
+            num, den = both[: len(num)], both[len(num) :]
         if den[0] == 0:
             raise SingularAtZeroError("denominator vanishes at 0")
         if den[0] < 0:
-            num = polys.neg(num)
-            den = polys.neg(den)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
-
-    def __setattr__(self, *a):  # immutable by construction
-        raise AttributeError("RationalFunction is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RationalFunction(num={list(self.num)}, den={list(self.den)})"
+            num, den = polys.neg(num), polys.neg(den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     # -- analysis ---------------------------------------------------------
 
@@ -109,12 +86,12 @@ class RationalFunction:
         b0 = self.den[0]
         out = []
         for k in range(count + 1):
-            acc = Fraction(self.num[k] if k < len(self.num) else 0)
+            acc = self.num[k] if k < len(self.num) else 0
             for j in range(1, min(k, len(self.den) - 1) + 1):
                 acc -= self.den[j] * out[k - j]
-            acc /= b0
-            out.append(acc)
-        return [int(a) if a.denominator == 1 else a for a in out]
+            q, r = divmod(acc, b0)
+            out.append(Fraction(acc, b0) if r else q)
+        return out
 
 
 def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
@@ -143,9 +120,7 @@ def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
         den = polys.mul(den, (1,) * k)
     num = ()
     for label, count in counts.items():
-        quo, rem = polys.divmod_exact(den, poincare_polynomial(label))
-        if rem:
-            raise ClassificationError(f"{label.name} does not divide the common denominator")
+        quo = polys.quotient(den, poincare_polynomial(label))  # W is monic
         num = polys.add(num, polys.scale(quo, (-1) ** len(label.exponents) * count))
     acc = RationalFunction(num, den)
     p, q = acc.num, acc.den
@@ -168,9 +143,10 @@ class ConvergenceVerdict:
     """Whether the series converges at an exact point in (0, 1).
 
     finite=True carries the exact value; finite=False carries an interval
-    around a denominator root at or below the point.  With nonnegative
-    coefficients the smallest positive pole is the radius of convergence,
-    so a pole at rho <= point forces divergence at the point itself.
+    around the smallest positive denominator root rho <= point, or
+    (point, point) when that root is the point.  With nonnegative
+    coefficients rho is the radius of convergence, so the series diverges
+    at the point itself.
     """
 
     point: Fraction
@@ -197,24 +173,24 @@ class ConvergenceVerdict:
 
 
 _WIDTH = Fraction(1, 2**64)
+_SAMPLE_DEPTH = 64
 
 
-def finiteness_verdict(
-    f: RationalFunction, point, sample_depth: int = 64
-) -> ConvergenceVerdict:
+def finiteness_verdict(f: RationalFunction, point) -> ConvergenceVerdict:
     """Exact convergence decision for a series with nonnegative coefficients.
 
-    Nonnegativity is asserted on the first sample_depth coefficients.  The
+    Nonnegativity is asserted on the first _SAMPLE_DEPTH coefficients.  The
     decision itself is exact: the denominator either has a real root in
-    (0, point] or it does not, settled by sign-variation counts of a Sturm
-    chain on the square-free part; the reported isolating interval is then
-    narrowed below 2**-64 by bisection (the tolerance affects only the
+    (0, point] or it does not, settled by sign-variation counts of an
+    integer Sturm chain on the square-free part; the reported isolating
+    interval is then narrowed below 2**-64 by bisection, which keeps the
+    count at the end that does not move (the tolerance affects only the
     report, never the verdict).
     """
     t0 = Fraction(point)
     if not 0 < t0 < 1:
         raise ValueError(f"evaluation point must lie in (0, 1), got {t0}")
-    for k, a in enumerate(f.taylor(sample_depth)):
+    for k, a in enumerate(f.taylor(_SAMPLE_DEPTH)):
         if a < 0:
             raise NegativeCoefficientError(f"coefficient {k} is negative: {a}")
     g = polys.square_free_part(f.den)
@@ -224,20 +200,27 @@ def finiteness_verdict(
         "is the radius of convergence, and divergence there propagates to "
         "every point at or beyond it"
     )
-    if polys.eval_at(g, t0) == 0:
-        return ConvergenceVerdict(t0, False, None, (t0, t0), justification)
-    count = polys.count_roots_halfopen(chain, Fraction(0), t0)
+
+    def variations(x: Fraction) -> int:
+        return polys.sign_variations(chain, x.numerator, x.denominator)
+
+    # roots in (lo, hi] number v_lo - v_hi; g does not vanish at lo
+    v_lo = variations(Fraction(0))
+    count = v_lo - variations(t0)
     if count == 0:
         value = f.evaluate(t0)
         assert isinstance(value, Fraction)
         return ConvergenceVerdict(t0, True, value, None, justification)
+    if count == 1 and polys.eval_at(g, t0) == 0:
+        return ConvergenceVerdict(t0, False, None, (t0, t0), justification)
     lo, hi = Fraction(0), t0
     while hi - lo > _WIDTH:
         mid = (lo + hi) / 2
-        if polys.count_roots_halfopen(chain, lo, mid) >= 1:
+        v_mid = variations(mid)
+        if v_lo > v_mid:
             hi = mid
         else:
-            lo = mid
+            lo, v_lo = mid, v_mid
     return ConvergenceVerdict(t0, False, None, (lo, hi), justification)
 
 

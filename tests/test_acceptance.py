@@ -6,12 +6,13 @@ wall-clock budget.
 """
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from conftest import get_ball
 from coxgrowth import (
+    INF,
     HypothesisError,
     classify_subset,
     cli,
@@ -322,4 +323,60 @@ def test_criterion_8_determinism(criterion, tmp_path):
         f"consecutive stats and series runs byte-identical "
         f"(stats {len(outs['s1'].read_bytes())}B, "
         f"series {len(outs['g1'].read_bytes())}B)",
+    )
+
+
+def complete_two_spherical_classes(rank, labels):
+    """Complete 2-spherical matrices with edge labels in labels, one per relabelling class."""
+    edges = list(combinations(range(rank), 2))
+    relabellings = [
+        [edges.index(tuple(sorted((p[i], p[j])))) for i, j in edges]
+        for p in permutations(range(rank))
+    ]
+    classes = {
+        min(tuple(values[k] for k in relabelled) for relabelled in relabellings)
+        for values in product(labels, repeat=len(edges))
+    }
+    return [edge_matrix(rank, edges, values) for values in sorted(classes)]
+
+
+def edge_matrix(rank, edges, values):
+    rows = [[1] * rank for _ in range(rank)]
+    for (i, j), label in zip(edges, values):
+        rows[i][j] = rows[j][i] = label
+    return validate_matrix(rows)
+
+
+def test_criterion_9_paper_census(criterion):
+    """The paper's two claims on every small complete 2-spherical system.
+
+    p(1/(n-1)) is finite for every class, and p(1/(n-2)) is infinite for
+    n >= 4.  The universal group (all labels infinite) is the control: its
+    series is (1+t)/(1-(n-1)t), which diverges at 1/(n-1), so the
+    2-spherical hypothesis cannot be dropped.
+    """
+    start = time.monotonic()
+    problems = []
+    sizes = {}
+    for rank, labels in ((3, range(3, 9)), (4, range(3, 7)), (5, (3, 4))):
+        matrices = complete_two_spherical_classes(rank, labels)
+        sizes[rank] = len(matrices)
+        for matrix in matrices:
+            series = rational_growth_series(matrix)
+            if not finiteness_verdict(series, Fraction(1, rank - 1)).finite:
+                problems.append(f"{matrix} diverges at 1/{rank - 1}")
+            if rank >= 4 and finiteness_verdict(series, Fraction(1, rank - 2)).finite:
+                problems.append(f"{matrix} converges at 1/{rank - 2}")
+        universal = rational_growth_series(uniform_matrix(rank, INF))
+        if (universal.num, universal.den) != ((1, 1), (1, 1 - rank)):
+            problems.append(f"universal rank {rank}: series {universal}")
+        if finiteness_verdict(universal, Fraction(1, rank - 1)).finite:
+            problems.append(f"universal rank {rank} converges at 1/{rank - 1}")
+    elapsed = time.monotonic() - start
+    criterion(
+        9,
+        not problems and sizes == {3: 56, 4: 276, 5: 34} and elapsed < 10.0,
+        f"p(1/(n-1)) finite on {sum(sizes.values())} complete 2-spherical classes "
+        f"(rank 3/4/5: {sizes}), p(1/(n-2)) infinite for n >= 4, universal control "
+        f"diverges; {problems or 'no counterexample'}, {elapsed:.2f}s (< 10s)",
     )

@@ -459,16 +459,15 @@ def assert_root_walls_match_cut_scan(ball):
 
 
 def cyclotomic_by_division(n):
-    """Phi_n as x^n - 1 over Phi_k for every proper divisor k, over the rationals."""
+    """Phi_n as x^n - 1 over Phi_k for every proper divisor k, exact over Z (Phi_k is monic)."""
     phi = {}
     for k in range(1, n + 1):
         if n % k == 0:
             p = (-1,) + (0,) * (k - 1) + (1,)
             for j, q in phi.items():
                 if k % j == 0:
-                    p, rem = polys.divmod_exact(p, q)
-                    assert not rem
-            phi[k] = tuple(int(a) for a in p)
+                    p = polys.quotient(p, q)
+            phi[k] = p
     return phi[n]
 
 

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import ORACLE_MATRICES, coxeter_matrices, get_ball
+from conftest import ORACLE_MATRICES, affine_a, coxeter_matrices, get_ball
 from coxgrowth import (
+    INF,
     NegativeCoefficientError,
     PoleAt,
     RationalFunction,
@@ -21,6 +23,7 @@ from coxgrowth import (
     spherical_subsets,
     taylor_coefficients,
     uniform_matrix,
+    validate_matrix,
 )
 
 # frozen reduced forms of the growth series, ascending coefficients
@@ -92,6 +95,64 @@ def test_evaluate_and_poles():
     assert geom.evaluate(Fraction(1, 2)) == 2
     hit = RationalFunction((1,), (1, -2)).evaluate(Fraction(1, 2))
     assert hit == PoleAt(Fraction(1, 2))
+
+
+@st.composite
+def integer_polys(draw, max_degree=3, nonzero_at_zero=False):
+    """A nonzero integer polynomial of degree <= max_degree, often non-monic."""
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=max_degree + 1))
+    if nonzero_at_zero:
+        coeffs[0] = coeffs[0] or 1
+    return polys.trim(coeffs) or (draw(st.integers(1, 6)),)
+
+
+@st.composite
+def common_factors(draw):
+    """A product of non-monic integer factors, some of them repeated."""
+    h = (1,)
+    for factor in draw(st.lists(integer_polys(max_degree=2), min_size=1, max_size=3)):
+        for _ in range(draw(st.integers(1, 3))):
+            h = polys.mul(h, factor)
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_polys(), integer_polys(nonzero_at_zero=True), common_factors())
+def test_common_factors_cancel(p, q, h):
+    f = RationalFunction(polys.mul(p, h), polys.mul(q, h))
+    assert f == RationalFunction(p, q)
+    # checked without the normaliser's gcd: same value, no larger denominator,
+    # content 1 and a positive constant term downstairs
+    assert polys.mul(f.num, q) == polys.mul(f.den, p)
+    assert polys.degree(f.den) <= polys.degree(q)
+    assert polys.content(f.num + f.den) == 1 and f.den[0] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3)),
+             min_size=1, max_size=3),
+    st.fractions(min_value=0, max_value=1, max_denominator=50),
+)
+# a pole at the point above a smaller one, as for the product of the
+# universal rank-3 and rank-4 groups: the interval must hold the smaller
+@example(factors=[(2, 1, 1), (3, 1, 1)], point=Fraction(1, 2))
+def test_verdict_isolates_smallest_pole(factors, point):
+    """1 / prod (b_k - a_k t)^e_k has nonnegative coefficients and first pole min b_k/a_k."""
+    assume(0 < point < 1)
+    den = (1,)
+    for a, b, e in factors:
+        for _ in range(e):
+            den = polys.mul(den, (b, -a))
+    pole = min(Fraction(b, a) for a, b, _ in factors)
+    v = finiteness_verdict(RationalFunction((1,), den), point)
+    assert v.finite == (pole > point)
+    if v.finite:
+        assert v.value == 1 / polys.eval_at(den, point)
+    else:
+        lo, hi = v.pole_interval
+        assert lo <= pole <= hi <= point
+        assert hi - lo <= Fraction(1, 2**64)
 
 
 # -- growth series ----------------------------------------------------------
@@ -231,6 +292,34 @@ def test_partial_sums_monotone_below_value():
         partial += c * t0**i
         assert previous < partial <= value
         previous = partial
+
+
+MIXED = validate_matrix([[1, 3, 4, INF], [3, 1, 5, 4], [4, 5, 1, 3], [INF, 4, 3, 1]])
+
+# exact verdict output, pinned as strings: the bisection must take the same
+# steps whatever arithmetic the Sturm chain is evaluated in
+PINNED_VERDICTS = [
+    pytest.param(uniform_matrix(4, 3), "1/2", "pole_interval",
+                 ["8010656258235284655/18446744073709551616",
+                  "500666016139705291/1152921504606846976"], id="uniform(4,3)@1/2"),
+    pytest.param(uniform_matrix(4, 3), "1/3", "value", "26/3", id="uniform(4,3)@1/3"),
+    pytest.param(uniform_matrix(5, 3), "1/3", "pole_interval",
+                 ["342981471731786397/1152921504606846976",
+                  "8231555321562873529/27670116110564327424"], id="uniform(5,3)@1/3"),
+    pytest.param(MIXED, "1/3", "value", "125840/6673", id="mixed@1/3"),
+    pytest.param(MIXED, "1/2", "pole_interval",
+                 ["3354367283921897967/9223372036854775808",
+                  "6708734567843795935/18446744073709551616"], id="mixed@1/2"),
+    pytest.param(affine_a(9), "1/8", "value", "19173961/5764801", id="A~8@1/8"),
+]
+
+
+@pytest.mark.parametrize("matrix,point,key,expected", PINNED_VERDICTS)
+def test_verdict_output_pinned(matrix, point, key, expected):
+    data = finiteness_verdict(rational_growth_series(matrix), Fraction(point)).to_dict()
+    assert data["point"] == point
+    assert data["verdict"] == ("finite" if key == "value" else "infinite")
+    assert data[key] == expected
 
 
 def test_verdict_serialization():
