@@ -47,6 +47,7 @@ from .series import (
     taylor_coefficients,
 )
 from .stats import (
+    SphereStats,
     compute_stats,
     descent_ratio_floor,
     verify_descent_ratio,
@@ -167,9 +168,11 @@ def _stats_text(stats, fmt: str) -> str:
 
 
 def cmd_stats(args) -> int:
+    from .automaton import sphere_counts  # only stats walks the automaton
+
     matrix, depth = _load(args)
-    ball = build_ball(matrix, depth, cap=args.cap)
-    stats = compute_stats(ball)
+    c, d = sphere_counts(matrix, depth, cap=args.cap)
+    stats = SphereStats(matrix, tuple(c), tuple(d))
     _emit(_stats_text(stats, args.format), args.out)
     return EXIT_OK
 

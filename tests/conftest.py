@@ -1,9 +1,18 @@
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from coxgrowth import INF, build_ball, path_matrix, uniform_matrix, validate_matrix
+from coxgrowth import (
+    INF,
+    build_ball,
+    parse_matrix_data,
+    path_matrix,
+    uniform_matrix,
+    validate_matrix,
+)
 
 ACCEPTANCE_LINES = []
 
@@ -48,13 +57,30 @@ SCAN_BALLS = [
 ]
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_workloads():
+    """The benchmark's fixed matrices and jobs (perfbench/workloads.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def perfbench_matrices():
+    return {name: parse_matrix_data(data)
+            for name, data in perfbench_workloads().MATRICES.items()}
+
+
 @st.composite
-def coxeter_matrices(draw, max_rank=6):
-    """Random Coxeter matrices of rank 1..max_rank with off-diagonal labels in {2..6, inf}."""
+def coxeter_matrices(draw, max_rank=6, labels=(2, 3, 4, 5, 6, INF)):
+    """Random Coxeter matrices of rank 1..max_rank with off-diagonal labels drawn from labels."""
     n = draw(st.integers(1, max_rank))
     rows = [[1] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        rows[i][j] = rows[j][i] = draw(st.sampled_from((2, 3, 4, 5, 6, INF)))
+        rows[i][j] = rows[j][i] = draw(st.sampled_from(labels))
     return validate_matrix(rows)
 
 

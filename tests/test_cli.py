@@ -1,11 +1,25 @@
 import json
+import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from coxgrowth import cli
+from conftest import PERFBENCH, perfbench_workloads
+from coxgrowth import (
+    ResourceLimitError,
+    SphereStats,
+    build_ball,
+    cli,
+    compute_stats,
+    load_matrix,
+    rational_growth_series,
+    taylor_coefficients,
+    uniform_matrix,
+)
 from coxgrowth.stats import verify_descent_ratio
 
 M344 = {"rank": 3, "uniform": 4}
@@ -125,6 +139,93 @@ def test_stats_writes_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["depth"] == 3
+
+
+def stats_by_ball(matrix, depth, cap, fmt):
+    """(exit code, stdout, stderr) of `stats` when it built the ball to count."""
+    try:
+        ball = build_ball(matrix, depth, cap=cap)
+    except ResourceLimitError as err:
+        return 4, "", f"error: {err}\n"
+    return 0, cli._stats_text(compute_stats(ball), fmt), ""
+
+
+def run_stats(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def random_matrix_data(rng, rank):
+    rows = [[1] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            rows[i][j] = rows[j][i] = rng.choice([2, 3, 4, 5, 6, 7, "inf"])
+    return {"m": rows}
+
+
+STATS_SYSTEMS = [
+    pytest.param({"m": []}, 3, id="rank0"),
+    pytest.param({"m": [[1]]}, 3, id="rank1"),
+    pytest.param({"m": [[1, 5], [5, 1]]}, 12, id="I2(5)"),
+    pytest.param({"m": [[1, "inf"], ["inf", 1]]}, 12, id="I2(inf)"),
+    pytest.param({"m": [[1, 5, 2], [5, 1, 3], [2, 3, 1]]}, 17, id="H3"),
+    pytest.param({"m": [[1, 3, 2, 2, 3], [3, 1, 3, 2, 2], [2, 3, 1, 3, 2],
+                        [2, 2, 3, 1, 3], [3, 2, 2, 3, 1]]}, 7, id="A~4"),
+] + [
+    pytest.param(random_matrix_data(random.Random(seed), 3 + seed % 3), 6 - seed % 3,
+                 id=f"random{seed}")
+    for seed in range(20)
+]
+
+
+@pytest.mark.parametrize("data, depth", STATS_SYSTEMS)
+def test_stats_prints_what_the_ball_counts(tmp_path, capsys, data, depth):
+    path = matrix_file(tmp_path, data)
+    matrix = load_matrix(path)
+    for fmt in ("json", "csv"):
+        got = run_stats(capsys, ["stats", "--matrix", path, "--depth", str(depth),
+                                 "--format", fmt])
+        assert got == stats_by_ball(matrix, depth, 10_000_000, fmt)
+    # the cap trips exactly when the ball would outgrow it, with its message
+    total = build_ball(matrix, depth).size
+    for cap in (total, total - 1):
+        if cap >= 1:
+            got = run_stats(capsys, ["stats", "--matrix", path, "--depth", str(depth),
+                                     "--cap", str(cap)])
+            assert got == stats_by_ball(matrix, depth, cap, "json")
+            assert got[0] == (0 if cap == total else 4)
+
+
+@pytest.mark.parametrize("size", ["tiny", "full"])
+def test_stats_on_the_benchmark_jobs(tmp_path, capsys, size):
+    refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[size]
+    for job, _, argv in perfbench_workloads().make_jobs("enumerate", size, 1, tmp_path):
+        matrix = load_matrix(argv[argv.index("--matrix") + 1])
+        depth = int(argv[argv.index("--depth") + 1])
+        for fmt in ("json", "csv"):
+            got = run_stats(capsys, argv + ["--format", fmt])
+            if size == "tiny":
+                assert got == stats_by_ball(matrix, depth, 10_000_000, fmt)
+            else:  # the full balls take seconds; the benchmark's references hold their counts
+                ref = SphereStats(matrix, tuple(refs[job]["c"]), tuple(refs[job]["d"]))
+                assert got == (0, cli._stats_text(ref, fmt), "")
+
+
+def test_stats_runs_deep_in_little_memory(tmp_path, capsys):
+    path = matrix_file(tmp_path, {"rank": 4, "uniform": 4})
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = cli.main(["stats", "--matrix", path, "--depth", "60", "--cap", str(10**40)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and elapsed < 2 and peak <= 5_000_000
+    series = rational_growth_series(uniform_matrix(4, 4))
+    assert [row["c"] for row in out["table"]] == taylor_coefficients(series, 60)
 
 
 def test_repeat_runs_byte_identical(tmp_path):
