@@ -12,21 +12,27 @@ left to right the automaton keeps two subsets of E:
   may follow w exactly when alpha_s is not in L(w).
 
 The accepted words are the ShortLex normal forms, one per element, so c_i
-and d_i are path counts.  Roots are kept exactly in the ring of
-`roots.Roots`; the signs of B(alpha_s, beta) and B(alpha_s, beta) + 1 come
-from enclosures held as integers scaled by 2^p, and p is doubled until they
-decide, after an exact zero test has excluded 0.
+and d_i are path counts.  Roots are kept exactly, with sparse coordinates
+in Z[zeta_N], so their cost follows their terms and not N; the signs of
+B(alpha_s, beta) and B(alpha_s, beta) + 1 come from enclosures held as
+integers scaled by 2^p, and p is doubled until they decide, after an exact
+zero test has excluded 0.  The roots are found one depth at a time, as the
+walk reaches them.
 """
 from __future__ import annotations
 
-from math import inf as INF
-from operator import getitem, sub
+from math import inf as INF, lcm, prod
+from operator import getitem
 
 from .coxmatrix import CoxeterMatrix
 from .errors import ResourceLimitError
-from .roots import Roots
+from .roots import _prime_powers
 
 START_BITS = 64
+# Terms the small roots may keep under any cap.  A term costs about 100 B,
+# so this is a few MB, less than the interpreter itself; a smaller cap is
+# left to the element count, which trips where the ball's would.
+FREE_TERMS = 1 << 16
 
 
 def sign(bounds, is_zero, p: int = START_BITS) -> int:
@@ -162,114 +168,234 @@ class _Boxes:
         return bounds
 
 
-def small_roots(matrix: CoxeterMatrix, depth: int) -> list[list[int]]:
-    """The action of each generator on the small roots of depth <= depth + 1.
+class _Ring:
+    """Z[zeta_N], N twice the lcm of the labels above 3, one sparse coordinate at a time.
+
+    A coordinate is a dict {e: a} for the sum of a x^e over 0 <= e < N/2
+    in Z[x]/(x^(N/2) + 1), as in `roots.Roots`, but it holds only its
+    nonzero terms, so its cost follows the terms and not N.  c_sj =
+    -2B(alpha_s, alpha_j) is x^a + x^-a, a = N/2m_sj, and 1 for m_sj = 3,
+    2 for inf.  `key` maps a coordinate into Z[zeta_N] itself, the product
+    over the prime powers q || N of Z[zeta_q]: x^e goes to +-y^(e mod h)
+    (2h the power of 2 in N, y^h = -1) times zeta_q^(e mod q) on each odd
+    axis, and a digit d >= phi(q) is rewritten by Phi_q(zeta_q) = 0 as
+    minus the sum of the digits d - u q/p, 0 < u < p.
+
+    Every term kept, in a root or in the table of basis images, counts as
+    one element against max(cap, FREE_TERMS), about what it costs in memory.
+    """
+
+    def __init__(self, matrix: CoxeterMatrix, cap: int):
+        n = matrix.rank
+        big = 2 * lcm(*(int(m) for m in {matrix.order(s, t) for s in range(n)
+                                          for t in range(s)} if 3 < m < INF))
+        self.half = big // 2
+        (_, self.two), *odd = _prime_powers(big)
+        self.axes = [(q, q // p, p) for p, q in odd]
+        self.cells = {}  # x^e in the basis, by e, as `key` meets it
+        self.cap, self.left = cap, max(cap, FREE_TERMS)
+        self.reflection = [[(j, matrix.order(s, j)) for j in range(n)
+                            if j != s and matrix.order(s, j) != 2] for s in range(n)]
+        # c_m as (shift, coefficient) terms
+        self.c = {m: ((0, 2),) if m == INF else ((0, 1),) if m == 3
+                  else ((self.half // int(m), 1), (-self.half // int(m), 1))
+                  for row in self.reflection for _, m in row}
+
+    def spend(self, terms: int) -> None:
+        self.left -= terms
+        if self.left < 0:
+            raise ResourceLimitError(f"element cap {self.cap} reached by the terms of the small roots")
+
+    def reflect(self, root, s: int) -> dict:
+        """Coordinate s of s root, -root_s + sum over j of c_sj root_j; the rest are root's."""
+        half = self.half
+        out = {e: -a for e, a in root[s].items()}
+        for j, m in self.reflection[s]:
+            for e, a in root[j].items():
+                for shift, k in self.c[m]:
+                    f = e + shift
+                    if 0 <= f < half:
+                        out[f] = out.get(f, 0) + k * a
+                    else:  # x^(N/2) = -1
+                        f %= half
+                        out[f] = out.get(f, 0) - k * a
+        return {e: a for e, a in out.items() if a}
+
+    def key(self, x: dict) -> frozenset:
+        """x's coefficients in the product basis of Z[zeta_N], empty exactly when x = 0."""
+        out = {}
+        for e, a in x.items():
+            cells = self.cells.get(e)
+            if cells is None:
+                cells = self.cells[e] = self._cells(e)
+            for cell, b in cells:
+                out[cell] = out.get(cell, 0) + a * b
+        return frozenset(item for item in out.items() if item[1])
+
+    def _cells(self, e: int) -> list[tuple[int, int]]:
+        """x^e in the product basis, as (cell, coefficient) with the digits in mixed radix."""
+        h = self.two // 2
+        digits = [e % q for q, _, _ in self.axes]
+        self.spend(prod(p - 1 if d >= (p - 1) * chunk else 1
+                        for d, (_, chunk, p) in zip(digits, self.axes)))
+        cells = [(e % h, -1 if e % self.two >= h else 1)]
+        for d, (q, chunk, p) in zip(digits, self.axes):
+            if d < (p - 1) * chunk:
+                cells = [(c * q + d, a) for c, a in cells]
+            else:
+                cells = [(c * q + d - u * chunk, -a) for c, a in cells for u in range(1, p)]
+        return cells
+
+
+class SmallRoots:
+    """The small roots of depth <= depth + 1, found one depth at a time.
 
     Those are all the roots that the states of elements of length <= depth
     hold: by the recursions, a root in D(w) or L(w) has depth at most
     length(w) + 1.  act[s][i] is the index of s beta_i, or -1 when s beta_i
     is not one of them: negative (beta_i = alpha_s), not small
-    (B(alpha_s, beta_i) <= -1) or deeper.  beta_0 .. beta_{n-1} are the
-    simple roots, the rest follow in the order found, one depth at a time.
-    A root enters from beta with -1 < B(alpha_s, beta) < 0, one deeper.  A
-    root with B(alpha_s, beta) > 0 is the image of a shallower small root
-    and is paired with it from there, since s acts as an involution.
+    (B(alpha_s, beta_i) <= -1), deeper, or not found yet.  beta_0 ..
+    beta_{n-1} are the simple roots, the rest follow in the order found,
+    one depth at a time.  A root enters from beta with
+    -1 < B(alpha_s, beta) < 0, one deeper.  A root with B(alpha_s, beta) > 0
+    is the image of a shallower small root and is paired with it from
+    there, since s acts as an involution.
+
+    The roots are those of the matrix with every label above depth made
+    inf.  By Tits' and Matsumoto's theorems both groups then have the same
+    reduced words of length <= depth + 1 and the same equal pairs among
+    those of length <= depth, since these follow from braid moves inside
+    such words, and a move on a label above depth would take a whole word
+    of length depth + 1 to the other reduced word of a dihedral longest
+    element.  So the elements of length <= depth, their ShortLex words and
+    their descents are the same, and a long label costs nothing.
     """
-    n = matrix.rank
-    if n == 0:
-        return []
-    roots = Roots(matrix)
-    size = n * roots.big // 2
-    vectors = []
-    for s in range(n):
-        v = [0] * size
-        v[s] = 1
-        vectors.append(v)
-    keys = {tuple(roots.reduce(v)): s for s, v in enumerate(vectors)}
-    levels = [1] * n
-    act = [[-1] * n for _ in range(n)]
-    boxes = _Boxes(roots.reflection, START_BITS)
-    for i, v in enumerate(vectors):  # grows while it is read
-        for s in range(n):
+
+    def __init__(self, matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
+        n = matrix.rank
+        matrix = CoxeterMatrix(tuple(tuple(INF if m > depth else m for m in row)
+                                     for row in matrix.entries))
+        self.rank, self.depth = n, depth
+        self.ring = _Ring(matrix, cap)
+        # a root is a tuple of sparse coordinates, with the tuple of their keys
+        self.vectors = [tuple({0: 1} if j == s else {} for j in range(n)) for s in range(n)]
+        self.keys = [tuple(map(self.ring.key, v)) for v in self.vectors]
+        self.index = {key: s for s, key in enumerate(self.keys)}
+        self.levels = [1] * n
+        self.act = [[-1] * n for _ in range(n)]
+        self.boxes = _Boxes(self.ring.reflection, START_BITS)
+        self.done = 0  # roots whose images are all known
+
+    def extend(self, level: int) -> list[list[int]]:
+        """act, once the images of every root of depth <= level are known.
+
+        Raises ResourceLimitError when the terms kept pass the cap.
+        """
+        while self.done < len(self.vectors) and self.levels[self.done] <= level:
+            self._visit(self.done)
+            self.done += 1
+        return self.act
+
+    def _visit(self, i: int) -> None:
+        ring, boxes, act, v = self.ring, self.boxes, self.act, self.vectors[i]
+        for s in range(self.rank):
             if s == i:
                 continue
             image = None
 
-            def reflected() -> list[int]:
+            def reflected() -> dict:
                 nonlocal image
                 if image is None:
-                    image = v[:]
-                    roots.reflect(image, s)
+                    image = ring.reflect(v, s)
                 return image
 
             def k_equals(t: int) -> bool:
-                diff = [0] * size
-                diff[s::n] = map(sub, reflected()[s::n], v[s::n])
-                diff[s] -= t
-                return not any(roots.reduce(diff))
+                diff = dict(reflected())
+                for e, a in v[s].items():
+                    diff[e] = diff.get(e, 0) - a
+                diff[0] = diff.get(0, 0) - t
+                return not ring.key(diff)
 
             b = sign(boxes.two_b(i, s, 0), lambda: k_equals(0), boxes.p)
             if b == 0:
                 act[s][i] = i
-            if b >= 0 or levels[i] > depth:
+            if b >= 0 or self.levels[i] > self.depth:
                 continue
             plus_one = sign(boxes.two_b(i, s, 2), lambda: k_equals(2), boxes.p)
             if plus_one > 0:
-                key = tuple(roots.reduce(reflected()))
-                j = keys.get(key)
+                new = ring.key(reflected())
+                key = (*self.keys[i][:s], new, *self.keys[i][s + 1:])
+                j = self.index.get(key)
                 if j is None:
-                    j = keys[key] = len(vectors)
-                    vectors.append(image)
-                    levels.append(levels[i] + 1)
+                    ring.spend(len(image) + len(new))
+                    j = self.index[key] = len(self.vectors)
+                    self.vectors.append((*v[:s], image, *v[s + 1:]))
+                    self.keys.append(key)
+                    self.levels.append(self.levels[i] + 1)
                     boxes.add(i, s)
                     for row in act:
                         row.append(-1)
                 act[s][i], act[s][j] = j, i
-    return act
 
 
 class ShortLex:
     """The automaton for elements of length <= depth, a state (D, L) packed in one int.
 
-    Over the k small roots of `small_roots(matrix, depth)`, D takes the low
-    k bits and L the k bits above, bit i standing for beta_i, so the simple
-    roots of D are its low rank bits.  s acts on the
-    packed state one byte at a time through tables, and the images of
-    distinct roots are distinct, so the bytes' images add up without
+    Bit 2i of a state says that the small root beta_i of `SmallRoots` is in
+    D, and bit 2i + 1 that it is in L.  Roots come by depth, so a state of a
+    short element has only low bits, and `grow` finds the roots a layer
+    needs just before it.  s acts on a state one byte at a time through
+    tables, made for a byte when a state first reaches it, and the images
+    of distinct roots are distinct, so the bytes' images add up without
     overlap.
     """
 
-    def __init__(self, matrix: CoxeterMatrix, depth: int):
-        act = small_roots(matrix, depth)
-        n = matrix.rank
-        width = len(act[0]) if n else 0
-        self.rank = n
-        self.width = width
-        self.nbytes = (2 * width + 7) // 8
+    def __init__(self, matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
+        self.roots = SmallRoots(matrix, depth, cap)
+        self.rank = n = matrix.rank
+        self.simple = sum(1 << 2 * s for s in range(n))
+        self.forbidding = self.simple << 1
         self.letters = []
-        for s, row in enumerate(act):
-            image = [1 << j if j >= 0 else 0 for j in row]
-            image += [x << width for x in image]
-            image += [0] * (8 * self.nbytes - len(image))
-            tables = []
-            for start in range(0, len(image), 8):
+        # byte tables made, and bytes whose four roots had all their images at the last grow
+        self.made = self.final = 0
+
+    def grow(self, length: int) -> None:
+        """Ready the step from length - 1 to length: find the images of the roots it meets."""
+        act = self.roots.extend(length)
+        if not self.letters:
+            # per letter: its L bit, what it adds (alpha_s to D; alpha_s and
+            # each small s alpha_t, t < s, to L) and its byte tables
+            self.letters = [(s, 2 << 2 * s, 1 << 2 * s | sum(2 << 2 * j for j in [s] + row[:s] if j >= 0),
+                             []) for s, row in enumerate(act)]
+        # a table made before all four of its roots had their images is stale
+        for _, _, _, tables in self.letters:
+            del tables[self.final:]
+        self.made = min(self.made, self.final)
+        self.final = self.roots.done // 4
+
+    def _make(self, nbytes: int) -> None:
+        for s, _, _, tables in self.letters:
+            row = self.roots.act[s]
+            for k in range(self.made, nbytes):
                 table = [0]
-                for x in image[start:start + 8]:
+                for bit in range(8 * k, 8 * k + 8):
+                    i, in_l = divmod(bit, 2)
+                    j = row[i] if i < len(row) else -1
+                    x = 1 << 2 * j + in_l if j >= 0 else 0
                     table += [y + x for y in table]
                 tables.append(table)
-            # alpha_s joins D; alpha_s and each small s alpha_t, t < s, join L
-            joins_l = sum(1 << j for j in [s] + row[:s] if j >= 0)
-            self.letters.append((s, (1 << s) | joins_l << width, tables))
+        self.made = nbytes
 
     def successors(self, state: int) -> list[tuple[int, int]]:
         """(s, state after s) for each letter s allowed after the state, s ascending."""
-        forbidden = state >> self.width
-        data = state.to_bytes(self.nbytes, "little")
+        data = state.to_bytes((state.bit_length() + 7) // 8, "little")
+        if len(data) > self.made:
+            self._make(len(data))
         return [(s, base | sum(map(getitem, tables, data)))
-                for s, base, tables in self.letters if not forbidden >> s & 1]
+                for s, in_l, base, tables in self.letters if not state & in_l]
 
     def descents(self, state: int) -> tuple[int, ...]:
-        return tuple(s for s in range(self.rank) if state >> s & 1)
+        return tuple(s for s in range(self.rank) if state >> 2 * s & 1)
 
 
 def walk(matrix: CoxeterMatrix, depth: int):
@@ -279,10 +405,11 @@ def walk(matrix: CoxeterMatrix, depth: int):
     and letter -1): layer i is each element of layer i - 1 in turn, followed
     by its allowed letters in ascending order.
     """
-    auto = ShortLex(matrix, depth)
+    auto = ShortLex(matrix, depth, cap=INF)
     yield -1, -1, ()
     layer, index = [(0, 0)], 1
-    for _ in range(depth):
+    for length in range(1, depth + 1):
+        auto.grow(length)
         below, layer = layer, []
         for parent, state in below:
             for s, new in auto.successors(state):
@@ -297,22 +424,26 @@ def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
     Each layer maps the states reached to how many elements reach them, so
     it never holds more states than elements.  Raises ResourceLimitError,
     as build_ball does, at the first length whose running total of
-    elements exceeds cap.
+    elements exceeds cap.  A layer is counted before the roots it needs are
+    found, so the cap stops the walk there; the roots found by then raise
+    it only if their terms pass max(cap, FREE_TERMS).
     """
-    auto = ShortLex(matrix, depth)
-    simple = (1 << auto.rank) - 1
+    auto = ShortLex(matrix, depth, cap)
+    n = matrix.rank
     c, d = [1], [0]
     layer, total = {0: 1}, 1
     for length in range(1, depth + 1):
+        # the letters allowed after a state are those whose simple root is not in L
+        total += sum(count * (n - (state & auto.forbidding).bit_count())
+                     for state, count in layer.items())
+        if total > cap:
+            raise ResourceLimitError(f"element cap {cap} reached at length {length}")
+        auto.grow(length)
         below, layer = layer, {}
         for state, count in below.items():
-            out = auto.successors(state)
-            for _, new in out:
+            for _, new in auto.successors(state):
                 layer[new] = layer.get(new, 0) + count
-            total += count * len(out)
-            if total > cap:
-                raise ResourceLimitError(f"element cap {cap} reached at length {length}")
         c.append(sum(layer.values()))
         d.append(sum(count for state, count in layer.items()
-                     if (state & simple).bit_count() == 1))
+                     if (state & auto.simple).bit_count() == 1))
     return c, d

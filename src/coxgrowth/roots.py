@@ -87,14 +87,6 @@ class Roots:
         a = self.big // (2 * int(m)) * (2 * len(w) // self.big)
         return list(map(add, list(map(neg, w[-a:])) + w[:-a], w[a:] + list(map(neg, w[:a]))))
 
-    def reflect(self, v: list[int], s: int) -> None:
-        """Apply the reflection s to v in place; v may hold several roots interleaved."""
-        n = self.rank
-        out = list(map(neg, v[s::n]))
-        for j, m in self.reflection[s]:
-            out = list(map(add, out, self.times(m, v[j::n])))
-        v[s::n] = out
-
     def fold(self, ball: Ball, g: int, letters) -> list[list[int]]:
         """g alpha_x for each letter x, folding g's parent chain onto alpha_x.
 
@@ -107,7 +99,11 @@ class Roots:
             v[r * n + x] = 1
         parent, letter = ball.parent, ball.letter
         while g:
-            self.reflect(v, letter[g])
+            s = letter[g]
+            out = list(map(neg, v[s::n]))
+            for j, m in self.reflection[s]:
+                out = list(map(add, out, self.times(m, v[j::n])))
+            v[s::n] = out
             g = parent[g]
         roots = []
         for r in range(k):

@@ -8,7 +8,7 @@ with the walk or the ball.
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import SCAN_BALLS, coxeter_matrices, get_ball, perfbench_matrices
 from coxgrowth import (
@@ -22,8 +22,23 @@ from coxgrowth import (
     validate_matrix,
 )
 from coxgrowth import polys
-from coxgrowth.automaton import START_BITS, sign, small_roots, sphere_counts, two_cos_bounds, walk
+from coxgrowth.automaton import (
+    FREE_TERMS,
+    START_BITS,
+    SmallRoots,
+    _Ring,
+    sign,
+    sphere_counts,
+    two_cos_bounds,
+    walk,
+)
+from coxgrowth.errors import ResourceLimitError
 from coxgrowth.roots import Roots
+
+
+def small_roots(matrix, depth):
+    """The action on all the small roots of depth <= depth + 1."""
+    return SmallRoots(matrix, depth).extend(depth + 1)
 
 
 def triangle(a, b, c):
@@ -78,6 +93,14 @@ def test_walk_matches_ball_random(matrix):
     depth = deepest_within(matrix.rank)
     ball = build_ball(matrix, depth)
     assert list(walk(matrix, depth)) == records(ball)
+
+
+@pytest.mark.parametrize("m", [4, 5, 7, 9])
+def test_labels_above_the_depth_act_as_inf(m):
+    # the walk to depth uses the matrix with labels > depth made inf
+    for matrix in (uniform_matrix(2, m), triangle(m, 3, 4), triangle(m, m + 1, INF)):
+        for depth in range(m - 3, m + 2):
+            assert list(walk(matrix, depth)) == records(build_ball(matrix, depth))
 
 
 @pytest.mark.parametrize("matrix", DEEP_SYSTEMS)
@@ -150,29 +173,72 @@ def test_small_roots_stop_at_b_minus_one():
 
 
 def golden_ring():
-    """Roots of I2(5), and a function embedding one coordinate as a vector."""
-    roots = Roots(uniform_matrix(2, 5))
-    half = roots.big // 2
+    """The ring of I2(5), and multiplication by phi = 2cos(pi/5) = x + x^-1 in it."""
+    ring = _Ring(uniform_matrix(2, 5), INF)
 
-    def embed(x):
-        v = [0] * (2 * half)
-        v[0::2] = x
-        return v
+    def times_phi(x):
+        # coordinate 0 of s_0 (0, x) is c_01 x
+        return ring.reflect(({}, x), 0)
 
-    one = [1] + [0] * (half - 1)
-    return roots, embed, one, roots.times(5, one)
+    return ring, times_phi
+
+
+def combine(*pairs):
+    """The sum of k x over the (k, x) pairs, x sparse."""
+    out = {}
+    for k, x in pairs:
+        for e, a in x.items():
+            out[e] = out.get(e, 0) + k * a
+    return out
 
 
 def test_golden_ratio_is_exact():
-    roots, embed, one, phi = golden_ring()
-    square = roots.times(5, phi)
-    assert not any(roots.reduce(embed([a - b - c for a, b, c in zip(square, phi, one)])))
-    assert any(roots.reduce(embed([a - b for a, b in zip(square, phi)])))
+    ring, times_phi = golden_ring()
+    one = {0: 1}
+    phi = times_phi(one)
+    square = times_phi(phi)
+    assert not ring.key(combine((1, square), (-1, phi), (-1, one)))
+    assert ring.key(combine((1, square), (-1, phi)))
     for p in (8, 64, 300):
         lo, hi = two_cos_bounds(5, p)
         assert hi - lo <= 2
         # x^2 - x - 1 rises through its root phi
         assert lo * lo - (lo << p) - (1 << 2 * p) < 0 < hi * hi - (hi << p) - (1 << 2 * p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_keys_match_the_dense_reduction(data):
+    # Roots.reduce, the dense reduction L24 uses, is the oracle for _Ring.key
+    matrix = data.draw(st.sampled_from([triangle(5, 7, 11), triangle(9, 4, 15), triangle(8, 12, 25)]))
+    ring, roots = _Ring(matrix, INF), Roots(matrix)
+    half = ring.half
+    assert roots.big == 2 * half
+
+    def dense(x):
+        v = [0] * (3 * half)
+        for e, a in x.items():
+            v[3 * e] += a
+        return roots.reduce(v)
+
+    def element():
+        x = {}
+        for _ in range(data.draw(st.integers(0, 6))):
+            e = data.draw(st.integers(0, half - 1))
+            x[e] = x.get(e, 0) + data.draw(st.integers(-3, 3))
+        # plus multiples of zeta^e (1 + zeta^(N/p) + ... + zeta^((p-1) N/p)), which are 0
+        for _ in range(data.draw(st.integers(0, 3))):
+            p = data.draw(st.sampled_from([p for p in (3, 5, 7, 11) if half % p == 0]))
+            e, k = data.draw(st.integers(0, half - 1)), data.draw(st.integers(-2, 2))
+            for v in range(p):
+                f = (e + v * (2 * half // p)) % (2 * half)  # x^(N/2) = -1
+                x[f % half] = x.get(f % half, 0) + (-k if f >= half else k)
+        return x
+
+    x, y = element(), element()
+    assert (not ring.key(x)) == (not any(dense(x)))
+    assert (ring.key(x) == ring.key(y)) == (dense(x) == dense(y))
+    assert (not ring.key(combine((1, x), (-1, y)))) == (ring.key(x) == ring.key(y))
 
 
 @pytest.mark.parametrize("m, square", [(4, 2), (6, 3)])
@@ -193,7 +259,9 @@ def test_two_cos_bounds_keep_the_half_angle_formula(m):
 
 
 def test_sign_refines_until_it_decides():
-    roots, embed, one, phi = golden_ring()
+    ring, times_phi = golden_ring()
+    one = {0: 1}
+    phi = times_phi(one)
     fib = [0, 1]
     while len(fib) < 102:
         fib.append(fib[-1] + fib[-2])
@@ -207,7 +275,7 @@ def test_sign_refines_until_it_decides():
             return a * lo - (b << p), a * hi - (b << p)
 
         def is_zero():
-            return not any(roots.reduce(embed([a * x - b * y for x, y in zip(phi, one)])))
+            return not ring.key(combine((a, phi), (-b, one)))
 
         # F_k phi - F_(k+1) = -(1 - phi)^k
         assert sign(bounds, is_zero) == (-1) ** (k + 1), k
@@ -215,10 +283,47 @@ def test_sign_refines_until_it_decides():
     assert sign(lambda p: (-1, 1), lambda: True) == 0
 
 
-def test_large_labels_stay_cheap():
-    matrix = triangle(11, 13, 17)
+def test_large_labels_cost_their_terms_not_their_lcm():
+    # lcm(97, 89, 83) = 716,539: a dense root would hold over 2 million integers
+    roots = SmallRoots(triangle(97, 89, 83), 100, cap=INF)
+    act = roots.extend(101)
+    assert len(act[0]) == 97 + 89 + 83 - 3  # the roots of the three dihedral subsystems
+    kept = sum(len(x) for v in roots.vectors for x in v)
+    assert kept < 20_000 and len(roots.ring.cells) < 1_000
+    matrix = triangle(11, 13, 17)  # at depth >= 17 every label is kept
     start = time.perf_counter()
-    c, d = sphere_counts(matrix, 12)
-    assert time.perf_counter() - start < 1
-    assert c == taylor_coefficients(rational_growth_series(matrix), 12)
-    assert d == quotient_descents(matrix, 12)
+    c, d = sphere_counts(matrix, 30, cap=INF)
+    assert time.perf_counter() - start < 1  # about 0.015 s
+    assert c == taylor_coefficients(rational_growth_series(matrix), 30)
+    assert d == quotient_descents(matrix, 30)
+
+
+def test_labels_beyond_the_depth_need_no_ring():
+    matrix = triangle(997, 991, 983)
+    roots = SmallRoots(matrix, 12)
+    assert len(roots.extend(13)[0]) == 3 and roots.ring.half == 1
+    ball = build_ball(matrix, 12)
+    assert sphere_counts(matrix, 12) == (ball.layer_sizes(), ball.unique_descents)
+
+
+def test_small_roots_find_only_what_the_walk_reaches():
+    # roots come one depth at a time: a walk stopped by the cap finds no deeper ones
+    matrix = triangle(97, 89, 83)
+    roots = SmallRoots(matrix, 200)
+    roots.extend(5)
+    assert max(roots.levels) == 6 and roots.done == len(roots.vectors) - 3 * 2
+    with pytest.raises(ResourceLimitError) as ours:
+        sphere_counts(matrix, 200, cap=10_000)
+    with pytest.raises(ResourceLimitError) as ball:
+        build_ball(matrix, 200, cap=10_000)
+    assert str(ours.value) == str(ball.value)
+
+
+def test_small_root_terms_count_against_the_cap():
+    # I2(m) keeps m roots of up to m terms each, where its ball has 2m elements
+    matrix = uniform_matrix(2, 400)
+    with pytest.raises(ResourceLimitError, match="element cap 1000 reached by the terms of the small roots"):
+        SmallRoots(matrix, 400, cap=1000).extend(401)
+    roots = SmallRoots(matrix, 400, cap=10**6)
+    assert len(roots.extend(401)[0]) == 400
+    assert FREE_TERMS < 10**6 - roots.ring.left < 10**6

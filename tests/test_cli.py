@@ -214,18 +214,44 @@ def test_stats_on_the_benchmark_jobs(tmp_path, capsys, size):
 
 def test_stats_runs_deep_in_little_memory(tmp_path, capsys):
     path = matrix_file(tmp_path, {"rank": 4, "uniform": 4})
+    argv = ["stats", "--matrix", path, "--depth", "60", "--cap", str(10**40)]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start  # about 0.02 s
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and elapsed < 2
+    series = rational_growth_series(uniform_matrix(4, 4))
+    assert [row["c"] for row in out["table"]] == taylor_coefficients(series, 60)
     tracemalloc.start()
     try:
-        start = time.perf_counter()
-        code = cli.main(["stats", "--matrix", path, "--depth", "60", "--cap", str(10**40)])
-        elapsed = time.perf_counter() - start
+        assert cli.main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0 and elapsed < 2 and peak <= 5_000_000
-    series = rational_growth_series(uniform_matrix(4, 4))
-    assert [row["c"] for row in out["table"]] == taylor_coefficients(series, 60)
+    assert json.loads(capsys.readouterr().out) == out and peak <= 5_000_000
+
+
+def test_stats_on_large_coprime_labels(tmp_path, capsys):
+    # lcm(997, 991, 983) is about 10^9; labels above the depth act as inf
+    data = {"m": [[1, 997, 991], [997, 1, 983], [991, 983, 1]]}
+    path = matrix_file(tmp_path, data)
+    matrix = load_matrix(path)
+    for fmt in ("json", "csv"):
+        got = run_stats(capsys, ["stats", "--matrix", path, "--format", fmt])
+        assert got == stats_by_ball(matrix, 12, 10_000_000, fmt)
+    # past the labels, the cap stops the walk where it stops the ball
+    got = run_stats(capsys, ["stats", "--matrix", path, "--depth", "2000", "--cap", "100000"])
+    assert got == stats_by_ball(matrix, 2000, 100_000, "json") and got[0] == 4
+
+
+def test_stats_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
+    # I2(400) to depth 400 keeps 400 roots of up to 400 terms, more than a cap of 1000
+    # allows, though its ball has only 800 elements
+    path = matrix_file(tmp_path, {"m": [[1, 400], [400, 1]]})
+    got = run_stats(capsys, ["stats", "--matrix", path, "--depth", "400", "--cap", "1000"])
+    assert got == (4, "", "error: element cap 1000 reached by the terms of the small roots\n")
+    code, out, _ = run_stats(capsys, ["stats", "--matrix", path, "--depth", "400"])
+    assert code == 0 and [row["c"] for row in json.loads(out)["table"]] == [1] + [2] * 399 + [1]
 
 
 def test_repeat_runs_byte_identical(tmp_path):
