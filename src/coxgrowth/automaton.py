@@ -1,4 +1,4 @@
-"""Small roots and the ShortLex automaton: sphere and descent counts without a ball.
+"""Small roots and the ShortLex automaton: sphere counts and the ball export without a ball.
 
 Brink and Howlett (Math. Ann. 296, 1993; see also Casselman, Invent. Math.
 116, 1994, and Bjorner-Brenti ch. 4) show that the small roots E are
@@ -416,6 +416,38 @@ def walk(matrix: CoxeterMatrix, depth: int):
                 yield parent, s, auto.descents(new)
                 layer.append((index, new))
                 index += 1
+
+
+def export_lines(matrix: CoxeterMatrix, depth: int):
+    """The `ball` export, one string of JSON lines per length 0..depth.
+
+    Each line is json.dumps({"i": i, "w": word, "desc": descents},
+    sort_keys=True) for one element, in the order of `walk`: a word is its
+    parent's word followed by the letter's decimal digits.  The text before
+    the word depends only on the length and the element's state, so it is
+    made once per (state, letter) and length; a layer keeps only its
+    words and states.  No cap: run sphere_counts first for that.
+    """
+    auto = ShortLex(matrix, depth, cap=INF)
+    yield '{"desc": [], "i": 0, "w": ""}\n'
+    layer = [("", 0)]
+    for length in range(1, depth + 1):
+        auto.grow(length)
+        steps = {}  # state -> [(digits, new state, line head)], for this length
+        below, layer, heads = layer, [], []
+        for word, state in below:
+            step = steps.get(state)
+            if step is None:
+                step = steps[state] = [
+                    (str(s), new, '{"desc": [%s], "i": %d, "w": "'
+                     % (", ".join(map(str, auto.descents(new))), length))
+                    for s, new in auto.successors(state)]
+            for digits, new, head in step:
+                w = word + digits
+                layer.append((w, new))
+                heads.append(head + w)
+        if heads:
+            yield '"}\n'.join(heads) + '"}\n'
 
 
 def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):

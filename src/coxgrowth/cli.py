@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,10 +142,15 @@ def cmd_info(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    from .automaton import export_lines, sphere_counts  # only ball and stats walk the automaton
+
     matrix, depth = _load(args)
-    ball = build_ball(matrix, depth, cap=args.cap)
-    lines = [json.dumps(rec, sort_keys=True) for rec in ball.export_records()]
-    _emit("\n".join(lines) + "\n", args.out)
+    # the cap trips, as the ball's did, before any output or --out file exists
+    sphere_counts(matrix, depth, cap=args.cap)
+    with (nullcontext(sys.stdout) if args.out is None
+          else Path(args.out).open("w", encoding="utf-8")) as out:
+        for text in export_lines(matrix, depth):
+            out.write(text)
     return EXIT_OK
 
 
@@ -168,7 +174,7 @@ def _stats_text(stats, fmt: str) -> str:
 
 
 def cmd_stats(args) -> int:
-    from .automaton import sphere_counts  # only stats walks the automaton
+    from .automaton import sphere_counts  # only ball and stats walk the automaton
 
     matrix, depth = _load(args)
     c, d = sphere_counts(matrix, depth, cap=args.cap)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from itertools import combinations
 from pathlib import Path
 
@@ -60,10 +61,10 @@ SCAN_BALLS = [
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def perfbench_workloads():
-    """The benchmark's fixed matrices and jobs (perfbench/workloads.py)."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
+def perfbench_module(name):
+    """A module of the benchmark, such as its fixed jobs (workloads) or its checker (check)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -71,7 +72,12 @@ def perfbench_workloads():
 
 def perfbench_matrices():
     return {name: parse_matrix_data(data)
-            for name, data in perfbench_workloads().MATRICES.items()}
+            for name, data in perfbench_module("workloads").MATRICES.items()}
+
+
+def export_by_ball(ball):
+    """`ball`'s JSON lines as written from the ball, one json.dumps per record."""
+    return "\n".join(json.dumps(rec, sort_keys=True) for rec in ball.export_records()) + "\n"
 
 
 @st.composite

@@ -5,12 +5,19 @@ series gives c_i to any depth; and the parabolic quotients give d_i as
 D(t) = sum over s of (W(t) / W_{S-s}(t) - 1), a route that shares no code
 with the walk or the ball.
 """
+import json
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SCAN_BALLS, coxeter_matrices, get_ball, perfbench_matrices
+from conftest import (
+    SCAN_BALLS,
+    coxeter_matrices,
+    export_by_ball,
+    get_ball,
+    perfbench_matrices,
+)
 from coxgrowth import (
     INF,
     RationalFunction,
@@ -27,6 +34,7 @@ from coxgrowth.automaton import (
     START_BITS,
     SmallRoots,
     _Ring,
+    export_lines,
     sign,
     sphere_counts,
     two_cos_bounds,
@@ -93,6 +101,26 @@ def test_walk_matches_ball_random(matrix):
     depth = deepest_within(matrix.rank)
     ball = build_ball(matrix, depth)
     assert list(walk(matrix, depth)) == records(ball)
+
+
+@pytest.mark.parametrize("matrix, depth, most", [
+    pytest.param(validate_matrix([]), 3, 0, id="rank0"),
+    pytest.param(validate_matrix([[1]]), 3, 1, id="rank1"),
+    pytest.param(uniform_matrix(3, 4), 0, 0, id="depth0"),
+    # letters 10..15 have two digits
+    pytest.param(perfbench_matrices()["path16"], 3, 2, id="perfbench-path16"),
+    # finite groups, to past their longest elements, whose descents are every letter
+    pytest.param(path_matrix([5, 3]), 16, 3, id="H3"),
+    pytest.param(path_matrix([3, 3, 3]), 11, 4, id="A4"),
+    pytest.param(validate_matrix([[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 2, 2],
+                                  [2, 2, 2, 1, 5], [2, 2, 2, 5, 1]]), 11, 5, id="A3xI2(5)"),
+])
+def test_export_lines_are_what_json_dumps_writes(matrix, depth, most):
+    # as lists, so that a failure is reported without diffing two long strings
+    lines = "".join(export_lines(matrix, depth)).splitlines(keepends=True)
+    assert lines == export_by_ball(get_ball(matrix, depth)).splitlines(keepends=True)
+    sizes = {len(json.loads(line)["desc"]) for line in lines}
+    assert sizes == set(range(most + 1))
 
 
 @pytest.mark.parametrize("m", [4, 5, 7, 9])

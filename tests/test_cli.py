@@ -1,25 +1,31 @@
+import io
 import json
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import PERFBENCH, perfbench_workloads
+from conftest import PERFBENCH, coxeter_matrices, export_by_ball, perfbench_module
 from coxgrowth import (
+    INF,
     ResourceLimitError,
     SphereStats,
     build_ball,
     cli,
     compute_stats,
     load_matrix,
+    matrix_to_data,
     rational_growth_series,
     taylor_coefficients,
     uniform_matrix,
 )
+from coxgrowth.automaton import sphere_counts
 from coxgrowth.stats import verify_descent_ratio
 
 M344 = {"rank": 3, "uniform": 4}
@@ -150,7 +156,7 @@ def stats_by_ball(matrix, depth, cap, fmt):
     return 0, cli._stats_text(compute_stats(ball), fmt), ""
 
 
-def run_stats(capsys, argv):
+def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -184,14 +190,14 @@ def test_stats_prints_what_the_ball_counts(tmp_path, capsys, data, depth):
     path = matrix_file(tmp_path, data)
     matrix = load_matrix(path)
     for fmt in ("json", "csv"):
-        got = run_stats(capsys, ["stats", "--matrix", path, "--depth", str(depth),
+        got = run_cli(capsys, ["stats", "--matrix", path, "--depth", str(depth),
                                  "--format", fmt])
         assert got == stats_by_ball(matrix, depth, 10_000_000, fmt)
     # the cap trips exactly when the ball would outgrow it, with its message
     total = build_ball(matrix, depth).size
     for cap in (total, total - 1):
         if cap >= 1:
-            got = run_stats(capsys, ["stats", "--matrix", path, "--depth", str(depth),
+            got = run_cli(capsys, ["stats", "--matrix", path, "--depth", str(depth),
                                      "--cap", str(cap)])
             assert got == stats_by_ball(matrix, depth, cap, "json")
             assert got[0] == (0 if cap == total else 4)
@@ -200,11 +206,11 @@ def test_stats_prints_what_the_ball_counts(tmp_path, capsys, data, depth):
 @pytest.mark.parametrize("size", ["tiny", "full"])
 def test_stats_on_the_benchmark_jobs(tmp_path, capsys, size):
     refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[size]
-    for job, _, argv in perfbench_workloads().make_jobs("enumerate", size, 1, tmp_path):
+    for job, _, argv in perfbench_module("workloads").make_jobs("enumerate", size, 1, tmp_path):
         matrix = load_matrix(argv[argv.index("--matrix") + 1])
         depth = int(argv[argv.index("--depth") + 1])
         for fmt in ("json", "csv"):
-            got = run_stats(capsys, argv + ["--format", fmt])
+            got = run_cli(capsys, argv + ["--format", fmt])
             if size == "tiny":
                 assert got == stats_by_ball(matrix, depth, 10_000_000, fmt)
             else:  # the full balls take seconds; the benchmark's references hold their counts
@@ -237,10 +243,10 @@ def test_stats_on_large_coprime_labels(tmp_path, capsys):
     path = matrix_file(tmp_path, data)
     matrix = load_matrix(path)
     for fmt in ("json", "csv"):
-        got = run_stats(capsys, ["stats", "--matrix", path, "--format", fmt])
+        got = run_cli(capsys, ["stats", "--matrix", path, "--format", fmt])
         assert got == stats_by_ball(matrix, 12, 10_000_000, fmt)
     # past the labels, the cap stops the walk where it stops the ball
-    got = run_stats(capsys, ["stats", "--matrix", path, "--depth", "2000", "--cap", "100000"])
+    got = run_cli(capsys, ["stats", "--matrix", path, "--depth", "2000", "--cap", "100000"])
     assert got == stats_by_ball(matrix, 2000, 100_000, "json") and got[0] == 4
 
 
@@ -248,10 +254,115 @@ def test_stats_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
     # I2(400) to depth 400 keeps 400 roots of up to 400 terms, more than a cap of 1000
     # allows, though its ball has only 800 elements
     path = matrix_file(tmp_path, {"m": [[1, 400], [400, 1]]})
-    got = run_stats(capsys, ["stats", "--matrix", path, "--depth", "400", "--cap", "1000"])
+    got = run_cli(capsys, ["stats", "--matrix", path, "--depth", "400", "--cap", "1000"])
     assert got == (4, "", "error: element cap 1000 reached by the terms of the small roots\n")
-    code, out, _ = run_stats(capsys, ["stats", "--matrix", path, "--depth", "400"])
+    code, out, _ = run_cli(capsys, ["stats", "--matrix", path, "--depth", "400"])
     assert code == 0 and [row["c"] for row in json.loads(out)["table"]] == [1] + [2] * 399 + [1]
+
+
+# -- ball, written from the automaton -----------------------------------------
+
+
+def ball_by_ball(matrix, depth, cap):
+    """(exit code, stdout, stderr) of `ball` when it wrote from the ball."""
+    try:
+        ball = build_ball(matrix, depth, cap=cap)
+    except ResourceLimitError as err:
+        return 4, "", f"error: {err}\n"
+    return 0, export_by_ball(ball), ""
+
+
+@pytest.mark.parametrize("data, depth", STATS_SYSTEMS)
+def test_ball_prints_what_the_ball_holds(tmp_path, capsys, data, depth):
+    path = matrix_file(tmp_path, data)
+    matrix = load_matrix(path)
+    argv = ["ball", "--matrix", path, "--depth", str(depth)]
+    assert run_cli(capsys, argv) == ball_by_ball(matrix, depth, 10_000_000)
+    # the cap trips exactly when the ball would outgrow it, with its message
+    total = build_ball(matrix, depth).size
+    for cap in (total, total - 1):
+        if cap >= 1:
+            got = run_cli(capsys, argv + ["--cap", str(cap)])
+            assert got == ball_by_ball(matrix, depth, cap)
+            assert got[0] == (0 if cap == total else 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(max_rank=5, labels=(2, 3, 4, 5, 6, 7, INF)),
+       st.integers(0, 4), st.integers(1, 500))
+def test_ball_prints_what_the_ball_holds_random(tmp_path_factory, matrix, depth, cap):
+    path = tmp_path_factory.mktemp("ball") / "matrix.json"
+    path.write_text(json.dumps(matrix_to_data(matrix)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["ball", "--matrix", str(path), "--depth", str(depth),
+                         "--cap", str(cap)])
+    assert (code, out.getvalue(), err.getvalue()) == ball_by_ball(matrix, depth, cap)
+
+
+@pytest.mark.parametrize("size", ["tiny", "full"])
+def test_ball_on_the_benchmark_jobs(tmp_path, capsys, size):
+    refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[size]
+    summarize = perfbench_module("check").summarize
+    for job, kind, argv in perfbench_module("workloads").make_jobs("export", size, 1, tmp_path):
+        got = run_cli(capsys, argv)
+        assert got[0] == 0 and summarize(kind, got[1]) == refs[job]
+        if size == "tiny":  # the full balls take seconds; their counts are in the references
+            matrix = load_matrix(argv[argv.index("--matrix") + 1])
+            depth = int(argv[argv.index("--depth") + 1])
+            assert got == ball_by_ball(matrix, depth, 10_000_000)
+
+
+def test_ball_out_file_and_cap(tmp_path, capsys):
+    path = matrix_file(tmp_path, M344)
+    matrix = load_matrix(path)
+    argv = ["ball", "--matrix", path, "--depth", "8"]
+    _, text, _ = run_cli(capsys, argv)
+    total = sum(sphere_counts(matrix, 8)[0])
+    out = tmp_path / "ball.jsonl"
+    assert run_cli(capsys, argv + ["--cap", str(total), "--out", str(out)]) == (0, "", "")
+    assert out.read_bytes() == text.encode("utf-8")
+    out.unlink()
+    # over the cap nothing is written, not even an empty --out file
+    got = run_cli(capsys, argv + ["--cap", str(total - 1), "--out", str(out)])
+    assert got == ball_by_ball(matrix, 8, total - 1) and got[0] == 4
+    assert not out.exists()
+    missing = tmp_path / "no" / "dir" / "ball.jsonl"
+    assert run_cli(capsys, argv + ["--out", str(missing)]) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+def test_ball_streams_in_little_memory(tmp_path, capsys):
+    path = matrix_file(tmp_path, M344)
+    out = tmp_path / "ball.jsonl"
+    argv = ["ball", "--matrix", path, "--depth", "16", "--out", str(out)]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start  # about 0.03 s
+    assert code == 0 and elapsed < 5
+    text = out.read_bytes()
+    c, d = sphere_counts(load_matrix(path), 16)
+    assert perfbench_module("check").summarize("ball", text.decode()) == {"c": c, "d": d}
+    # only a layer's words and lines are live: the ball took 12.6 MB here
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
+    assert out.read_bytes().splitlines(keepends=True) == text.splitlines(keepends=True)
+    assert capsys.readouterr().out == ""
+
+
+def test_ball_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
+    # the 801 elements fit a cap of 1000, and the ball exported them; the
+    # terms of the 400 small roots, which ball now walks as stats does, do not
+    path = matrix_file(tmp_path, {"m": [[1, 400], [400, 1]]})
+    argv = ["ball", "--matrix", path, "--depth", "400"]
+    assert run_cli(capsys, argv + ["--cap", "1000"]) == (
+        4, "", "error: element cap 1000 reached by the terms of the small roots\n")
+    assert run_cli(capsys, argv) == ball_by_ball(load_matrix(path), 400, 10_000_000)
 
 
 def test_repeat_runs_byte_identical(tmp_path):
