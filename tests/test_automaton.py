@@ -3,7 +3,8 @@
 The ball gives every element's parent, letter and descents; Steinberg's
 series gives c_i to any depth; and the parabolic quotients give d_i as
 D(t) = sum over s of (W(t) / W_{S-s}(t) - 1), a route that shares no code
-with the walk or the ball.
+with the walk or the ball.  The ball's records, written by json.dumps,
+give the lines of the `ball` export.
 """
 import json
 import time

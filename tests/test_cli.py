@@ -191,14 +191,14 @@ def test_stats_prints_what_the_ball_counts(tmp_path, capsys, data, depth):
     matrix = load_matrix(path)
     for fmt in ("json", "csv"):
         got = run_cli(capsys, ["stats", "--matrix", path, "--depth", str(depth),
-                                 "--format", fmt])
+                               "--format", fmt])
         assert got == stats_by_ball(matrix, depth, 10_000_000, fmt)
     # the cap trips exactly when the ball would outgrow it, with its message
     total = build_ball(matrix, depth).size
     for cap in (total, total - 1):
         if cap >= 1:
             got = run_cli(capsys, ["stats", "--matrix", path, "--depth", str(depth),
-                                     "--cap", str(cap)])
+                                   "--cap", str(cap)])
             assert got == stats_by_ball(matrix, depth, cap, "json")
             assert got[0] == (0 if cap == total else 4)
 
@@ -343,7 +343,7 @@ def test_ball_streams_in_little_memory(tmp_path, capsys):
     text = out.read_bytes()
     c, d = sphere_counts(load_matrix(path), 16)
     assert perfbench_module("check").summarize("ball", text.decode()) == {"c": c, "d": d}
-    # only a layer's words and lines are live: the ball took 12.6 MB here
+    # only a layer's words and lines are live; a built ball of this size takes 12.4 MB
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
@@ -356,8 +356,8 @@ def test_ball_streams_in_little_memory(tmp_path, capsys):
 
 
 def test_ball_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
-    # the 801 elements fit a cap of 1000, and the ball exported them; the
-    # terms of the 400 small roots, which ball now walks as stats does, do not
+    # the 801 elements fit a cap of 1000, but the terms of the 400 small roots
+    # that `ball` walks, as `stats` does, do not
     path = matrix_file(tmp_path, {"m": [[1, 400], [400, 1]]})
     argv = ["ball", "--matrix", path, "--depth", "400"]
     assert run_cli(capsys, argv + ["--cap", "1000"]) == (
