@@ -142,7 +142,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    from .automaton import export_lines, sphere_counts  # only ball and stats walk the automaton
+    from .automaton import export_lines, sphere_counts  # imported on use, so info and verify never load it
 
     matrix, depth = _load(args)
     # the cap trips, as the ball's did, before any output or --out file exists
@@ -174,7 +174,7 @@ def _stats_text(stats, fmt: str) -> str:
 
 
 def cmd_stats(args) -> int:
-    from .automaton import sphere_counts  # only ball and stats walk the automaton
+    from .automaton import sphere_counts  # imported on use, so info and verify never load it
 
     matrix, depth = _load(args)
     c, d = sphere_counts(matrix, depth, cap=args.cap)
@@ -253,13 +253,16 @@ def _default_points(rank: int) -> list[Fraction]:
 
 
 def cmd_series(args) -> int:
+    from .automaton import sphere_counts  # imported on use, so info and verify never load it
+
     matrix, depth = _load(args)
     series = rational_growth_series(matrix)
     coeffs = taylor_coefficients(series, depth)
-    ball = build_ball(matrix, depth, cap=args.cap)
-    stats = compute_stats(ball)
-    enumerated = list(stats.c)
-    agreement = coeffs == enumerated
+    # the enumerated sizes come from the small roots, a route that shares no code
+    # with the series' sum over spherical subsets
+    c, d = sphere_counts(matrix, depth, cap=args.cap)
+    stats = SphereStats(matrix, tuple(c), tuple(d))
+    agreement = coeffs == c
 
     points = _parse_points(args.eval) if args.eval else _default_points(matrix.rank)
     verdicts = []
@@ -279,7 +282,7 @@ def cmd_series(args) -> int:
         "den": list(series.den),
         "depth": depth,
         "coeffs": coeffs,
-        "enumerated": enumerated,
+        "enumerated": c,
         "agreement": agreement,
         "verdicts": verdicts,
     }
@@ -341,6 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.out == "":  # Path("") is ".", a path the user never gave
+        print("error: --out needs a file path, got an empty string", file=sys.stderr)
+        return EXIT_IO
     try:
         return args.func(args)
     except ResourceLimitError as err:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import PERFBENCH, coxeter_matrices, export_by_ball, perfbench_module
 from coxgrowth import (
     INF,
+    automaton,
     ResourceLimitError,
     SphereStats,
     build_ball,
@@ -549,6 +550,89 @@ def test_series_disagreement_exits_six(tmp_path, capsys, monkeypatch):
     assert "disagree" in err
 
 
+def series_by_ball(argv):
+    """(exit code, stdout, stderr) of `series` when it built the ball to count.
+
+    The ball's counts and cap stand in for the automaton's, as build_ball and
+    compute_stats gave them before `series` walked the small roots.
+    """
+    calls = []
+
+    def counts_by_ball(matrix, depth, cap=10_000_000):
+        calls.append(depth)
+        stats = compute_stats(build_ball(matrix, depth, cap=cap))
+        return list(stats.c), list(stats.d)
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setattr(automaton, "sphere_counts", counts_by_ball)
+        code = cli.main(argv)
+    assert calls, "series no longer counts through automaton.sphere_counts"
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("data, depth", STATS_SYSTEMS)
+def test_series_prints_what_the_ball_counts(tmp_path, capsys, data, depth):
+    path = matrix_file(tmp_path, data)
+    total = build_ball(load_matrix(path), depth).size
+    for points in ([], ["--eval", "1/2,1/3"]):
+        argv = ["series", "--matrix", path, "--depth", str(depth), *points]
+        got = run_cli(capsys, argv)
+        assert got == series_by_ball(argv) and got[0] == 0
+        # the cap trips exactly when the ball would outgrow it, with its message
+        for cap in (total, total - 1):
+            if cap >= 1:
+                got = run_cli(capsys, argv + ["--cap", str(cap)])
+                assert got == series_by_ball(argv + ["--cap", str(cap)])
+                assert got[0] == (0 if cap == total else 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(max_rank=5, labels=(2, 3, 4, 5, 6, 7, INF)),
+       st.integers(0, 6), st.integers(1, 500), st.sampled_from([[], ["--eval", "1/2,1/3"]]))
+def test_series_prints_what_the_ball_counts_random(tmp_path_factory, matrix, depth, cap,
+                                                   points):
+    path = tmp_path_factory.mktemp("series") / "matrix.json"
+    path.write_text(json.dumps(matrix_to_data(matrix)), encoding="utf-8")
+    argv = ["series", "--matrix", str(path), "--depth", str(depth), "--cap", str(cap),
+            *points]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == series_by_ball(argv)
+
+
+@pytest.mark.parametrize("size", ["tiny", "full"])
+def test_series_on_the_benchmark_jobs(tmp_path, capsys, size):
+    refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[size]
+    summarize = perfbench_module("check").summarize
+    for job, kind, argv in perfbench_module("workloads").make_jobs("series", size, 1, tmp_path):
+        got = run_cli(capsys, argv)
+        assert got[0] == 0 and summarize(kind, got[1]) == refs[job]
+        if size == "tiny" and kind == "series":  # the full balls are in the references
+            assert got == series_by_ball(argv)
+
+
+def test_series_builds_no_ball(tmp_path, capsys, monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("series built a ball")
+
+    monkeypatch.setattr(cli, "build_ball", no_ball)
+    for _, _, argv in perfbench_module("workloads").make_jobs("series", "tiny", 1, tmp_path):
+        assert run_cli(capsys, argv)[0] == 0
+
+
+def test_series_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
+    # the 801 elements fit a cap of 1000, but the terms of the 400 small roots
+    # that `series` walks, as `stats` and `ball` do, do not
+    path = matrix_file(tmp_path, {"m": [[1, 400], [400, 1]]})
+    argv = ["series", "--matrix", path, "--depth", "400"]
+    assert run_cli(capsys, argv + ["--cap", "1000"]) == (
+        4, "", "error: element cap 1000 reached by the terms of the small roots\n")
+    got = run_cli(capsys, argv)
+    assert got == series_by_ball(argv) and got[0] == 0
+
+
 # -- failure modes ------------------------------------------------------------
 
 
@@ -564,6 +648,15 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
          "--depth", "2", "--out", str(tmp_path / "no" / "dir" / "x.json")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["info", "ball", "stats", "verify", "series"])
+def test_empty_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    # the matrix is never read: an empty --out is refused first
+    got = run_cli(capsys, [command, "--matrix", "absent.json", "--out", ""])
+    assert got == (2, "", "error: --out needs a file path, got an empty string\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_matrix_exits_three(tmp_path, capsys):
