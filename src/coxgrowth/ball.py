@@ -92,18 +92,20 @@ class Ball:
     each element keeps its parent (the lower neighbour it was created from)
     and the letter leading up from it, and its canonical word is the
     parent's word plus that letter, rebuilt from the chain when asked for.
-    `unique_descents[i]` counts the elements of length i with exactly one
-    right descent.
+    `descents[idx]` is the element's right-descent mask, bit s for a
+    descent s, and `unique_descents[i]` counts the elements of length i with
+    exactly one right descent.
     """
 
     def __init__(self, matrix, depth, parent, letter, lengths, edges, offsets,
-                 unique_descents):
+                 descents, unique_descents):
         self.matrix = matrix
         self.depth = depth
         self.parent = parent
         self.letter = letter
         self.lengths = lengths
         self.edges = edges
+        self.descents = descents
         self.unique_descents = unique_descents
         self._offsets = offsets
         self._inverse: list[int] | None = None
@@ -162,12 +164,7 @@ class Ball:
     def descent_indices(self, idx: int) -> tuple[int, ...]:
         """Generators s with length(w s) < length(w), w = element idx."""
         self.check_index(idx)
-        mine = self.lengths[idx]
-        row = self.edges[idx]
-        return tuple(
-            s for s in range(self.matrix.rank)
-            if row[s] >= 0 and self.lengths[row[s]] < mine
-        )
+        return tuple(s for s in range(self.matrix.rank) if self.descents[idx] >> s & 1)
 
     def inverse_index(self, idx: int) -> int:
         """Index of the inverse element (same length, so always in the ball)."""
@@ -229,7 +226,8 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
     tops.  Words never enter the comparison; identity resolution is pure
     graph walking through layers already built.  No later element adds a
     downward edge to an earlier one, so the descents found at creation are
-    final and the unique-descent census is counted there.
+    final: each element's descent mask and the unique-descent census are
+    recorded there.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -244,6 +242,7 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
     lengths = [0]
     edges: list[list[int]] = [[-1] * n]
     offsets = [0, 1]
+    descents = [0]
     unique_descents = [0]
     for layer in range(depth):
         unique = 0
@@ -287,12 +286,16 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
                 letter.append(s)
                 lengths.append(layer + 1)
                 row = [-1] * n
+                mask = 0
                 for v, t in downs:
                     row[t] = v
                     edges[v][t] = x
+                    mask |= 1 << t
                 edges.append(row)
+                descents.append(mask)
                 if len(downs) == 1:
                     unique += 1
         offsets.append(len(lengths))
         unique_descents.append(unique)
-    return Ball(matrix, depth, parent, letter, lengths, edges, offsets, unique_descents)
+    return Ball(matrix, depth, parent, letter, lengths, edges, offsets, descents,
+                unique_descents)

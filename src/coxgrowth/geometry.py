@@ -4,12 +4,17 @@ Chambers are ball elements, named by ball index in every argument and
 result; s-adjacency is right multiplication.  Products are folded through
 stored edges, so every computation is exact.  Walls are named exactly by
 their roots over Z[zeta_N] (see `roots`), so the wall scan L24 decides
-every complete residue.  Only C210 and L211 are still ball-scoped: a case
-whose chambers would leave the ball is counted as skipped rather than
-guessed, and their reports carry both a checked and a skipped count.
+every complete residue.  P29, C210, L211 and the rank-2 residues of L24
+read each element's right-descent mask, which the ball records as it
+makes the element, and walk edges only where a mask cannot decide: the
+chains of a residue, and the gates of an element with two descents.
+Only C210 and L211 are still ball-scoped: a case whose chambers would
+leave the ball is counted as skipped rather than guessed, and their
+reports carry both a checked and a skipped count.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import inf as INF
@@ -143,26 +148,27 @@ def reflections(ball: Ball) -> list[int]:
 
 
 def rank2_complete_residues(ball: Ball) -> list[Residue]:
-    """Every spherical rank-2 residue that fits inside the ball."""
+    """Every spherical rank-2 residue that fits inside the ball.
+
+    Its gate g has no descent in {s, t} and length(g) + m <= depth; its
+    members are g, the two alternating chains up from g and their common top.
+    """
     out = []
-    n = ball.matrix.rank
-    for s, t in combinations(range(n), 2):
+    for s, t in combinations(range(ball.matrix.rank), 2):
         m = ball.matrix.order(s, t)
-        if m == INF:
+        if m > ball.depth:
             continue
-        m = int(m)
-        for g in range(ball.size):
-            if ball.lengths[g] + m > ball.depth:
+        bits = 1 << s | 1 << t
+        for g in range(ball.layer(ball.depth - m).stop):
+            if ball.descents[g] & bits:
                 continue
-            row = ball.edges[g]
-            lg = ball.lengths[g]
-            up_s = row[s] >= 0 and ball.lengths[row[s]] > lg
-            up_t = row[t] >= 0 and ball.lengths[row[t]] > lg
-            if not (up_s and up_t):
-                continue
-            res = residue(ball, g, (s, t))
-            assert res.complete and res.gate == g
-            out.append(res)
+            members = [g]
+            for word in (_alternating(s, t, m - 1), _alternating(t, s, m)):
+                cur = g
+                for x in word:
+                    cur = ball.edges[cur][x]
+                    members.append(cur)
+            out.append(Residue((s, t), g, tuple(sorted(members)), True))
     return out
 
 
@@ -251,19 +257,15 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
 
 
 def _gate_of(ball: Ball, start: int, s: int, t: int) -> int:
-    cur = start
-    while True:
-        row = ball.edges[cur]
-        lc = ball.lengths[cur]
-        stepped = False
-        for letter in (s, t):
-            j = row[letter]
-            if j >= 0 and ball.lengths[j] < lc:
-                cur = j
-                stepped = True
-                break
-        if not stepped:
-            return cur
+    """The gate of start<s,t> when s ascends from start.
+
+    Below start the coset holds one chain, so the suffix alternates t, s, ...
+    and each step down has just one letter to try.
+    """
+    while ball.descents[start] >> t & 1:
+        start = ball.edges[start][t]
+        s, t = t, s
+    return start
 
 
 def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationReport:
@@ -273,38 +275,41 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
     For residues R, T with panel P = R intersect T and the gate of R
     strictly closer to the identity than the gate of T, the gate of T must
     be the shorter chamber of P.  Needs every pairwise order finite and
-    >= 3.
+    >= 3.  With P = {w, ws}, w the nearer chamber, the gate of w<s,t> lies
+    below w exactly when t is a descent of w.  So a pair {t, u} with one
+    descent of w is checked and holds, one with none is not checked, and
+    one with two is checked and fails when its two gates differ in length.
     """
     if gate:
         require_complete_two_spherical(ball.matrix)
     n = ball.matrix.rank
+    below_rim = ball.descents[:ball.layer(ball.depth).start]  # every ascent is inside
+    # (n - k) ascents s, each with k * (n - 1 - k) pairs {t, u} holding one descent
+    checked = sum(c * (n - k) * k * (n - 1 - k)
+                  for k, c in Counter(map(int.bit_count, below_rim)).items())
     checks = []
-    checked = 0
-    for w in range(ball.size):
-        lw = ball.lengths[w]
-        for s in range(n):
-            x = ball.edges[w][s]
-            if x < 0 or ball.lengths[x] < lw:
-                continue
-            # panel {w, x} with w the chamber nearer the identity
-            others = [t for t in range(n) if t != s]
-            for t, u in combinations(others, 2):
-                g1 = _gate_of(ball, w, s, t)
-                g2 = _gate_of(ball, w, s, u)
-                l1, l2 = ball.lengths[g1], ball.lengths[g2]
-                if l1 == l2:
+    for w, mask in enumerate(below_rim):
+        if mask & (mask - 1):  # two descents or more
+            downs = [t for t in range(n) if mask >> t & 1]
+            for s in range(n):
+                if mask >> s & 1:
                     continue
-                far = g2 if l1 < l2 else g1
-                checked += 1
-                if far != w:
-                    checks.append(
-                        Comparison(
-                            {"panel": _word_str(ball, w), "letter": s,
-                             "pair": f"{t},{u}"},
-                            _word_str(ball, far), _word_str(ball, w), "==", False,
-                        )
-                    )
+                gates = {t: _gate_of(ball, w, s, t) for t in downs}
+                for t, u in combinations(downs, 2):
+                    if ball.lengths[gates[t]] != ball.lengths[gates[u]]:
+                        checked += 1
+                        far = max(gates[t], gates[u], key=ball.lengths.__getitem__)
+                        checks.append(Comparison(
+                            {"panel": _word_str(ball, w), "letter": s, "pair": f"{t},{u}"},
+                            _word_str(ball, far), _word_str(ball, w), "==", False))
     return VerificationReport("P29", 0, ball.depth, tuple(checks), checked)
+
+
+def _pairs(ball: Ball):
+    """(s, t, bits of s and t, bits of every other letter, m_st) per pair s < t."""
+    full = (1 << ball.matrix.rank) - 1
+    return [(s, t, 1 << s | 1 << t, full & ~(1 << s | 1 << t), ball.matrix.order(s, t))
+            for s, t in combinations(range(ball.matrix.rank), 2)]
 
 
 def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
@@ -313,51 +318,41 @@ def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
     If both ws and wt ascend from w, then for every w' in <s, t> of length
     at least 2 and every third generator r the product w w' r has length
     length(w) + length(w') + 1.  Needs every pairwise order finite and
-    >= 3.
+    >= 3.  w is the gate of w<s,t>, so w w' has length length(w) + k, and
+    the claim is that no third letter is a descent of w w'.  An instance
+    whose product w w' r would leave the ball is counted as skipped.
     """
     if gate:
         require_complete_two_spherical(ball.matrix)
     n = ball.matrix.rank
-    checks = []
-    checked = 0
-    skipped = 0
-    for w in range(ball.size):
-        lw = ball.lengths[w]
-        row = ball.edges[w]
-        for s, t in combinations(range(n), 2):
-            if row[s] < 0 or ball.lengths[row[s]] < lw:
-                continue
-            if row[t] < 0 or ball.lengths[row[t]] < lw:
-                continue
-            m = ball.matrix.order(s, t)
-            if m == INF:
-                continue
-            m = int(m)
-            third = [r for r in range(n) if r != s and r != t]
-            for first in (s, t):
-                second = t if first == s else s
-                top = m if first == s else m - 1  # the longest word only once
-                for k in range(2, top + 1):
-                    if lw + k + 1 > ball.depth:
-                        skipped += len(third)
-                        continue
-                    inner = _alternating(first, second, k)
-                    mid = w
-                    for letter in inner:
-                        mid = ball.edges[mid][letter]
-                        assert mid >= 0, "ascent within a residue left the ball"
-                    for r in third:
-                        checked += 1
-                        target = ball.edges[mid][r]
-                        if ball.lengths[target] != lw + k + 1:
-                            checks.append(
-                                Comparison(
-                                    {"w": _word_str(ball, w),
-                                     "inner": "".join(map(str, inner)),
-                                     "r": r},
-                                    ball.lengths[target], lw + k + 1, "==", False,
-                                )
-                            )
+    edges, descents = ball.edges, ball.descents
+    pairs = [pair for pair in _pairs(ball) if pair[-1] != INF]
+    checks, checked, skipped = [], 0, 0
+    for i in range(ball.depth):
+        room = ball.depth - i - 1  # the longest w' whose exits stay inside
+        plan = []
+        for s, t, bits, third, m in pairs:
+            # the longest word of <s, t> is checked once, from s
+            words = [_alternating(s, t, min(m, room)), _alternating(t, s, min(m - 1, room))]
+            inside = sum(max(0, len(word) - 1) for word in words) * (n - 2)
+            plan.append((bits, third, [word for word in words if len(word) > 1],
+                         inside, (2 * m - 3) * (n - 2) - inside))
+        for w in ball.layer(i):
+            for bits, third, words, inside, outside in plan:
+                if descents[w] & bits:
+                    continue
+                checked += inside
+                skipped += outside
+                for word in words:
+                    mid = edges[w][word[0]]
+                    for k in range(2, len(word) + 1):
+                        mid = edges[mid][word[k - 1]]
+                        bad = descents[mid] & third
+                        if bad:
+                            checks.extend(Comparison(
+                                {"w": _word_str(ball, w), "inner": "".join(map(str, word[:k])),
+                                 "r": r}, i + k - 1, i + k + 1, "==", False)
+                                for r in range(n) if bad >> r & 1)
     return VerificationReport("C210", 0, ball.depth, tuple(checks), checked, skipped)
 
 
@@ -367,6 +362,9 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
     Checks length(w s r) = length(w) + 2 or length(w t r) = length(w) + 2
     whenever both ws and wt ascend.  Needs every pairwise order >= 4; run
     with gate=False to hunt counterexamples on systems with triple edges.
+    A letter r passes when it ascends from ws or wt inside the ball, fails
+    when it descends from both, and is skipped otherwise: ws and wt then
+    lie at the rim, where no edge leads up.
     """
     if gate:
         for s, t in combinations(range(ball.matrix.rank), 2):
@@ -375,37 +373,21 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
                     f"pair ({s},{t}) has order {ball.matrix.order(s, t)} < 4"
                 )
     n = ball.matrix.rank
-    checks = []
-    checked = 0
-    skipped = 0
-    for w in range(ball.size):
-        lw = ball.lengths[w]
-        row = ball.edges[w]
-        for s, t in combinations(range(n), 2):
-            ws, wt = row[s], row[t]
-            if ws < 0 or ball.lengths[ws] < lw:
+    descents = ball.descents
+    pairs = _pairs(ball)
+    checks, checked, skipped = [], 0, 0
+    for w in range(ball.layer(ball.depth).start):
+        lw, row = ball.lengths[w], ball.edges[w]
+        for s, t, bits, third, _ in pairs:
+            if descents[w] & bits:
                 continue
-            if wt < 0 or ball.lengths[wt] < lw:
-                continue
-            for r in range(n):
-                if r == s or r == t:
-                    continue
-                a = ball.edges[ws][r]
-                b = ball.edges[wt][r]
-                la = ball.lengths[a] if a >= 0 else None
-                lb = ball.lengths[b] if b >= 0 else None
-                if la == lw + 2 or lb == lw + 2:
-                    checked += 1
-                    continue
-                if la is None or lb is None:
-                    skipped += 1
-                    continue
-                checked += 1
-                checks.append(
-                    Comparison(
-                        {"w": _word_str(ball, w), "s": s, "t": t, "r": r},
-                        (la, lb), lw + 2, "in", False,
-                    )
-                )
+            both = descents[row[s]] & descents[row[t]] & third
+            # the in-ball ascents of ws or wt: every other letter below the rim, none at it
+            decided = both if lw + 1 == ball.depth else third
+            checked += decided.bit_count()
+            skipped += (third ^ decided).bit_count()
+            if both:
+                checks.extend(Comparison({"w": _word_str(ball, w), "s": s, "t": t, "r": r},
+                                         (lw, lw), lw + 2, "in", False)
+                              for r in range(n) if both >> r & 1)
     return VerificationReport("L211", 0, ball.depth, tuple(checks), checked, skipped)
-

@@ -111,6 +111,20 @@ def test_descents_of_dihedral_top():
     assert ball.descent_indices(ball.index((0, 1, 0, 1))) == (0, 1)
 
 
+@pytest.mark.parametrize("matrix, depth", SCAN_BALLS)
+def test_descent_masks_match_the_edges(matrix, depth):
+    # each mask is recorded at creation; the stored edges must agree with it
+    # later, down to every letter of elements at the rim
+    ball = get_ball(matrix, depth)
+    for idx in range(ball.size):
+        row, mine = ball.edges[idx], ball.lengths[idx]
+        assert ball.descents[idx] == sum(
+            1 << s for s in range(matrix.rank) if row[s] >= 0 and ball.lengths[row[s]] < mine)
+        # below the rim every other letter ascends inside the ball; at it none is stored
+        ups = [s for s in range(matrix.rank) if not ball.descents[idx] >> s & 1]
+        assert all((row[s] >= 0) == (mine < depth) for s in ups)
+
+
 def test_oracle_equivalence_words_up_to_six():
     matrices = [
         uniform_matrix(2, 4),

@@ -6,8 +6,9 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import coxeter_matrices, get_ball
+from conftest import coxeter_matrices, get_ball, perfbench_matrices
 from coxgrowth import (
     INF,
     DepthExceededError,
@@ -32,6 +33,9 @@ from coxgrowth import (
     verify_wall_pair_uniqueness,
 )
 from coxgrowth import polys
+from coxgrowth.ball import _alternating
+from coxgrowth.geometry import _word_str
+from coxgrowth.report import Comparison, VerificationReport
 from coxgrowth.roots import Roots
 
 
@@ -609,3 +613,179 @@ def test_scan_reports_serialize_with_skips():
     assert data["verdict"] == "holds"
     assert data["skipped"] == report.skipped
     assert data["checked"] == report.checked
+
+
+# -- mask-driven scans against the edge walks they replaced -------------------
+
+
+def gate_by_edges(ball, start, s, t):
+    """The gate of start<s,t>, walked down by whichever of s, t descends."""
+    cur = start
+    while True:
+        row = ball.edges[cur]
+        down = [j for j in (row[s], row[t]) if j >= 0 and ball.lengths[j] < ball.lengths[cur]]
+        if not down:
+            return cur
+        cur = down[0]
+
+
+def ascends(ball, w, s):
+    """Whether ws lies in the ball one layer above w."""
+    j = ball.edges[w][s]
+    return j >= 0 and ball.lengths[j] > ball.lengths[w]
+
+
+def p29_by_edges(ball):
+    """The former P29 scan: two gate walks per panel and pair of residues."""
+    n = ball.matrix.rank
+    checks, checked = [], 0
+    for w in range(ball.size):
+        for s in range(n):
+            if not ascends(ball, w, s):
+                continue
+            for t, u in combinations([x for x in range(n) if x != s], 2):
+                g1, g2 = gate_by_edges(ball, w, s, t), gate_by_edges(ball, w, s, u)
+                l1, l2 = ball.lengths[g1], ball.lengths[g2]
+                if l1 == l2:
+                    continue
+                far = g2 if l1 < l2 else g1
+                checked += 1
+                if far != w:
+                    checks.append(Comparison(
+                        {"panel": _word_str(ball, w), "letter": s, "pair": f"{t},{u}"},
+                        _word_str(ball, far), _word_str(ball, w), "==", False))
+    return VerificationReport("P29", 0, ball.depth, tuple(checks), checked)
+
+
+def c210_by_edges(ball):
+    """The former C210 scan: each inner word folded from w, each third letter stepped."""
+    n = ball.matrix.rank
+    checks, checked, skipped = [], 0, 0
+    for w in range(ball.size):
+        lw = ball.lengths[w]
+        for s, t in combinations(range(n), 2):
+            m = ball.matrix.order(s, t)
+            if not (ascends(ball, w, s) and ascends(ball, w, t)) or m == INF:
+                continue
+            third = [r for r in range(n) if r not in (s, t)]
+            for first, second, top in ((s, t, m), (t, s, m - 1)):
+                for k in range(2, top + 1):
+                    if lw + k + 1 > ball.depth:
+                        skipped += len(third)
+                        continue
+                    inner = _alternating(first, second, k)
+                    mid = ball.fold_right(w, inner)
+                    for r in third:
+                        checked += 1
+                        got = ball.lengths[ball.edges[mid][r]]
+                        if got != lw + k + 1:
+                            checks.append(Comparison(
+                                {"w": _word_str(ball, w), "inner": "".join(map(str, inner)),
+                                 "r": r}, got, lw + k + 1, "==", False))
+    return VerificationReport("C210", 0, ball.depth, tuple(checks), checked, skipped)
+
+
+def l211_by_edges(ball):
+    """The former L211 scan: the lengths of wsr and wtr read through stored edges."""
+    n = ball.matrix.rank
+    checks, checked, skipped = [], 0, 0
+    for w in range(ball.size):
+        lw = ball.lengths[w]
+        for s, t in combinations(range(n), 2):
+            if not (ascends(ball, w, s) and ascends(ball, w, t)):
+                continue
+            ws, wt = ball.edges[w][s], ball.edges[w][t]
+            for r in range(n):
+                if r in (s, t):
+                    continue
+                a, b = ball.edges[ws][r], ball.edges[wt][r]
+                la = ball.lengths[a] if a >= 0 else None
+                lb = ball.lengths[b] if b >= 0 else None
+                if la == lw + 2 or lb == lw + 2:
+                    checked += 1
+                elif la is None or lb is None:
+                    skipped += 1
+                else:
+                    checked += 1
+                    checks.append(Comparison({"w": _word_str(ball, w), "s": s, "t": t, "r": r},
+                                             (la, lb), lw + 2, "in", False))
+    return VerificationReport("L211", 0, ball.depth, tuple(checks), checked, skipped)
+
+
+def residues_by_bfs(ball):
+    """The former rank-2 enumeration: `residue`, a walk, at every in-ball gate."""
+    out = []
+    for s, t in combinations(range(ball.matrix.rank), 2):
+        m = ball.matrix.order(s, t)
+        out += [residue(ball, g, (s, t)) for g in range(ball.size)
+                if ball.lengths[g] + m <= ball.depth and ascends(ball, g, s) and ascends(ball, g, t)]
+    return out
+
+
+SCANS = [(verify_projection_collapse, p29_by_edges),
+         (verify_exit_ascent, c210_by_edges),
+         (verify_not_both_down, l211_by_edges)]
+
+
+def assert_scans_match_edge_walks(ball):
+    """Each mask-driven scan reports what its edge walk reports, failures in order,
+    and each rank-2 residue equals the one `residue` walks from its gate."""
+    reports = []
+    for scan, oracle in SCANS:
+        report = scan(ball, gate=False)
+        assert report.to_dict() == oracle(ball).to_dict()
+        reports.append(report)
+    assert rank2_complete_residues(ball) == residues_by_bfs(ball)
+    return reports
+
+
+GEOMETRY_SYSTEMS = [
+    pytest.param(uniform_matrix(4, 4), 7, id="u44"),
+    pytest.param(uniform_matrix(3, 4), 11, id="t444"),
+    pytest.param(uniform_matrix(4, 3), 7, id="u43"),
+    pytest.param(uniform_matrix(3, 3), 10, id="(3,3,3)"),
+    pytest.param(FINITE_RANK3, 8, id="finite-rank-3"),
+    pytest.param(perfbench_matrices()["mixed"], 7, id="perfbench-mixed"),
+    pytest.param(validate_matrix([[1, 4, INF, 3], [4, 1, 5, INF], [INF, 5, 1, 2],
+                                  [3, INF, 2, 1]]), 8, id="inf-labels"),
+]
+
+
+@pytest.mark.parametrize("matrix,depth", GEOMETRY_SYSTEMS)
+def test_scans_match_edge_walks(matrix, depth):
+    assert_scans_match_edge_walks(get_ball(matrix, depth))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(max_rank=5, labels=(2, 3, 4, 5, 6, 7, INF)), st.integers(0, 7))
+def test_scans_match_edge_walks_random(matrix, depth):
+    assert_scans_match_edge_walks(build_ball(matrix, depth))
+
+
+@pytest.mark.parametrize("rows,depth,failures", [
+    pytest.param([[1, INF, 2], [INF, 1, 2], [2, 2, 1]], 300, 594, id="Dinf x A1"),
+    pytest.param([[1, 300, 2], [300, 1, 2], [2, 2, 1]], 310, 596, id="I2(300) x A1"),
+])
+def test_scans_with_gate_distances_past_one_byte(rows, depth, failures):
+    # suffixes in <s,t> reach 299 letters and more, past what one byte holds
+    ball = build_ball(validate_matrix(rows), depth)
+    assert max(ball.lengths[w] - ball.lengths[gate_by_edges(ball, w, 0, 1)]
+               for w in range(ball.size)) > 255
+    p29 = assert_scans_match_edge_walks(ball)[0]
+    assert len(p29.failures) == failures
+
+
+@pytest.mark.parametrize("name,depth,counts", [
+    pytest.param("u44", 8, {"P29": (21_048, 0), "C210": (7_332, 96_348),
+                            "L211": (7_344, 13_392), "L24": (2_736, 0)}, id="u44"),
+    pytest.param("t444", 13, {"P29": (7_002, 0), "C210": (4_122, 13_398),
+                              "L211": (2_034, 1_470), "L24": (4_104, 0)}, id="t444"),
+])
+def test_benchmark_verify_counts(name, depth, counts):
+    # the full verify jobs of the benchmark, whose checker reads verdicts only
+    ball = get_ball(perfbench_matrices()[name], depth)
+    got = {report.name: (report.checked, report.skipped)
+           for scan in (verify_projection_collapse, verify_exit_ascent,
+                        verify_not_both_down, verify_wall_pair_uniqueness)
+           for report in [scan(ball)]}
+    assert got == counts
