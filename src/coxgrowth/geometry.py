@@ -159,11 +159,12 @@ def rank2_complete_residues(ball: Ball) -> list[Residue]:
         if m > ball.depth:
             continue
         bits = 1 << s | 1 << t
+        words = (_alternating(s, t, m - 1), _alternating(t, s, m))
         for g in range(ball.layer(ball.depth - m).stop):
             if ball.descents[g] & bits:
                 continue
             members = [g]
-            for word in (_alternating(s, t, m - 1), _alternating(t, s, m)):
+            for word in words:
                 cur = g
                 for x in word:
                     cur = ball.edges[cur][x]
@@ -195,7 +196,9 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     gamma_1 = s alpha_t, gamma_2 = st alpha_s, ... of <s,t>, and g gamma_k
     is the wall between the chamber g(st...)_k and its next neighbour.  The
     gamma_k lie pi/m apart, so gamma_{k+1} = c_st gamma_k - gamma_{k-1} with
-    gamma_{-1} = -alpha_t, and only g alpha_s and g alpha_t are folded.
+    gamma_{-1} = -alpha_t, so only g alpha_s and g alpha_t are needed.  The
+    gates come in ShortLex order, and `Roots.images` steps each gate's
+    images from the prefix it shares with the gate before.
     `checked` counts the distinct wall pairs seen; a failure names each wall
     by a reflection word.  Needs every rank-3 subsystem infinite.
     """
@@ -212,13 +215,13 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     residues = sorted((res.gate * n + res.gens[0]) * n + res.gens[1]
                       for res in rank2_complete_residues(ball))
     roots = Roots(ball.matrix)
+    images_of = roots.images(ball)
     walls = {}  # rendered root -> wall id
     origins = []  # wall id -> chamber * n + letter of its first residue
     pairs = []  # a << 32 | b for walls a < b, once per residue
     for g, group in groupby(residues, key=lambda code: code // (n * n)):
         gens = [divmod(code % (n * n), n) for code in group]
-        letters = sorted({x for st in gens for x in st})
-        images = dict(zip(letters, roots.fold(ball, g, letters)))
+        images = images_of(g)
         for s, t in gens:
             m = ball.matrix.order(s, t)
             prev, cur = list(map(neg, images[t])), images[s]

@@ -38,9 +38,10 @@ class Roots:
     (a = N/2m_st) is two shifts that negate what wraps around; c_st is 1
     for m_st = 3, 0 for 2 and 2 for inf.  A vector is one flat list with
     coefficient e of coordinate j at e * rank + j, so a shift of the whole
-    vector is one slice.  The reflection s changes only coordinate s:
-    v_s <- -v_s + sum over j != s of c_sj v_j.  Only `key` maps a root
-    into Z[zeta_N] itself, to its one form in an integer basis.
+    vector is one slice.  The reflection s maps alpha_s to -alpha_s and
+    alpha_j to alpha_j + c_sj alpha_s, so `images` takes an element's images
+    of the simple roots from its parent's.  Only `key` maps a root into
+    Z[zeta_N] itself, to its one form in an integer basis.
     """
 
     def __init__(self, matrix):
@@ -87,31 +88,43 @@ class Roots:
         a = self.big // (2 * int(m)) * (2 * len(w) // self.big)
         return list(map(add, list(map(neg, w[-a:])) + w[:-a], w[a:] + list(map(neg, w[:a]))))
 
-    def fold(self, ball: Ball, g: int, letters) -> list[list[int]]:
-        """g alpha_x for each letter x, folding g's parent chain onto alpha_x.
+    def images(self, ball: Ball):
+        """A function g -> [g alpha_x for each letter x], for g in the ball.
 
-        The k roots are folded as one vector with k times the coefficients,
-        root r's coefficient e at e * k + r, so each step is one pass.
+        It keeps the images of the prefixes of the last element asked for,
+        one list per length: g = p s gives g alpha_s = -p alpha_s and
+        g alpha_j = p alpha_j + c_sj p alpha_s, so a call pops back to the
+        longest prefix it shares with the last one and steps once for each
+        letter after it.  Elements asked for in ShortLex order share long
+        prefixes.  The lists returned are shared: do not change them.
         """
-        n, k = self.rank, len(letters)
-        v = [0] * (n * k * self.big // 2)
-        for r, x in enumerate(letters):
-            v[r * n + x] = 1
-        parent, letter = ball.parent, ball.letter
-        while g:
-            s = letter[g]
-            out = list(map(neg, v[s::n]))
-            for j, m in self.reflection[s]:
-                out = list(map(add, out, self.times(m, v[j::n])))
-            v[s::n] = out
-            g = parent[g]
-        roots = []
-        for r in range(k):
-            root = [0] * (n * self.big // 2)
-            for j in range(n):
-                root[j::n] = v[r * n + j::k * n]
-            roots.append(root)
-        return roots
+        n, half = self.rank, self.big // 2
+        unit = []
+        for x in range(n):
+            v = [0] * (n * half)
+            v[x] = 1
+            unit.append(v)
+        chain, stack = [0], [unit]  # the prefixes of the last element, by length
+        parent, letter, lengths = ball.parent, ball.letter, ball.lengths
+
+        def at(g: int) -> list[list[int]]:
+            path, k = [], lengths[g]
+            while k >= len(chain) or chain[k] != g:
+                path.append(g)
+                g, k = parent[g], k - 1
+            del chain[k + 1:], stack[k + 1:]
+            for g in reversed(path):
+                s = letter[g]
+                below = stack[-1]
+                now = list(below)
+                now[s] = list(map(neg, below[s]))
+                for j, m in self.reflection[s]:
+                    now[j] = list(map(add, below[j], self.times(m, below[s])))
+                chain.append(g)
+                stack.append(now)
+            return stack[-1]
+
+        return at
 
     def reduce(self, v: list[int]) -> list[int]:
         """The coefficients of v's image in Z[zeta_N]^rank, in the product basis."""

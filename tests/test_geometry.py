@@ -1,8 +1,10 @@
+import random
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add, neg
 
 import pytest
 from hypothesis import given, settings
@@ -264,7 +266,7 @@ def gallery_walls(ball, roots, word):
     out = []
     prefix = 0
     for s in word:
-        out.append(roots.key(roots.fold(ball, prefix, (s,))[0]))
+        out.append(roots.key(fold(roots, ball, prefix, (s,))[0]))
         prefix = ball.edges[prefix][s]
     return out
 
@@ -278,8 +280,8 @@ def test_crossings_walk_the_panels():
     prefix = 0
     for s in word:
         nxt = ball.edges[prefix][s]
-        near = roots.reduce(roots.fold(ball, prefix, (s,))[0])
-        far = roots.reduce(roots.fold(ball, nxt, (s,))[0])
+        near = roots.reduce(fold(roots, ball, prefix, (s,))[0])
+        far = roots.reduce(fold(roots, ball, nxt, (s,))[0])
         assert any(near) and far == [-a for a in near]
         prefix = nxt
     assert prefix == ball.index(word)
@@ -413,7 +415,7 @@ def reflection_keys(ball, roots):
         if 2 * ball.lengths[u] + 1 <= ball.depth:
             for s in range(ball.matrix.rank):
                 refl = ball.fold_inverse(ball.edges[u][s], u)
-                key = roots.key(roots.fold(ball, u, (s,))[0])
+                key = roots.key(fold(roots, ball, u, (s,))[0])
                 assert keys.setdefault(refl, key) == key
     assert len(set(keys.values())) == len(keys)
     return keys
@@ -424,7 +426,7 @@ def chain_walls(ball, roots, res):
     chamber, x, y = res.gate, *res.gens
     out = []
     for _ in range(len(res.members) // 2):
-        out.append(roots.key(roots.fold(ball, chamber, (x,))[0]))
+        out.append(roots.key(fold(roots, ball, chamber, (x,))[0]))
         chamber, x, y = ball.edges[chamber][x], y, x
     assert len(set(out)) == len(out)
     return out
@@ -434,7 +436,7 @@ def wall_of(ball, roots, word):
     """Root key of the wall named by a failure's reflection word p x p^-1."""
     half = len(word) // 2
     chamber = ball.index(tuple(map(int, word[:half])))
-    return roots.key(roots.fold(ball, chamber, (int(word[half]),))[0])
+    return roots.key(fold(roots, ball, chamber, (int(word[half]),))[0])
 
 
 def reported_failures(ball, roots, report):
@@ -527,6 +529,67 @@ def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
 FINITE_RANK3 = validate_matrix([[1, 3, 2, 4], [3, 1, 3, 4], [2, 3, 1, 4], [4, 4, 4, 1]])
 
 
+def fold(roots, ball, g, letters):
+    """g alpha_x for each letter x, folding g's parent chain onto alpha_x.
+
+    The oracle of `Roots.images`: the k roots are folded as one vector with
+    k times the coefficients, root r's coefficient e at e * k + r, so each
+    step is one pass.
+    """
+    n, k = roots.rank, len(letters)
+    v = [0] * (n * k * roots.big // 2)
+    for r, x in enumerate(letters):
+        v[r * n + x] = 1
+    parent, letter = ball.parent, ball.letter
+    while g:
+        s = letter[g]
+        out = list(map(neg, v[s::n]))
+        for j, m in roots.reflection[s]:
+            out = list(map(add, out, roots.times(m, v[j::n])))
+        v[s::n] = out
+        g = parent[g]
+    out = []
+    for r in range(k):
+        root = [0] * (n * roots.big // 2)
+        for j in range(n):
+            root[j::n] = v[r * n + j::k * n]
+        out.append(root)
+    return out
+
+
+def assert_images_match_fold(ball, seed):
+    """`Roots.images` equals the fold of every element, asked for in index
+    order and then in a shuffled order, so that it pops back to short prefixes."""
+    roots = Roots(ball.matrix)
+    images = roots.images(ball)
+    letters = range(ball.matrix.rank)
+    folds = [fold(roots, ball, g, letters) for g in range(ball.size)]
+    order = list(range(ball.size))
+    for g in order:
+        assert images(g) == folds[g]
+    random.Random(seed).shuffle(order)
+    for g in order:
+        assert images(g) == folds[g]
+
+
+@pytest.mark.parametrize("matrix,depth", [
+    pytest.param(uniform_matrix(4, 4), 6, id="u44"),
+    pytest.param(uniform_matrix(3, 4), 9, id="(4,4,4)"),
+    pytest.param(FINITE_RANK3, 7, id="finite-rank-3"),
+    pytest.param(validate_matrix([[1, 5, 7], [5, 1, 11], [7, 11, 1]]), 8, id="(5,7,11)"),
+    pytest.param(perfbench_matrices()["mixed"], 6, id="perfbench-mixed"),
+])
+def test_images_match_fold(matrix, depth):
+    assert_images_match_fold(get_ball(matrix, depth), depth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coxeter_matrices(max_rank=5, labels=(2, 3, 4, 5, 6, 7, INF)), st.integers(0, 5),
+       st.integers(0, 2**32))
+def test_images_match_fold_random(matrix, depth, seed):
+    assert_images_match_fold(build_ball(matrix, depth), seed)
+
+
 @pytest.mark.parametrize("matrix,depth", [
     pytest.param(uniform_matrix(3, 4), 8, id="(4,4,4)"),
     pytest.param(uniform_matrix(4, 4), 7, id="uniform(4,4)"),
@@ -599,6 +662,21 @@ def test_wall_pair_uniqueness_memory():
         tracemalloc.stop()
     assert report.holds
     assert peak <= 640 * 1024
+
+
+def test_wall_pair_uniqueness_memory_with_large_labels():
+    # N = 770: the ball (1.6 MB) and L24 peak at about 3.9 MB together, with
+    # the images of one gate's prefixes at a time; keeping every gate's
+    # images instead took 8.1 MB
+    matrix = validate_matrix([[1, 5, 7], [5, 1, 11], [7, 11, 1]])
+    tracemalloc.start()
+    try:
+        report = verify_wall_pair_uniqueness(build_ball(matrix, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.checked == 1_991
+    assert peak <= 4.5 * 1024 * 1024
 
 
 def test_wall_pair_uniqueness_gate():
