@@ -13,11 +13,13 @@ left to right the automaton keeps two subsets of E:
 
 The accepted words are the ShortLex normal forms, one per element, so c_i
 and d_i are path counts.  Roots are kept exactly, with sparse coordinates
-in Z[zeta_N], so their cost follows their terms and not N; the signs of
-B(alpha_s, beta) and B(alpha_s, beta) + 1 come from enclosures held as
-integers scaled by 2^p, and p is doubled until they decide, after an exact
-zero test has excluded 0.  The roots are found one depth at a time, as the
-walk reaches them.
+in Z[zeta_N], so their cost follows their terms and not N, and they are
+the only copy.  -2B(alpha_s, beta) is the exact difference (s beta)_s -
+beta_s, and the signs of B(alpha_s, beta) and B(alpha_s, beta) + 1 come
+from enclosures of it held as integers scaled by 2^p, made from the
+cosines of its terms; p is doubled until they decide, after an exact zero
+test has excluded 0.  The roots are found one depth at a time, as the walk
+reaches them.
 """
 from __future__ import annotations
 
@@ -89,85 +91,6 @@ def _cos_bound(t: int, q: int, upper: bool) -> int:
             return total
 
 
-def two_cos_bounds(m: int, p: int) -> tuple[int, int]:
-    """(lo, hi) with lo < 2^p * 2cos(pi/m) < hi, for a finite m >= 4.
-
-    pi comes from Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), and
-    cos from its Taylor series, both in integers at 16 guard bits, so the
-    cost does not grow with m and hi - lo is 1 or 2.
-    """
-    q = p + 16
-    lo5, hi5 = _atan_inverse(5, q)
-    lo239, hi239 = _atan_inverse(239, q)
-    # pi / m, enclosed; cos falls on [0, pi/4]
-    low, high = (16 * lo5 - 4 * hi239) // m, -(-(16 * hi5 - 4 * lo239) // m)
-    lo, hi = _cos_bound(high, q, False), _cos_bound(low, q, True)
-    return lo >> q - p - 1, -(-hi >> q - p - 1)
-
-
-class _Boxes:
-    """Enclosures of the coordinates of the small roots found so far.
-
-    Each root keeps one (lo, hi) pair per coordinate with lo <= 2^p x <= hi,
-    computed from its parent root and letter, so raising p recomputes
-    them all from the simple roots.  The labels enter as enclosures of
-    c_st = 2cos(pi/m_st), exact for m_st = 3 and inf, so the cost does not
-    grow with the lcm of the labels.
-    """
-
-    def __init__(self, reflection, p: int):
-        self.reflection = reflection
-        self.parent: list[int] = []
-        self.letter: list[int] = []
-        self.rescale(p)
-
-    def rescale(self, p: int) -> None:
-        self.p = p
-        self.cos = {m: ((2 << p,) * 2 if m == INF else (1 << p,) * 2 if m == 3
-                        else two_cos_bounds(int(m), p))
-                    for row in self.reflection for _, m in row}
-        n = len(self.reflection)
-        self.boxes = [[(1 << p,) * 2 if j == s else (0, 0) for j in range(n)]
-                      for s in range(n)]
-        for i, s in zip(self.parent, self.letter):
-            self.boxes.append(self._reflect(self.boxes[i], s))
-
-    def add(self, i: int, s: int) -> None:
-        """Enclose s beta_i as the next root."""
-        self.parent.append(i)
-        self.letter.append(s)
-        self.boxes.append(self._reflect(self.boxes[i], s))
-
-    def k_bounds(self, box, s: int) -> tuple[int, int]:
-        """k = (s beta)_s - beta_s = -2B(alpha_s, beta), enclosed at scale 4^p."""
-        p = self.p
-        lo, hi = box[s]
-        klo, khi = -hi << p + 1, -lo << p + 1
-        for j, m in self.reflection[s]:
-            clo, chi = self.cos[m]
-            a, b = box[j]
-            klo += min(a * clo, a * chi)
-            khi += max(b * clo, b * chi)
-        return klo, khi
-
-    def _reflect(self, box, s: int):
-        p = self.p
-        klo, khi = self.k_bounds(box, s)
-        lo, hi = box[s]
-        out = list(box)
-        out[s] = ((lo << p) + klo >> p, -(-((hi << p) + khi) >> p))
-        return out
-
-    def two_b(self, i: int, s: int, shift: int):
-        """bounds(p) of 2B(alpha_s, beta_i) + shift, for `sign`."""
-        def bounds(p: int) -> tuple[int, int]:
-            if p != self.p:
-                self.rescale(p)
-            klo, khi = self.k_bounds(self.boxes[i], s)
-            return (shift << 2 * p) - khi, (shift << 2 * p) - klo
-        return bounds
-
-
 class _Ring:
     """Z[zeta_N], N twice the lcm of the labels above 3, one sparse coordinate at a time.
 
@@ -179,7 +102,9 @@ class _Ring:
     over the prime powers q || N of Z[zeta_q]: x^e goes to +-y^(e mod h)
     (2h the power of 2 in N, y^h = -1) times zeta_q^(e mod q) on each odd
     axis, and a digit d >= phi(q) is rewritten by Phi_q(zeta_q) = 0 as
-    minus the sum of the digits d - u q/p, 0 < u < p.
+    minus the sum of the digits d - u q/p, 0 < u < p.  x maps to
+    zeta_N = e^(i pi / (N/2)), so a real coordinate is the sum of
+    a cos(pi e / (N/2)) over its terms, which `bounds` encloses.
 
     Every term kept, in a root or in the table of basis images, counts as
     one element against max(cap, FREE_TERMS), about what it costs in memory.
@@ -193,6 +118,8 @@ class _Ring:
         (_, self.two), *odd = _prime_powers(big)
         self.axes = [(q, q // p, p) for p, q in odd]
         self.cells = {}  # x^e in the basis, by e, as `key` meets it
+        self.pi = {}  # enclosures of 2^q pi, by q, as `_cos` meets them
+        self.cos = {}  # cosines of x^e, by p and e, as `bounds` meets them
         self.cap, self.left = cap, max(cap, FREE_TERMS)
         self.reflection = [[(j, matrix.order(s, j)) for j in range(n)
                             if j != s and matrix.order(s, j) != 2] for s in range(n)]
@@ -205,6 +132,43 @@ class _Ring:
         self.left -= terms
         if self.left < 0:
             raise ResourceLimitError(f"element cap {self.cap} reached by the terms of the small roots")
+
+    def bounds(self, x: dict, p: int) -> tuple[int, int]:
+        """(lo, hi) with lo <= 2^p x <= hi, for a real x, from the cosines of its terms."""
+        cos = self.cos.setdefault(p, {})
+        lo = hi = 0
+        for e, a in x.items():
+            c = cos.get(e)
+            if c is None:
+                c = cos[e] = self._cos(e, p + 20)
+            below, above = c if a > 0 else c[::-1]
+            lo += a * below
+            hi += a * above
+        return lo >> 20, -(-hi >> 20)
+
+    def _cos(self, e: int, q: int) -> tuple[int, int]:
+        """(below, above) around 2^q cos(pi e / (N/2)), 20 bits finer than `bounds` asks.
+
+        pi comes from Machin's formula pi = 16 atan(1/5) - 4 atan(1/239),
+        cos of a quarter of the angle from its Taylor series, then two
+        doublings cos 2y = 2cos^2 y - 1 widen the enclosure at most 16-fold.
+        So the cost does not grow with e, N or the labels, and `bounds`
+        gives one cosine with hi - lo <= 2 for p up to 1000.
+        """
+        pi = self.pi.get(q)
+        if pi is None:
+            lo5, hi5 = _atan_inverse(5, q)
+            lo239, hi239 = _atan_inverse(239, q)
+            pi = self.pi[q] = 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+        # a quarter of pi e / (N/2) lies in [0, pi/4), where cos falls
+        quarter = 4 * self.half
+        below = _cos_bound(-(-pi[1] * e // quarter), q, False)
+        above = _cos_bound(pi[0] * e // quarter, q, True)
+        for _ in range(2):
+            # 2c^2 - 1 rises with c >= 0, and cos of half the angle is >= 0
+            below = (max(below, 0) ** 2 >> q - 1) - (1 << q)
+            above = -(-above ** 2 >> q - 1) - (1 << q)
+        return below, above
 
     def reflect(self, root, s: int) -> dict:
         """Coordinate s of s root, -root_s + sum over j of c_sj root_j; the rest are root's."""
@@ -259,7 +223,9 @@ class SmallRoots:
     one depth at a time.  A root enters from beta with
     -1 < B(alpha_s, beta) < 0, one deeper.  A root with B(alpha_s, beta) > 0
     is the image of a shallower small root and is paired with it from
-    there, since s acts as an involution.
+    there, since s acts as an involution.  Both signs are read from
+    k = -2B(alpha_s, beta), which `_Ring.reflect` gives exactly as
+    (s beta)_s - beta_s, so a sign test costs the terms of k.
 
     The roots are those of the matrix with every label above depth made
     inf.  By Tits' and Matsumoto's theorems both groups then have the same
@@ -283,7 +249,6 @@ class SmallRoots:
         self.index = {key: s for s, key in enumerate(self.keys)}
         self.levels = [1] * n
         self.act = [[-1] * n for _ in range(n)]
-        self.boxes = _Boxes(self.ring.reflection, START_BITS)
         self.done = 0  # roots whose images are all known
 
     def extend(self, level: int) -> list[list[int]]:
@@ -297,33 +262,35 @@ class SmallRoots:
         return self.act
 
     def _visit(self, i: int) -> None:
-        ring, boxes, act, v = self.ring, self.boxes, self.act, self.vectors[i]
+        ring, act, v = self.ring, self.act, self.vectors[i]
         for s in range(self.rank):
             if s == i:
                 continue
-            image = None
+            image = ring.reflect(v, s)
+            # k = (s beta)_s - beta_s = -2B(alpha_s, beta)
+            k = dict(image)
+            for e, a in v[s].items():
+                k[e] = k.get(e, 0) - a
 
-            def reflected() -> dict:
-                nonlocal image
-                if image is None:
-                    image = ring.reflect(v, s)
-                return image
+            def sign_of(t: int) -> int:
+                """The sign of t - k = 2B(alpha_s, beta) + t."""
+                def bounds(p: int) -> tuple[int, int]:
+                    lo, hi = ring.bounds(k, p)
+                    return (t << p) - hi, (t << p) - lo
 
-            def k_equals(t: int) -> bool:
-                diff = dict(reflected())
-                for e, a in v[s].items():
-                    diff[e] = diff.get(e, 0) - a
-                diff[0] = diff.get(0, 0) - t
-                return not ring.key(diff)
+                def is_zero() -> bool:
+                    diff = dict(k)
+                    diff[0] = diff.get(0, 0) - t
+                    return not ring.key(diff)
+                return sign(bounds, is_zero)
 
-            b = sign(boxes.two_b(i, s, 0), lambda: k_equals(0), boxes.p)
+            b = sign_of(0)
             if b == 0:
                 act[s][i] = i
             if b >= 0 or self.levels[i] > self.depth:
                 continue
-            plus_one = sign(boxes.two_b(i, s, 2), lambda: k_equals(2), boxes.p)
-            if plus_one > 0:
-                new = ring.key(reflected())
+            if sign_of(2) > 0:
+                new = ring.key(image)
                 key = (*self.keys[i][:s], new, *self.keys[i][s + 1:])
                 j = self.index.get(key)
                 if j is None:
@@ -332,7 +299,6 @@ class SmallRoots:
                     self.vectors.append((*v[:s], image, *v[s + 1:]))
                     self.keys.append(key)
                     self.levels.append(self.levels[i] + 1)
-                    boxes.add(i, s)
                     for row in act:
                         row.append(-1)
                 act[s][i], act[s][j] = j, i

@@ -226,15 +226,15 @@ def finiteness_verdict(f: RationalFunction, point) -> ConvergenceVerdict:
 
 @dataclass(frozen=True)
 class QuotientReport:
-    """Consecutive-term ratios c_{i+1}*t0/c_i with an optional bound check."""
+    """Consecutive-term ratios c_{i+1}*t0/c_i, checked against the mode's bound."""
 
     point: Fraction
     i_min: int
     i_max: int
     ratios: tuple[tuple[int, Fraction], ...]
-    mode: str | None  # "convergence", "divergence", or None
-    bound: Fraction | None
-    satisfied: bool | None
+    mode: str  # "convergence" or "divergence"
+    bound: Fraction
+    satisfied: bool
 
     @property
     def window(self) -> tuple[Fraction, Fraction]:
@@ -243,47 +243,34 @@ class QuotientReport:
 
     def to_dict(self) -> dict:
         lo, hi = self.window if self.ratios else (None, None)
-        out = {
+        return {
             "point": str(self.point),
             "range": [self.i_min, self.i_max],
             "mode": self.mode,
             "ratios": [[i, str(r)] for i, r in self.ratios],
             "window": [str(lo), str(hi)] if self.ratios else None,
+            "bound": str(self.bound),
+            "satisfied": self.satisfied,
         }
-        if self.bound is not None:
-            out["bound"] = str(self.bound)
-        if self.satisfied is not None:
-            out["satisfied"] = self.satisfied
-        return out
 
 
-def quotient_criterion(
-    stats: SphereStats, point, i_min: int | None = None, mode: str | None = "auto"
-) -> QuotientReport:
+def quotient_criterion(stats: SphereStats, point) -> QuotientReport:
     """Ratio test data from enumerated sphere sizes.
 
-    In convergence mode (uniform label m >= 4) every ratio from i_min on is
-    compared against rho = 1 - (n-2)*k/(n-1)^m with k the exact descent
-    ratio floor; in divergence mode (uniform label 3, rank >= 3) against 1.
-    Default i_min: 2m for convergence, m+1 for divergence.  mode=None skips
-    the bound and just reports the ratios.
+    In convergence mode (uniform label m >= 4, rank >= 3) every ratio from
+    i_min = 2m on is compared against rho = 1 - (n-2)*k/(n-1)^m with k the
+    exact descent ratio floor; in divergence mode (uniform label 3,
+    rank >= 3) every ratio from i_min = m+1 on against 1.  Any other
+    system raises RangeEmptyError.
     """
     t0 = Fraction(point)
     n, m = stats.n, stats.m
-    if mode == "auto":
-        if m is not None and m >= 4 and n >= 3:
-            mode = "convergence"
-        elif m == 3 and n >= 3:
-            mode = "divergence"
-        else:
-            mode = None
-    if i_min is None:
-        if mode == "convergence":
-            i_min = 2 * m
-        elif mode == "divergence":
-            i_min = m + 1
-        else:
-            raise RangeEmptyError("i_min is required when no mode applies")
+    if m is not None and m >= 4 and n >= 3:
+        mode, i_min = "convergence", 2 * m
+    elif m == 3 and n >= 3:
+        mode, i_min = "divergence", m + 1
+    else:
+        raise RangeEmptyError("no ratio test applies: it needs rank >= 3 and one label m >= 3")
     if stats.depth < i_min + 2:
         raise RangeEmptyError(
             f"need depth >= {i_min + 2} for ratios from {i_min}, have {stats.depth}"
@@ -295,13 +282,11 @@ def quotient_criterion(
         ratios.append((i, Fraction(stats.c[i + 1], stats.c[i]) * t0))
     if not ratios:
         raise RangeEmptyError(f"spheres are empty from index {i_min}")
-    bound = None
-    satisfied = None
     if mode == "convergence":
         k = descent_ratio_floor(n, m)
         bound = 1 - Fraction(n - 2, (n - 1) ** m) * k
         satisfied = all(r <= bound for _, r in ratios)
-    elif mode == "divergence":
+    else:
         bound = Fraction(1)
         satisfied = all(r >= bound for _, r in ratios)
     return QuotientReport(

@@ -7,6 +7,7 @@ with the walk or the ball.  The ball's records, written by json.dumps,
 give the lines of the `ball` export.
 """
 import json
+import math
 import time
 
 import pytest
@@ -38,7 +39,6 @@ from coxgrowth.automaton import (
     export_lines,
     sign,
     sphere_counts,
-    two_cos_bounds,
     walk,
 )
 from coxgrowth.errors import ResourceLimitError
@@ -229,7 +229,7 @@ def test_golden_ratio_is_exact():
     assert not ring.key(combine((1, square), (-1, phi), (-1, one)))
     assert ring.key(combine((1, square), (-1, phi)))
     for p in (8, 64, 300):
-        lo, hi = two_cos_bounds(5, p)
+        lo, hi = ring.bounds(phi, p)
         assert hi - lo <= 2
         # x^2 - x - 1 rises through its root phi
         assert lo * lo - (lo << p) - (1 << 2 * p) < 0 < hi * hi - (hi << p) - (1 << 2 * p)
@@ -270,21 +270,51 @@ def test_sparse_keys_match_the_dense_reduction(data):
     assert (not ring.key(combine((1, x), (-1, y)))) == (ring.key(x) == ring.key(y))
 
 
+def two_cos(m):
+    """The ring of I2(m), N = 2m, and 2cos(pi/m) = x + x^-1 in it, x^-1 = -x^(m - 1)."""
+    return _Ring(uniform_matrix(2, m), INF), {1: 1, m - 1: -1}
+
+
 @pytest.mark.parametrize("m, square", [(4, 2), (6, 3)])
 def test_two_cos_bounds_bracket_square_roots(m, square):
+    ring, x = two_cos(m)
     for p in (8, 64, 300):
-        lo, hi = two_cos_bounds(m, p)
+        lo, hi = ring.bounds(x, p)
         assert lo * lo < square << 2 * p < hi * hi and hi - lo <= 2
 
 
 @pytest.mark.parametrize("m", [5, 7, 11, 1001, 10**9 + 7])
 def test_two_cos_bounds_keep_the_half_angle_formula(m):
     # (2cos(pi/2m))^2 = 2 + 2cos(pi/m), at a cost that does not grow with m
+    ring, x = two_cos(2 * m)
+    y = {2: 1, 2 * m - 2: -1}  # x^2 + x^-2
     for p in (64, 1000):
-        lo, hi = two_cos_bounds(2 * m, p)
-        below, above = two_cos_bounds(m, p)
+        lo, hi = ring.bounds(x, p)
+        below, above = ring.bounds(y, p)
         assert lo * lo < (2 << 2 * p) + (above << p) and (2 << 2 * p) + (below << p) < hi * hi
         assert hi - lo <= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bounds_bracket_a_float_reference(data):
+    matrix = data.draw(st.sampled_from([triangle(5, 7, 11), triangle(9, 4, 15), triangle(8, 12, 25)]))
+    ring = _Ring(matrix, INF)
+    half = ring.half
+    x, reference = {}, 0.0
+    for _ in range(data.draw(st.integers(0, 6))):
+        a, k = data.draw(st.integers(0, half - 1)), data.draw(st.integers(-3, 3))
+        # k (x^a + x^-a), x^-a = -x^(N/2 - a)
+        for e, b in ((a, k), (half - a, -k)) if a else ((0, 2 * k),):
+            x[e] = x.get(e, 0) + b
+        reference += 2 * k * math.cos(math.pi * a / half)
+    # the float is good to far better than 10^-3 of a unit of 2^-30
+    lo, hi = ring.bounds(x, 30)
+    assert lo - 1e-3 <= reference * 2**30 <= hi + 1e-3
+    # the width, in units of 2^-p, does not grow as p doubles
+    for p in (30, 60, 120, 240):
+        lo, hi = ring.bounds(x, p)
+        assert hi - lo <= 2, p
 
 
 def test_sign_refines_until_it_decides():
@@ -295,19 +325,15 @@ def test_sign_refines_until_it_decides():
     while len(fib) < 102:
         fib.append(fib[-1] + fib[-2])
     for k in range(1, 101):
-        a, b = fib[k], fib[k + 1]
+        x = combine((fib[k], phi), (-fib[k + 1], one))
         asked = []
 
         def bounds(p):
             asked.append(p)
-            lo, hi = two_cos_bounds(5, p)
-            return a * lo - (b << p), a * hi - (b << p)
-
-        def is_zero():
-            return not ring.key(combine((a, phi), (-b, one)))
+            return ring.bounds(x, p)
 
         # F_k phi - F_(k+1) = -(1 - phi)^k
-        assert sign(bounds, is_zero) == (-1) ** (k + 1), k
+        assert sign(bounds, lambda: not ring.key(x)) == (-1) ** (k + 1), k
     assert max(asked) > START_BITS  # |F_100 phi - F_101| < 2^-64
     assert sign(lambda p: (-1, 1), lambda: True) == 0
 

@@ -352,19 +352,14 @@ def test_quotient_divergence_rank4():
     assert all(r >= 1 for _, r in report.ratios)
 
 
-def test_quotient_constant_series():
-    stats = SphereStats(uniform_matrix(2, 3), c=(1,) * 8, d=(0,) * 8)
-    report = quotient_criterion(stats, Fraction(1, 2), i_min=0, mode=None)
-    assert all(r == Fraction(1, 2) for _, r in report.ratios)
-    assert report.bound is None
-
-
 def test_quotient_depth_guard():
     stats = compute_stats(get_ball(uniform_matrix(3, 4), 6))
     from coxgrowth import RangeEmptyError
 
     with pytest.raises(RangeEmptyError):
         quotient_criterion(stats, Fraction(1, 2))  # needs depth >= 2m + 2
+    with pytest.raises(RangeEmptyError):  # no ratio test below rank 3
+        quotient_criterion(SphereStats(uniform_matrix(2, 3), c=(1,) * 8, d=(0,) * 8), Fraction(1, 2))
 
 
 def test_verdict_consistency_with_criterion():
