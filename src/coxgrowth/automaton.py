@@ -23,12 +23,11 @@ reaches them.
 """
 from __future__ import annotations
 
-from math import inf as INF, lcm, prod
+from math import inf as INF, prod
 from operator import getitem
 
-from .coxmatrix import CoxeterMatrix
+from .coxmatrix import CoxeterMatrix, cyclotomic_ring, reflection_rows
 from .errors import ResourceLimitError
-from .roots import _prime_powers
 
 START_BITS = 64
 # Terms the small roots may keep under any cap.  A term costs about 100 B,
@@ -37,14 +36,15 @@ START_BITS = 64
 FREE_TERMS = 1 << 16
 
 
-def sign(bounds, is_zero, p: int = START_BITS) -> int:
+def sign(bounds, is_zero) -> int:
     """The sign of a real x, -1, 0 or 1.
 
     bounds(p) gives integers lo <= x * 2^q <= hi for a scale q that grows
-    with p.  is_zero() decides x == 0 exactly; it is asked only when the
-    first enclosure straddles 0 with some width.  Once 0 is excluded,
-    doubling p must separate x from 0, so the loop ends.
+    with p, from p = START_BITS.  is_zero() decides x == 0 exactly; it is
+    asked only when the first enclosure straddles 0 with some width.  Once
+    0 is excluded, doubling p must separate x from 0, so the loop ends.
     """
+    p = START_BITS
     lo, hi = bounds(p)
     if lo <= 0 <= hi and (lo == hi or is_zero()):
         return 0
@@ -94,35 +94,32 @@ def _cos_bound(t: int, q: int, upper: bool) -> int:
 class _Ring:
     """Z[zeta_N], N twice the lcm of the labels above 3, one sparse coordinate at a time.
 
-    A coordinate is a dict {e: a} for the sum of a x^e over 0 <= e < N/2
-    in Z[x]/(x^(N/2) + 1), as in `roots.Roots`, but it holds only its
-    nonzero terms, so its cost follows the terms and not N.  c_sj =
-    -2B(alpha_s, alpha_j) is x^a + x^-a, a = N/2m_sj, and 1 for m_sj = 3,
-    2 for inf.  `key` maps a coordinate into Z[zeta_N] itself, the product
-    over the prime powers q || N of Z[zeta_q]: x^e goes to +-y^(e mod h)
-    (2h the power of 2 in N, y^h = -1) times zeta_q^(e mod q) on each odd
-    axis, and a digit d >= phi(q) is rewritten by Phi_q(zeta_q) = 0 as
-    minus the sum of the digits d - u q/p, 0 < u < p.  x maps to
-    zeta_N = e^(i pi / (N/2)), so a real coordinate is the sum of
-    a cos(pi e / (N/2)) over its terms, which `bounds` encloses.
+    N comes from `cyclotomic_ring`, as for L24's dense roots.  A coordinate
+    is a dict {e: a} for the sum of a x^e over 0 <= e < N/2 in
+    Z[x]/(x^(N/2) + 1) that holds only its nonzero terms, so its cost
+    follows the terms and not N.  c_sj = -2B(alpha_s, alpha_j) is
+    x^a + x^-a, a = N/2m_sj, and 1 for m_sj = 3, 2 for inf.  `key` maps a
+    coordinate into Z[zeta_N] itself, the product over the prime powers
+    q || N of Z[zeta_q]: x^e goes to +-y^(e mod h) (2h the power of 2 in N,
+    y^h = -1) times zeta_q^(e mod q) on each odd axis, and a digit
+    d >= phi(q) is rewritten by Phi_q(zeta_q) = 0 as minus the sum of the
+    digits d - u q/p, 0 < u < p.  x maps to zeta_N = e^(i pi / (N/2)), so a
+    real coordinate is the sum of a cos(pi e / (N/2)) over its terms, which
+    `bounds` encloses.
 
     Every term kept, in a root or in the table of basis images, counts as
     one element against max(cap, FREE_TERMS), about what it costs in memory.
     """
 
     def __init__(self, matrix: CoxeterMatrix, cap: int):
-        n = matrix.rank
-        big = 2 * lcm(*(int(m) for m in {matrix.order(s, t) for s in range(n)
-                                          for t in range(s)} if 3 < m < INF))
+        big, self.two, odd = cyclotomic_ring(matrix)
         self.half = big // 2
-        (_, self.two), *odd = _prime_powers(big)
         self.axes = [(q, q // p, p) for p, q in odd]
         self.cells = {}  # x^e in the basis, by e, as `key` meets it
         self.pi = {}  # enclosures of 2^q pi, by q, as `_cos` meets them
         self.cos = {}  # cosines of x^e, by p and e, as `bounds` meets them
         self.cap, self.left = cap, max(cap, FREE_TERMS)
-        self.reflection = [[(j, matrix.order(s, j)) for j in range(n)
-                            if j != s and matrix.order(s, j) != 2] for s in range(n)]
+        self.reflection = reflection_rows(matrix)
         # c_m as (shift, coefficient) terms
         self.c = {m: ((0, 2),) if m == INF else ((0, 1),) if m == 3
                   else ((self.half // int(m), 1), (-self.half // int(m), 1))
@@ -316,7 +313,7 @@ class ShortLex:
     overlap.
     """
 
-    def __init__(self, matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
+    def __init__(self, matrix: CoxeterMatrix, depth: int, cap: int):
         self.roots = SmallRoots(matrix, depth, cap)
         self.rank = n = matrix.rank
         self.simple = sum(1 << 2 * s for s in range(n))
@@ -364,35 +361,16 @@ class ShortLex:
         return tuple(s for s in range(self.rank) if state >> 2 * s & 1)
 
 
-def walk(matrix: CoxeterMatrix, depth: int):
-    """(parent, letter, descents) of every element of length <= depth.
-
-    Elements come in ShortLex order, numbered from 0 for the identity (parent
-    and letter -1): layer i is each element of layer i - 1 in turn, followed
-    by its allowed letters in ascending order.
-    """
-    auto = ShortLex(matrix, depth, cap=INF)
-    yield -1, -1, ()
-    layer, index = [(0, 0)], 1
-    for length in range(1, depth + 1):
-        auto.grow(length)
-        below, layer = layer, []
-        for parent, state in below:
-            for s, new in auto.successors(state):
-                yield parent, s, auto.descents(new)
-                layer.append((index, new))
-                index += 1
-
-
 def export_lines(matrix: CoxeterMatrix, depth: int):
     """The `ball` export, one string of JSON lines per length 0..depth.
 
     Each line is json.dumps({"i": i, "w": word, "desc": descents},
-    sort_keys=True) for one element, in the order of `walk`: a word is its
-    parent's word followed by the letter's decimal digits.  The text before
-    the word depends only on the length and the element's state, so it is
-    made once per (state, letter) and length; a layer keeps only its
-    words and states.  No cap: run sphere_counts first for that.
+    sort_keys=True) for one element, in the ball's order: each element's
+    children follow in letter order, and a word is its parent's word
+    followed by the letter's decimal digits.  The text before the word
+    depends only on the length and the element's state, so it is made once
+    per (state, letter) and length; a layer keeps only its words and
+    states.  No cap: run sphere_counts first for that.
     """
     auto = ShortLex(matrix, depth, cap=INF)
     yield '{"desc": [], "i": 0, "w": ""}\n'

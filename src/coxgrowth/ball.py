@@ -93,12 +93,10 @@ class Ball:
     and the letter leading up from it, and its canonical word is the
     parent's word plus that letter, rebuilt from the chain when asked for.
     `descents[idx]` is the element's right-descent mask, bit s for a
-    descent s, and `unique_descents[i]` counts the elements of length i with
-    exactly one right descent.
+    descent s.
     """
 
-    def __init__(self, matrix, depth, parent, letter, lengths, edges, offsets,
-                 descents, unique_descents):
+    def __init__(self, matrix, depth, parent, letter, lengths, edges, offsets, descents):
         self.matrix = matrix
         self.depth = depth
         self.parent = parent
@@ -106,7 +104,6 @@ class Ball:
         self.lengths = lengths
         self.edges = edges
         self.descents = descents
-        self.unique_descents = unique_descents
         self._offsets = offsets
         self._inverse: list[int] | None = None
 
@@ -226,8 +223,7 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
     tops.  Words never enter the comparison; identity resolution is pure
     graph walking through layers already built.  No later element adds a
     downward edge to an earlier one, so the descents found at creation are
-    final: each element's descent mask and the unique-descent census are
-    recorded there.
+    final: each element's descent mask is recorded there.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -243,9 +239,7 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
     edges: list[list[int]] = [[-1] * n]
     offsets = [0, 1]
     descents = [0]
-    unique_descents = [0]
     for layer in range(depth):
-        unique = 0
         for w in range(offsets[layer], offsets[layer + 1]):
             for s in range(n):
                 if edges[w][s] != -1:
@@ -293,9 +287,5 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
                     mask |= 1 << t
                 edges.append(row)
                 descents.append(mask)
-                if len(downs) == 1:
-                    unique += 1
         offsets.append(len(lengths))
-        unique_descents.append(unique)
-    return Ball(matrix, depth, parent, letter, lengths, edges, offsets, descents,
-                unique_descents)
+    return Ball(matrix, depth, parent, letter, lengths, edges, offsets, descents)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import inf as INF
+from math import inf as INF, lcm
 
 from .errors import (
     BadDiagonalError,
@@ -178,6 +178,36 @@ def diagram_properties(matrix: CoxeterMatrix) -> DiagramProperties:
     if off and all(x == off[0] for x in off) and off[0] != INF:
         uniform = off[0]
     return DiagramProperties(two_spherical, complete, uniform)
+
+
+def cyclotomic_ring(matrix: CoxeterMatrix) -> tuple[int, int, list[tuple[int, int]]]:
+    """(N, 2^k, odd) for Z[zeta_N], the ring of the geometric representation.
+
+    N is twice the lcm of the labels above 3 (2 when there are none):
+    c_st = -2B(alpha_s, alpha_t) = zeta^a + zeta^-a, a = N/2m_st, and c_st
+    is 0, 1 or 2 for m_st = 2, 3 or inf.  2^k || N, and odd is (p, p^j) for
+    each odd prime power p^j || N, p ascending.
+    """
+    big = 2 * lcm(*(int(m) for row in matrix.entries for m in row if 3 < m < INF))
+    two = big & -big
+    rest, odd, p = big // two, [], 3
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            odd.append((p, q))
+        p += 2
+    return big, two, odd
+
+
+def reflection_rows(matrix: CoxeterMatrix) -> list[list[tuple[int, object]]]:
+    """Per s, (j, m_sj) for each alpha_j that s moves: j != s and m_sj != 2."""
+    return [[(j, m) for j, m in enumerate(row) if j != s and m != 2]
+            for s, row in enumerate(matrix.entries)]
 
 
 def require_complete_two_spherical(matrix: CoxeterMatrix) -> None:

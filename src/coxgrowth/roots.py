@@ -2,37 +2,21 @@
 
 A wall of the Coxeter complex is named exactly by its root up to sign;
 the arithmetic is integer only, so two walls are equal exactly when their
-rendered keys are.
+rendered keys are.  Only L24 loads this module.
 """
 from __future__ import annotations
 
-from itertools import combinations
-from math import inf as INF, lcm
+from math import inf as INF
 from operator import add, itemgetter, mul, neg, sub
 
 from .ball import Ball
-
-
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(p, p^k) for each prime power p^k exactly dividing n, p ascending."""
-    out, p = [], 2
-    while n > 1:
-        if p * p > n:
-            p = n
-        if n % p == 0:
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            out.append((p, q))
-        p += 1
-    return out
+from .coxmatrix import cyclotomic_ring, reflection_rows
 
 
 class Roots:
     """The geometric representation over Z[zeta_N], in integers only.
 
-    N is twice the lcm of the finite labels (2 when there are none), so
+    N is twice the lcm of the labels above 3, from `cyclotomic_ring`, so
     zeta^(N/2) = -1 and the arithmetic runs in Z[x]/(x^(N/2) + 1), where
     multiplication by c_st = -2B(alpha_s, alpha_t) = zeta^a + zeta^-a
     (a = N/2m_st) is two shifts that negate what wraps around; c_st is 1
@@ -46,12 +30,10 @@ class Roots:
 
     def __init__(self, matrix):
         n = matrix.rank
-        labels = {matrix.order(s, t) for s, t in combinations(range(n), 2)}
-        big = 2 * lcm(*(int(m) for m in labels if m != INF))
+        big, two, odd = cyclotomic_ring(matrix)
         self.big = big
         self.rank = n
-        self.reflection = [[(j, matrix.order(s, j)) for j in range(n)
-                            if j != s and matrix.order(s, j) != 2] for s in range(n)]
+        self.reflection = reflection_rows(matrix)
         # Z[x]/(x^(N/2) + 1) is Z[y]/(y^h + 1) (2h the power of 2 in N) times
         # Z[x]/(x^q - 1) for each odd prime power q || N: x^e goes to
         # +-y^(e mod h) times digit e mod q on the axis of q (the CRT), with
@@ -60,7 +42,6 @@ class Roots:
         # drops the top chunk of q/p digits into the p - 1 below it.  What is
         # left is the integer basis of Z[zeta_N] made of the products of the
         # axes' power bases.
-        (_, two), *odd = _prime_powers(big)
         h = two // 2
         cells = [(e % h, *(e % q for _, q in odd), j)
                  for e in range(big // 2) for j in range(n)]

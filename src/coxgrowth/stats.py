@@ -48,9 +48,10 @@ class SphereStats:
 
 
 def compute_stats(ball: Ball) -> SphereStats:
-    return SphereStats(
-        ball.matrix, tuple(ball.layer_sizes()), tuple(ball.unique_descents)
-    )
+    """c_i from the layer sizes, d_i from the descent masks with one bit set."""
+    d = tuple(list(map(int.bit_count, ball.descents[r.start:r.stop])).count(1)
+              for r in map(ball.layer, range(ball.depth + 1)))
+    return SphereStats(ball.matrix, tuple(ball.layer_sizes()), d)
 
 
 def _need_uniform(stats: SphereStats, min_m: int, min_n: int, gate: bool) -> tuple[int, int]:

@@ -1,17 +1,18 @@
 """The small-root automaton against its oracles.
 
-The ball gives every element's parent, letter and descents; Steinberg's
-series gives c_i to any depth; and the parabolic quotients give d_i as
-D(t) = sum over s of (W(t) / W_{S-s}(t) - 1), a route that shares no code
-with the walk or the ball.  The ball's records, written by json.dumps,
-give the lines of the `ball` export.
+The ball gives every element's word and descents, written by json.dumps as
+the lines of the `ball` export, and its sphere and descent counts;
+Steinberg's series gives c_i to any depth; and the parabolic quotients give
+d_i as D(t) = sum over s of (W(t) / W_{S-s}(t) - 1), a route that shares no
+code with the automaton or the ball.  The dense roots of L24 are the oracle
+for the sparse ring of the small roots.
 """
 import json
 import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     SCAN_BALLS,
@@ -24,6 +25,7 @@ from coxgrowth import (
     INF,
     RationalFunction,
     build_ball,
+    compute_stats,
     path_matrix,
     rational_growth_series,
     taylor_coefficients,
@@ -39,7 +41,6 @@ from coxgrowth.automaton import (
     export_lines,
     sign,
     sphere_counts,
-    walk,
 )
 from coxgrowth.errors import ResourceLimitError
 from coxgrowth.roots import Roots
@@ -70,8 +71,12 @@ PERFBENCH_DEPTHS = {"t444": 12, "u44": 7, "u43": 7, "mixed": 7,
                     "a8": 5, "a4": 8, "path16": 3, "path6": 5}
 
 
-def records(ball):
-    return [(ball.parent[g], ball.letter[g], ball.descent_indices(g)) for g in range(ball.size)]
+def assert_walk_matches_ball(matrix, depth, ball):
+    """export_lines writes the ball's export, and sphere_counts counts its layers and masks."""
+    # as lists, so that a failure is reported without diffing two long strings
+    lines = "".join(export_lines(matrix, depth)).splitlines(keepends=True)
+    assert lines == export_by_ball(ball).splitlines(keepends=True)
+    assert sphere_counts(matrix, depth) == (ball.layer_sizes(), list(compute_stats(ball).d))
 
 
 def deepest_within(rank, size=1500, most=8):
@@ -91,17 +96,14 @@ def deepest_within(rank, size=1500, most=8):
     for name, matrix in perfbench_matrices().items()
 ])
 def test_walk_matches_ball(matrix, depth):
-    ball = get_ball(matrix, depth)
-    assert list(walk(matrix, depth)) == records(ball)
-    assert sphere_counts(matrix, depth) == (ball.layer_sizes(), ball.unique_descents)
+    assert_walk_matches_ball(matrix, depth, get_ball(matrix, depth))
 
 
 @settings(max_examples=40, deadline=None)
 @given(coxeter_matrices(max_rank=5, labels=(2, 3, 4, 5, 6, 7, INF)))
 def test_walk_matches_ball_random(matrix):
     depth = deepest_within(matrix.rank)
-    ball = build_ball(matrix, depth)
-    assert list(walk(matrix, depth)) == records(ball)
+    assert_walk_matches_ball(matrix, depth, build_ball(matrix, depth))
 
 
 @pytest.mark.parametrize("matrix, depth, most", [
@@ -129,7 +131,7 @@ def test_labels_above_the_depth_act_as_inf(m):
     # the walk to depth uses the matrix with labels > depth made inf
     for matrix in (uniform_matrix(2, m), triangle(m, 3, 4), triangle(m, m + 1, INF)):
         for depth in range(m - 3, m + 2):
-            assert list(walk(matrix, depth)) == records(build_ball(matrix, depth))
+            assert_walk_matches_ball(matrix, depth, build_ball(matrix, depth))
 
 
 @pytest.mark.parametrize("matrix", DEEP_SYSTEMS)
@@ -270,6 +272,14 @@ def test_sparse_keys_match_the_dense_reduction(data):
     assert (not ring.key(combine((1, x), (-1, y)))) == (ring.key(x) == ring.key(y))
 
 
+@settings(max_examples=50, deadline=None)
+@given(coxeter_matrices(max_rank=3, labels=(*range(2, 13), INF)))
+@example(MIXED)
+def test_dense_and_sparse_rings_have_one_size(matrix):
+    # labels 2 and 3 need no roots of unity, so N is twice the lcm of those above 3
+    assert Roots(matrix).big == 2 * _Ring(matrix, INF).half
+
+
 def two_cos(m):
     """The ring of I2(m), N = 2m, and 2cos(pi/m) = x + x^-1 in it, x^-1 = -x^(m - 1)."""
     return _Ring(uniform_matrix(2, m), INF), {1: 1, m - 1: -1}
@@ -357,8 +367,7 @@ def test_labels_beyond_the_depth_need_no_ring():
     matrix = triangle(997, 991, 983)
     roots = SmallRoots(matrix, 12)
     assert len(roots.extend(13)[0]) == 3 and roots.ring.half == 1
-    ball = build_ball(matrix, 12)
-    assert sphere_counts(matrix, 12) == (ball.layer_sizes(), ball.unique_descents)
+    assert_walk_matches_ball(matrix, 12, build_ball(matrix, 12))
 
 
 def test_small_roots_find_only_what_the_walk_reaches():

@@ -702,6 +702,23 @@ def test_module_entry_point(tmp_path):
     }
 
 
+def test_only_verify_loads_the_roots_of_l24(tmp_path):
+    # each command runs in a fresh interpreter, so sys.modules shows what it imported
+    script = ("import contextlib, io, sys\n"
+              "from coxgrowth import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "print(code, 'coxgrowth.roots' in sys.modules)\n")
+    matrix = matrix_file(tmp_path, M344)
+    for command, loaded in (("stats", False), ("ball", False), ("series", False),
+                            ("verify", True)):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--matrix", matrix, "--depth", "6"],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout.split() == ["0", str(loaded)], (command, proc.stderr)
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -4,7 +4,6 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from operator import add, neg
 
 import pytest
 from hypothesis import given, settings
@@ -499,23 +498,26 @@ def exact_det(rows):
 def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
     # reduce kills every multiple of Phi_N and is unimodular on the powers
     # x^e e_j (e < phi(N)), so it is the coordinate map of Z[zeta_N]^rank in
-    # an integer basis: two roots get the same key exactly when they are equal
-    roots = Roots(validate_matrix([[1, m], [m, 1]]))
-    half = roots.big // 2
+    # an integer basis: two roots get the same key exactly when they are equal.
+    # N is 2 for I2(2) and I2(3), so their shortcuts are checked where a
+    # label of 6 makes N = 12, which holds 2m for both
+    rows = [[1, m], [m, 1]] if m not in (2, 3) else [[1, m, 6], [m, 1, 6], [6, 6, 1]]
+    roots = Roots(validate_matrix(rows))
+    n, half = len(rows), roots.big // 2
     phi = cyclotomic_by_division(roots.big)
     d = len(phi) - 1
 
     def vector(poly, j):
         # a polynomial in coordinate j, with x^half = -1
-        v = [0] * (2 * half)
+        v = [0] * (n * half)
         for e, c in enumerate(poly):
-            v[e % half * 2 + j] += -c if e // half % 2 else c
+            v[e % half * n + j] += -c if e // half % 2 else c
         return v
 
     for e in range(half):
         assert not any(roots.reduce(vector((0,) * e + phi, 1)))
-    basis = [roots.reduce(vector((0,) * e + (1,), j)) for e in range(d) for j in range(2)]
-    assert len(basis[0]) == 2 * d
+    basis = [roots.reduce(vector((0,) * e + (1,), j)) for e in range(d) for j in range(n)]
+    assert len(basis[0]) == n * d
     assert abs(exact_det(basis)) == 1
     if m != INF:
         # the shortcuts for m = 2 and 3 are zeta^a + zeta^-a as well
@@ -529,32 +531,59 @@ def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
 FINITE_RANK3 = validate_matrix([[1, 3, 2, 4], [3, 1, 3, 4], [2, 3, 1, 4], [4, 4, 4, 1]])
 
 
-def fold(roots, ball, g, letters):
+def sparse_fold(ball, half, g, letters):
     """g alpha_x for each letter x, folding g's parent chain onto alpha_x.
 
-    The oracle of `Roots.images`: the k roots are folded as one vector with
-    k times the coefficients, root r's coefficient e at e * k + r, so each
-    step is one pass.
+    The oracle of `Roots.images`, written apart from `Roots.times` and
+    `Roots.reflection`.  A root is a list of sparse coordinates {e: a}, each
+    the sum of a x^e in Z[x]/(x^half + 1), so a step costs the terms it
+    reads and not half.  c_sj = -2B(alpha_s, alpha_j) is x^a + x^-a =
+    x^a - x^(half - a) with a = half/m_sj, 1 for m_sj = 3 and 2 for inf.
     """
-    n, k = roots.rank, len(letters)
-    v = [0] * (n * k * roots.big // 2)
-    for r, x in enumerate(letters):
-        v[r * n + x] = 1
+    def terms(m):
+        # c for the label m, as (shift, coefficient) pairs
+        if m == INF:
+            return [(0, 2)]
+        if m == 3:
+            return [(0, 1)]
+        return [(half // m, 1), (half - half // m, -1)]
+
+    n = ball.matrix.rank
+    rows = [[(j, terms(m)) for j, m in enumerate(row) if j != s and m != 2]
+            for s, row in enumerate(ball.matrix.entries)]
+    out = [[{0: 1} if j == x else {} for j in range(n)] for x in letters]
     parent, letter = ball.parent, ball.letter
     while g:
         s = letter[g]
-        out = list(map(neg, v[s::n]))
-        for j, m in roots.reflection[s]:
-            out = list(map(add, out, roots.times(m, v[j::n])))
-        v[s::n] = out
+        for root in out:
+            # s maps coordinate s to -root_s + sum over j of c_sj root_j
+            new = {e: -a for e, a in root[s].items()}
+            for j, c in rows[s]:
+                for shift, k in c:
+                    for e, a in root[j].items():
+                        f, b = e + shift, k * a
+                        if f >= half:  # x^half = -1
+                            f, b = f - half, -b
+                        new[f] = new.get(f, 0) + b
+            root[s] = {e: a for e, a in new.items() if a}
         g = parent[g]
-    out = []
-    for r in range(k):
-        root = [0] * (n * roots.big // 2)
-        for j in range(n):
-            root[j::n] = v[r * n + j::k * n]
-        out.append(root)
     return out
+
+
+def dense(root, half):
+    """A sparse root as `Roots` lays it out: coefficient e of coordinate j at e * rank + j."""
+    n = len(root)
+    v = [0] * (n * half)
+    for j, coordinate in enumerate(root):
+        for e, a in coordinate.items():
+            v[e * n + j] = a
+    return v
+
+
+def fold(roots, ball, g, letters):
+    """`sparse_fold`'s roots, laid out as `Roots` lays them out."""
+    half = roots.big // 2
+    return [dense(root, half) for root in sparse_fold(ball, half, g, letters)]
 
 
 def assert_images_match_fold(ball, seed):
@@ -562,14 +591,15 @@ def assert_images_match_fold(ball, seed):
     order and then in a shuffled order, so that it pops back to short prefixes."""
     roots = Roots(ball.matrix)
     images = roots.images(ball)
+    half = roots.big // 2
     letters = range(ball.matrix.rank)
-    folds = [fold(roots, ball, g, letters) for g in range(ball.size)]
+    folds = [sparse_fold(ball, half, g, letters) for g in range(ball.size)]
     order = list(range(ball.size))
     for g in order:
-        assert images(g) == folds[g]
+        assert images(g) == [dense(root, half) for root in folds[g]]
     random.Random(seed).shuffle(order)
     for g in order:
-        assert images(g) == folds[g]
+        assert images(g) == [dense(root, half) for root in folds[g]]
 
 
 @pytest.mark.parametrize("matrix,depth", [
