@@ -14,12 +14,12 @@ left to right the automaton keeps two subsets of E:
 The accepted words are the ShortLex normal forms, one per element, so c_i
 and d_i are path counts.  Roots are kept exactly, with sparse coordinates
 in Z[zeta_N], so their cost follows their terms and not N, and they are
-the only copy.  -2B(alpha_s, beta) is the exact difference (s beta)_s -
-beta_s, and the signs of B(alpha_s, beta) and B(alpha_s, beta) + 1 come
-from enclosures of it held as integers scaled by 2^p, made from the
-cosines of its terms; p is doubled until they decide, after an exact zero
-test has excluded 0.  The roots are found one depth at a time, as the walk
-reaches them.
+the only copy.  2B(alpha_s, beta) is the exact difference beta_s -
+(s beta)_s, and `_Ring.sign` reads the signs of B(alpha_s, beta) and
+B(alpha_s, beta) + 1 from enclosures of 2B and 2B + 2 held as integers
+scaled by 2^p, made from the cosines of their terms; p is doubled until
+they decide, after an exact zero test has excluded 0.  The roots are
+found one depth at a time, as the walk reaches them.
 """
 from __future__ import annotations
 
@@ -34,24 +34,6 @@ START_BITS = 64
 # so this is a few MB, less than the interpreter itself; a smaller cap is
 # left to the element count, which trips where the ball's would.
 FREE_TERMS = 1 << 16
-
-
-def sign(bounds, is_zero) -> int:
-    """The sign of a real x, -1, 0 or 1.
-
-    bounds(p) gives integers lo <= x * 2^q <= hi for a scale q that grows
-    with p, from p = START_BITS.  is_zero() decides x == 0 exactly; it is
-    asked only when the first enclosure straddles 0 with some width.  Once
-    0 is excluded, doubling p must separate x from 0, so the loop ends.
-    """
-    p = START_BITS
-    lo, hi = bounds(p)
-    if lo <= 0 <= hi and (lo == hi or is_zero()):
-        return 0
-    while lo <= 0 <= hi:
-        p *= 2
-        lo, hi = bounds(p)
-    return 1 if lo > 0 else -1
 
 
 def _atan_inverse(k: int, q: int) -> tuple[int, int]:
@@ -105,7 +87,8 @@ class _Ring:
     d >= phi(q) is rewritten by Phi_q(zeta_q) = 0 as minus the sum of the
     digits d - u q/p, 0 < u < p.  x maps to zeta_N = e^(i pi / (N/2)), so a
     real coordinate is the sum of a cos(pi e / (N/2)) over its terms, which
-    `bounds` encloses.
+    `bounds` encloses, and `sign` decides from those enclosures, with `key`
+    as the exact zero test.
 
     Every term kept, in a root or in the table of basis images, counts as
     one element against max(cap, FREE_TERMS), about what it costs in memory.
@@ -142,6 +125,23 @@ class _Ring:
             lo += a * below
             hi += a * above
         return lo >> 20, -(-hi >> 20)
+
+    def sign(self, x: dict) -> int:
+        """The sign of a real x, -1, 0 or 1.
+
+        x is enclosed by `bounds` from p = START_BITS.  x == 0 is decided
+        exactly by `key`, asked only when the first enclosure straddles 0
+        with some width.  Once 0 is excluded, doubling p must separate x
+        from 0, so the loop ends.
+        """
+        p = START_BITS
+        lo, hi = self.bounds(x, p)
+        if lo <= 0 <= hi and (lo == hi or not self.key(x)):
+            return 0
+        while lo <= 0 <= hi:
+            p *= 2
+            lo, hi = self.bounds(x, p)
+        return 1 if lo > 0 else -1
 
     def _cos(self, e: int, q: int) -> tuple[int, int]:
         """(below, above) around 2^q cos(pi e / (N/2)), 20 bits finer than `bounds` asks.
@@ -221,8 +221,8 @@ class SmallRoots:
     -1 < B(alpha_s, beta) < 0, one deeper.  A root with B(alpha_s, beta) > 0
     is the image of a shallower small root and is paired with it from
     there, since s acts as an involution.  Both signs are read from
-    k = -2B(alpha_s, beta), which `_Ring.reflect` gives exactly as
-    (s beta)_s - beta_s, so a sign test costs the terms of k.
+    2B(alpha_s, beta), which `_Ring.reflect` gives exactly as
+    beta_s - (s beta)_s, so a sign test costs the terms of 2B.
 
     The roots are those of the matrix with every label above depth made
     inf.  By Tits' and Matsumoto's theorems both groups then have the same
@@ -234,7 +234,7 @@ class SmallRoots:
     their descents are the same, and a long label costs nothing.
     """
 
-    def __init__(self, matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
+    def __init__(self, matrix: CoxeterMatrix, depth: int, cap: int):
         n = matrix.rank
         matrix = CoxeterMatrix(tuple(tuple(INF if m > depth else m for m in row)
                                      for row in matrix.entries))
@@ -264,29 +264,17 @@ class SmallRoots:
             if s == i:
                 continue
             image = ring.reflect(v, s)
-            # k = (s beta)_s - beta_s = -2B(alpha_s, beta)
-            k = dict(image)
-            for e, a in v[s].items():
-                k[e] = k.get(e, 0) - a
-
-            def sign_of(t: int) -> int:
-                """The sign of t - k = 2B(alpha_s, beta) + t."""
-                def bounds(p: int) -> tuple[int, int]:
-                    lo, hi = ring.bounds(k, p)
-                    return (t << p) - hi, (t << p) - lo
-
-                def is_zero() -> bool:
-                    diff = dict(k)
-                    diff[0] = diff.get(0, 0) - t
-                    return not ring.key(diff)
-                return sign(bounds, is_zero)
-
-            b = sign_of(0)
+            # 2B(alpha_s, beta) = beta_s - (s beta)_s
+            two_b = dict(v[s])
+            for e, a in image.items():
+                two_b[e] = two_b.get(e, 0) - a
+            b = ring.sign(two_b)
             if b == 0:
                 act[s][i] = i
             if b >= 0 or self.levels[i] > self.depth:
                 continue
-            if sign_of(2) > 0:
+            two_b[0] = two_b.get(0, 0) + 2  # 2B + 2 > 0 exactly when B > -1
+            if ring.sign(two_b) > 0:
                 new = ring.key(image)
                 key = (*self.keys[i][:s], new, *self.keys[i][s + 1:])
                 j = self.index.get(key)

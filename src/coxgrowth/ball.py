@@ -220,7 +220,8 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
     A product w*s not already recorded is a genuinely new element one layer
     up: each new element registers all of its downward edges at creation,
     found by walking the two descending chains of each rank-2 residue it
-    tops.  Words never enter the comparison; identity resolution is pure
+    tops, each step down read from the descent mask of an element already
+    built.  Words never enter the comparison; identity resolution is pure
     graph walking through layers already built.  No later element adds a
     downward edge to an earlier one, so the descents found at creation are
     final: each element's descent mask is recorded there.
@@ -255,23 +256,18 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
                     if t == s or orders[s][t] is None:
                         continue
                     m = orders[s][t]
-                    cur, ok = w, True
-                    a, b = t, s
+                    cur, a, b = w, t, s
                     for _ in range(m - 1):
-                        nxt = edges[cur][a]
-                        if nxt < 0 or lengths[nxt] > lengths[cur]:
-                            ok = False
+                        if not descents[cur] >> a & 1:
                             break
-                        cur, a, b = nxt, b, a
-                    if not ok:
-                        continue
-                    # cur is the residue gate; climb the opposite chain to x*t
-                    a, b = (s, t) if m % 2 == 0 else (t, s)
-                    v = cur
-                    for _ in range(m - 1):
-                        v = edges[v][a]
-                        a, b = b, a
-                    downs.append((v, t))
+                        cur, a, b = edges[cur][a], b, a
+                    else:
+                        # cur is the residue gate; climb the opposite chain to x*t
+                        a, b = (s, t) if m % 2 == 0 else (t, s)
+                        for _ in range(m - 1):
+                            cur = edges[cur][a]
+                            a, b = b, a
+                        downs.append((cur, t))
                 x = len(lengths)
                 # (w, s) is met first, so w is x's lowest-index lower neighbour;
                 # layers are in ShortLex order, so w's word plus s is x's least

@@ -66,30 +66,26 @@ EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 EXIT_COEFF = 6
 
-def _run_descent_ratio(stats, gate):
+def _run_descent_ratio(stats, ball, gate):
     if stats.m is None:
         raise NotUniformError("descent ratio floor needs one uniform edge label")
     return verify_descent_ratio(stats, descent_ratio_floor(stats.n, stats.m), gate=gate)
 
 
-# counting suites run on sphere statistics, geometry suites on the ball;
-# the lambdas look verify_* up at call time, so a timer rebound onto those names sees the calls
-_COUNTING_SUITES = {
-    "L32": lambda stats, gate: verify_two_descent_recursion(stats, gate=gate),
-    "L33": lambda stats, gate: verify_up_edge_balance(stats, gate=gate),
-    "L34": lambda stats, gate: verify_growth_upper(stats, gate=gate),
-    "L35": lambda stats, gate: verify_growth_lower(stats, gate=gate),
-    "L45": lambda stats, gate: verify_descent_sum_lower(stats, gate=gate),
+# each suite as runner(stats, ball, gate), in the order they run; the lambdas
+# look verify_* up at call time, so a timer rebound onto those names sees the calls
+_SUITES = {
+    "L32": lambda stats, ball, gate: verify_two_descent_recursion(stats, gate=gate),
+    "L33": lambda stats, ball, gate: verify_up_edge_balance(stats, gate=gate),
+    "L34": lambda stats, ball, gate: verify_growth_upper(stats, gate=gate),
+    "L35": lambda stats, ball, gate: verify_growth_lower(stats, gate=gate),
+    "L45": lambda stats, ball, gate: verify_descent_sum_lower(stats, gate=gate),
     "k-ratio": _run_descent_ratio,
+    "P29": lambda stats, ball, gate: verify_projection_collapse(ball, gate=gate),
+    "C210": lambda stats, ball, gate: verify_exit_ascent(ball, gate=gate),
+    "L211": lambda stats, ball, gate: verify_not_both_down(ball, gate=gate),
+    "L24": lambda stats, ball, gate: verify_wall_pair_uniqueness(ball, gate=gate),
 }
-_GEOMETRY_SUITES = {
-    "P29": lambda ball, gate: verify_projection_collapse(ball, gate=gate),
-    "C210": lambda ball, gate: verify_exit_ascent(ball, gate=gate),
-    "L211": lambda ball, gate: verify_not_both_down(ball, gate=gate),
-    "L24": lambda ball, gate: verify_wall_pair_uniqueness(ball, gate=gate),
-}
-_SUITE_ORDER = ["L32", "L33", "L34", "L35", "L45", "k-ratio",
-                "P29", "C210", "L211", "L24"]
 
 
 def _default_depth(rank: int) -> int:
@@ -186,17 +182,17 @@ def cmd_stats(args) -> int:
 def cmd_verify(args) -> int:
     matrix, depth = _load(args)
     if args.suite is None:
-        tokens = list(_SUITE_ORDER)
+        tokens = list(_SUITES)
     else:
         # a repeated suite runs once, at its first position
         tokens = list(dict.fromkeys(
             tok.strip() for tok in args.suite.split(",") if tok.strip()))
         if not tokens:
-            raise ValueError(f"no suite selected; choose from {', '.join(_SUITE_ORDER)}")
-        unknown = [tok for tok in tokens if tok not in _SUITE_ORDER]
+            raise ValueError(f"no suite selected; choose from {', '.join(_SUITES)}")
+        unknown = [tok for tok in tokens if tok not in _SUITES]
         if unknown:
             raise ValueError(
-                f"unknown suite {unknown}; choose from {', '.join(_SUITE_ORDER)}"
+                f"unknown suite {unknown}; choose from {', '.join(_SUITES)}"
             )
     ball = build_ball(matrix, depth, cap=args.cap)
     stats = compute_stats(ball)
@@ -207,10 +203,7 @@ def cmd_verify(args) -> int:
     lines = []
     for token in tokens:
         try:
-            if token in _COUNTING_SUITES:
-                report = _COUNTING_SUITES[token](stats, gate)
-            else:
-                report = _GEOMETRY_SUITES[token](ball, gate)
+            report = _SUITES[token](stats, ball, gate)
         except (HypothesisError, RangeEmptyError) as reason:
             kind = "hypothesis" if isinstance(reason, HypothesisError) else "range"
             skipped.append({"suite": token, "reason": str(reason), "kind": kind})
@@ -327,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     common(p_verify)
     p_verify.add_argument("--suite", default=None,
-                          help=f"comma list from: {', '.join(_SUITE_ORDER)}")
+                          help=f"comma list from: {', '.join(_SUITES)}")
     p_verify.add_argument("--no-hypothesis-gate", action="store_true",
                           help="run suites outside their hypotheses; "
                                "counterexamples are reported, not fatal")

@@ -51,6 +51,8 @@ class CoxeterMatrix:
 
 
 def _normalize_entry(x):
+    if isinstance(x, bool):  # true == 1 and false == 0, but neither is a label
+        return x
     if x == "inf":
         return INF
     if x == 0:
@@ -77,7 +79,7 @@ def validate_matrix(raw) -> CoxeterMatrix:
             raise NotSquareError(f"expected {n} columns per row, got {len(r)}")
     m = [[_normalize_entry(x) for x in r] for r in rows]
     for i in range(n):
-        if m[i][i] != 1:
+        if m[i][i] != 1 or isinstance(m[i][i], bool):
             raise BadDiagonalError(f"entry ({i},{i}) must be 1, got {m[i][i]}")
         for j in range(n):
             if i == j:

@@ -81,17 +81,18 @@ class RationalFunction:
             return PoleAt(t0)
         return polys.eval_at(self.num, t0) / bottom
 
-    def taylor(self, count: int) -> list:
-        """First count+1 series coefficients at 0, exact (ints when integral)."""
-        b0 = self.den[0]
-        out = []
-        for k in range(count + 1):
-            acc = self.num[k] if k < len(self.num) else 0
-            for j in range(1, min(k, len(self.den) - 1) + 1):
-                acc -= self.den[j] * out[k - j]
-            q, r = divmod(acc, b0)
-            out.append(Fraction(acc, b0) if r else q)
-        return out
+
+def taylor_coefficients(f: RationalFunction, count: int) -> list:
+    """First count+1 series coefficients of f at 0, exact (ints when integral)."""
+    b0 = f.den[0]
+    out = []
+    for k in range(count + 1):
+        acc = f.num[k] if k < len(f.num) else 0
+        for j in range(1, min(k, len(f.den) - 1) + 1):
+            acc -= f.den[j] * out[k - j]
+        q, r = divmod(acc, b0)
+        out.append(Fraction(acc, b0) if r else q)
+    return out
 
 
 def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
@@ -129,13 +130,9 @@ def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
             "alternating sum should tend to 1 at infinity; degrees differ"
         )
     series = RationalFunction(tuple(reversed(q)), tuple(reversed(p)))
-    if series.taylor(0)[0] != 1:
+    if taylor_coefficients(series, 0)[0] != 1:
         raise ClassificationError("reconstructed series does not start at 1")
     return series
-
-
-def taylor_coefficients(f: RationalFunction, count: int) -> list:
-    return f.taylor(count)
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ def finiteness_verdict(f: RationalFunction, point) -> ConvergenceVerdict:
     t0 = Fraction(point)
     if not 0 < t0 < 1:
         raise ValueError(f"evaluation point must lie in (0, 1), got {t0}")
-    for k, a in enumerate(f.taylor(_SAMPLE_DEPTH)):
+    for k, a in enumerate(taylor_coefficients(f, _SAMPLE_DEPTH)):
         if a < 0:
             raise NegativeCoefficientError(f"coefficient {k} is negative: {a}")
     g = polys.square_free_part(f.den)

@@ -39,7 +39,6 @@ from coxgrowth.automaton import (
     SmallRoots,
     _Ring,
     export_lines,
-    sign,
     sphere_counts,
 )
 from coxgrowth.errors import ResourceLimitError
@@ -48,7 +47,7 @@ from coxgrowth.roots import Roots
 
 def small_roots(matrix, depth):
     """The action on all the small roots of depth <= depth + 1."""
-    return SmallRoots(matrix, depth).extend(depth + 1)
+    return SmallRoots(matrix, depth, cap=INF).extend(depth + 1)
 
 
 def triangle(a, b, c):
@@ -334,18 +333,18 @@ def test_sign_refines_until_it_decides():
     fib = [0, 1]
     while len(fib) < 102:
         fib.append(fib[-1] + fib[-2])
+    asked = []
+    bounds = ring.bounds
+    ring.bounds = lambda x, p: asked.append(p) or bounds(x, p)
     for k in range(1, 101):
-        x = combine((fib[k], phi), (-fib[k + 1], one))
-        asked = []
-
-        def bounds(p):
-            asked.append(p)
-            return ring.bounds(x, p)
-
+        asked.clear()
         # F_k phi - F_(k+1) = -(1 - phi)^k
-        assert sign(bounds, lambda: not ring.key(x)) == (-1) ** (k + 1), k
+        assert ring.sign(combine((fib[k], phi), (-fib[k + 1], one))) == (-1) ** (k + 1), k
     assert max(asked) > START_BITS  # |F_100 phi - F_101| < 2^-64
-    assert sign(lambda p: (-1, 1), lambda: True) == 0
+    # phi^2 - phi - 1 = 0, which only the exact zero test can tell
+    zero = combine((1, times_phi(phi)), (-1, phi), (-1, one))
+    lo, hi = bounds(zero, START_BITS)
+    assert lo < 0 < hi and ring.sign(zero) == 0
 
 
 def test_large_labels_cost_their_terms_not_their_lcm():
@@ -365,7 +364,7 @@ def test_large_labels_cost_their_terms_not_their_lcm():
 
 def test_labels_beyond_the_depth_need_no_ring():
     matrix = triangle(997, 991, 983)
-    roots = SmallRoots(matrix, 12)
+    roots = SmallRoots(matrix, 12, cap=INF)
     assert len(roots.extend(13)[0]) == 3 and roots.ring.half == 1
     assert_walk_matches_ball(matrix, 12, build_ball(matrix, 12))
 
@@ -373,7 +372,7 @@ def test_labels_beyond_the_depth_need_no_ring():
 def test_small_roots_find_only_what_the_walk_reaches():
     # roots come one depth at a time: a walk stopped by the cap finds no deeper ones
     matrix = triangle(97, 89, 83)
-    roots = SmallRoots(matrix, 200)
+    roots = SmallRoots(matrix, 200, cap=INF)
     roots.extend(5)
     assert max(roots.levels) == 6 and roots.done == len(roots.vectors) - 3 * 2
     with pytest.raises(ResourceLimitError) as ours:

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -474,9 +475,9 @@ def test_verify_diagnostic_counterexamples_exit_zero(tmp_path, capsys):
 def test_verify_gated_failure_exits_five(tmp_path, capsys, monkeypatch):
     # force one registered suite to report a real failure
     monkeypatch.setitem(
-        cli._COUNTING_SUITES,
+        cli._SUITES,
         "L32",
-        lambda stats, gate: verify_descent_ratio(stats, Fraction(1), gate=gate),
+        lambda stats, ball, gate: verify_descent_ratio(stats, Fraction(1), gate=gate),
     )
     code, payload, err = run_json(
         capsys,
@@ -665,8 +666,10 @@ def test_invalid_matrix_exits_three(tmp_path, capsys):
     text = tmp_path / "garbled.json"
     text.write_text("not json", encoding="utf-8")
     assert cli.main(["info", "--matrix", str(text)]) == 3
+    # false == 0, a spelling of inf, and true == 1, the diagonal entry, are no entries
     for data in ({"m": 5}, {"m": [5]}, {"rank": -1, "uniform": 3},
-                 {"rank": 2.5, "uniform": 3}, {"rank": True, "uniform": 3}):
+                 {"rank": 2.5, "uniform": 3}, {"rank": True, "uniform": 3},
+                 {"rank": 3, "uniform": False}, {"m": [[True, 3], [3, 1]]}):
         assert cli.main(["info", "--matrix", matrix_file(tmp_path, data)]) == 3
     capsys.readouterr()
 
@@ -717,6 +720,46 @@ def test_only_verify_loads_the_roots_of_l24(tmp_path):
             capture_output=True, text=True,
         )
         assert proc.stdout.split() == ["0", str(loaded)], (command, proc.stderr)
+
+
+def test_traced_jobs_have_a_span_for_every_layer(tmp_path):
+    # the benchmark's tracer rebinds names in cli; a runner that bound one early
+    # would leave its layer without a span, and its time at 0, and fail nothing else
+    script = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from conftest import perfbench_module
+from coxgrowth import cli
+tracer = perfbench_module("tracer")
+spans = tracer.Tracer()
+tracer.install(spans)
+make_jobs = perfbench_module("workloads").make_jobs
+jobs = make_jobs("verify", "tiny", 1, sys.argv[1]) + make_jobs("series", "tiny", 1, sys.argv[1])
+jid, _, argv = jobs[0]
+jobs.append((jid + " --suite k-ratio", "verify", [*argv, "--suite", "k-ratio"]))
+seen = {{}}
+for jid, _, argv in jobs:
+    spans.job = jid
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    seen[jid] = [code, sorted({{s["name"] for s in spans.spans if s["job"] == jid}})]
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    geometry = {f"geometry.{suite}" for suite in ("L24", "P29", "C210", "L211")}
+    series = {"series.taylor", "series.verdict", "series.quotient"}
+    k_ratio = set(seen["verify u44 --depth 5 --suite k-ratio"][1])
+    assert "stats.counting_suites" in k_ratio and not k_ratio & geometry
+    for jid, (code, names) in seen.items():
+        assert code == 0, jid
+        if jid.startswith("verify") and "--suite" not in jid:
+            assert {"stats.counting_suites", *geometry} <= set(names), jid
+        elif jid.startswith("series"):
+            assert series <= set(names), jid
+    assert sum(jid.startswith("series") for jid in seen) == 3
 
 
 def test_missing_subcommand_is_usage_error():

@@ -61,6 +61,19 @@ def test_off_diagonal_one_rejected():
         validate_matrix([[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("data, error", [
+    ({"m": [[True, 3], [3, 1]]}, BadDiagonalError),  # True == 1
+    ({"m": [[False, 3], [3, 1]]}, BadDiagonalError),
+    ({"m": [[1, False], [False, 1]]}, BadOffDiagonalError),  # False == 0, a spelling of inf
+    ({"m": [[1, True], [True, 1]]}, BadOffDiagonalError),
+    ({"rank": 3, "uniform": False}, BadOffDiagonalError),
+    ({"rank": 3, "uniform": True}, BadOffDiagonalError),
+])
+def test_booleans_are_not_entries(data, error):
+    with pytest.raises(error):
+        parse_matrix_data(data)
+
+
 def test_infinity_spellings():
     # "inf", 0, and float infinity all mean the same unbounded order
     for spelling in ("inf", 0, INF):
