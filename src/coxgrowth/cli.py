@@ -11,13 +11,10 @@ enumerated sphere sizes.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from pathlib import Path
 
 from .ball import build_ball
 from .coxmatrix import (
@@ -29,7 +26,6 @@ from .coxmatrix import (
 from .errors import (
     ClassificationError,
     HypothesisError,
-    MatrixError,
     NotUniformError,
     RangeEmptyError,
     ResourceLimitError,
@@ -96,11 +92,10 @@ def _default_depth(rank: int) -> int:
     return 8
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(chunks, out: str | None) -> None:
+    """Write the strings in turn to stdout, or to the file out."""
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fp:
+        fp.writelines(chunks)
 
 
 def _dumps(payload) -> str:
@@ -112,7 +107,7 @@ def _load(args):
     depth = args.depth if args.depth is not None else _default_depth(matrix.rank)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if args.cap is not None and args.cap < 1:
+    if args.cap < 1:
         raise ValueError(f"cap must be >= 1, got {args.cap}")
     return matrix, depth
 
@@ -133,7 +128,7 @@ def cmd_info(args) -> int:
         "uniform_label": props.uniform_label,
         "spherical_subsets": subsets,
     }
-    _emit(_dumps(payload), args.out)
+    _emit([_dumps(payload)], args.out)
     return EXIT_OK
 
 
@@ -143,30 +138,20 @@ def cmd_ball(args) -> int:
     matrix, depth = _load(args)
     # the cap trips, as the ball's did, before any output or --out file exists
     sphere_counts(matrix, depth, cap=args.cap)
-    with (nullcontext(sys.stdout) if args.out is None
-          else Path(args.out).open("w", encoding="utf-8")) as out:
-        for text in export_lines(matrix, depth):
-            out.write(text)
+    _emit(export_lines(matrix, depth), args.out)
     return EXIT_OK
 
 
 def _stats_text(stats, fmt: str) -> str:
-    rows = [
-        {"i": i, "c": stats.c[i], "d": stats.d[i]} for i in range(stats.depth + 1)
-    ]
-    if fmt == "json":
-        payload = {
-            "matrix": matrix_to_data(stats.matrix),
-            "depth": stats.depth,
-            "table": rows,
-        }
-        return _dumps(payload)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i", "c", "d"])
-    for row in rows:
-        writer.writerow([row["i"], row["c"], row["d"]])
-    return buf.getvalue()
+    rows = range(stats.depth + 1)
+    if fmt == "csv":
+        return "i,c,d\n" + "".join(f"{i},{stats.c[i]},{stats.d[i]}\n" for i in rows)
+    payload = {
+        "matrix": matrix_to_data(stats.matrix),
+        "depth": stats.depth,
+        "table": [{"i": i, "c": stats.c[i], "d": stats.d[i]} for i in rows],
+    }
+    return _dumps(payload)
 
 
 def cmd_stats(args) -> int:
@@ -175,7 +160,7 @@ def cmd_stats(args) -> int:
     matrix, depth = _load(args)
     c, d = sphere_counts(matrix, depth, cap=args.cap)
     stats = SphereStats(matrix, tuple(c), tuple(d))
-    _emit(_stats_text(stats, args.format), args.out)
+    _emit([_stats_text(stats, args.format)], args.out)
     return EXIT_OK
 
 
@@ -221,7 +206,7 @@ def cmd_verify(args) -> int:
         "skipped": skipped,
         "all_hold": not failed,
     }
-    _emit(_dumps(payload), args.out)
+    _emit([_dumps(payload)], args.out)
     print("\n".join(lines), file=sys.stderr)
     if failed and gate:
         return EXIT_VERIFY
@@ -279,7 +264,7 @@ def cmd_series(args) -> int:
         "agreement": agreement,
         "verdicts": verdicts,
     }
-    _emit(_dumps(payload), args.out)
+    _emit([_dumps(payload)], args.out)
     if not agreement:
         print(
             "error: series coefficients disagree with enumeration", file=sys.stderr
@@ -337,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.out == "":  # Path("") is ".", a path the user never gave
+    if args.out == "":  # refused by name, before any work, rather than by the OS
         print("error: --out needs a file path, got an empty string", file=sys.stderr)
         return EXIT_IO
     try:
@@ -345,7 +330,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MatrixError, ValueError, ZeroDivisionError, ClassificationError) as err:
+    except (ValueError, ZeroDivisionError, ClassificationError) as err:  # MatrixError too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:

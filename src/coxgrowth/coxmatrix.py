@@ -66,6 +66,11 @@ def _normalize_entry(x):
     return x
 
 
+def _is_label(x) -> bool:
+    """Whether a normalized entry is an off-diagonal order: an integer >= 2 or inf."""
+    return x == INF or isinstance(x, int) and x >= 2
+
+
 def validate_matrix(raw) -> CoxeterMatrix:
     """Check shape and entry constraints, returning the validated matrix."""
     if not isinstance(raw, (list, tuple)) or not all(
@@ -85,7 +90,7 @@ def validate_matrix(raw) -> CoxeterMatrix:
             if i == j:
                 continue
             x = m[i][j]
-            if x != INF and (not isinstance(x, int) or x < 2):
+            if not _is_label(x):
                 raise BadOffDiagonalError(
                     f"entry ({i},{j}) must be an integer >= 2 or inf, got {x}"
                 )
@@ -101,6 +106,8 @@ def validate_matrix(raw) -> CoxeterMatrix:
 def uniform_matrix(rank: int, label) -> CoxeterMatrix:
     """Matrix with every off-diagonal order equal to label."""
     label = _normalize_entry(label)
+    if rank < 2 and not _is_label(label):  # no entry holds it for validate_matrix to check
+        raise BadOffDiagonalError(f"uniform label must be an integer >= 2 or inf, got {label}")
     rows = [
         [1 if i == j else label for j in range(rank)] for i in range(rank)
     ]

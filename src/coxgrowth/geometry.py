@@ -6,8 +6,9 @@ stored edges, so every computation is exact.  Walls are named exactly by
 their roots over Z[zeta_N] (see `roots`), so the wall scan L24 decides
 every complete residue.  P29, C210, L211 and the rank-2 residues of L24
 read each element's right-descent mask, which the ball records as it
-makes the element, and walk edges only where a mask cannot decide: the
-chains of a residue, and the gates of an element with two descents.
+makes the element.  A rank-2 residue is its gate and pair, found with no
+walk; edges are walked only where a mask cannot decide: C210's words,
+L24's walls along a residue, and P29's gates at two descents.
 Only C210 and L211 are still ball-scoped: a case whose chambers would
 leave the ball is counted as skipped rather than guessed, and their
 reports carry both a checked and a skipped count.
@@ -147,29 +148,28 @@ def reflections(ball: Ball) -> list[int]:
     return sorted(out)
 
 
-def rank2_complete_residues(ball: Ball) -> list[Residue]:
-    """Every spherical rank-2 residue that fits inside the ball.
+def _pairs(ball: Ball):
+    """(s, t, bits of s and t, bits of every other letter, m_st) per pair s < t."""
+    full = (1 << ball.matrix.rank) - 1
+    return [(s, t, 1 << s | 1 << t, full & ~(1 << s | 1 << t), ball.matrix.order(s, t))
+            for s, t in combinations(range(ball.matrix.rank), 2)]
 
-    Its gate g has no descent in {s, t} and length(g) + m <= depth; its
-    members are g, the two alternating chains up from g and their common top.
+
+def rank2_complete_residues(ball: Ball) -> list[tuple[int, int, int]]:
+    """Every spherical rank-2 residue that fits inside the ball, as (gate, s, t).
+
+    The gate g has no descent in {s, t} and length(g) + m_st <= depth.  The
+    triples come in gate order, then in pair order; `residue(ball, g, (s, t))`
+    gives the members of one.
     """
+    pairs = [(s, t, bits, m) for s, t, bits, _, m in _pairs(ball) if m <= ball.depth]
+    stop = ball.layer(ball.depth - min(m for *_, m in pairs)).stop if pairs else 0
+    lengths, descents = ball.lengths, ball.descents
     out = []
-    for s, t in combinations(range(ball.matrix.rank), 2):
-        m = ball.matrix.order(s, t)
-        if m > ball.depth:
-            continue
-        bits = 1 << s | 1 << t
-        words = (_alternating(s, t, m - 1), _alternating(t, s, m))
-        for g in range(ball.layer(ball.depth - m).stop):
-            if ball.descents[g] & bits:
-                continue
-            members = [g]
-            for word in words:
-                cur = g
-                for x in word:
-                    cur = ball.edges[cur][x]
-                    members.append(cur)
-            out.append(Residue((s, t), g, tuple(sorted(members)), True))
+    for g in range(stop):
+        room = ball.depth - lengths[g]
+        out.extend((g, s, t) for s, t, bits, m in pairs
+                   if m <= room and not descents[g] & bits)
     return out
 
 
@@ -197,8 +197,8 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     is the wall between the chamber g(st...)_k and its next neighbour.  The
     gamma_k lie pi/m apart, so gamma_{k+1} = c_st gamma_k - gamma_{k-1} with
     gamma_{-1} = -alpha_t, so only g alpha_s and g alpha_t are needed.  The
-    gates come in ShortLex order, and `Roots.images` steps each gate's
-    images from the prefix it shares with the gate before.
+    (g, s, t) triples come in ShortLex gate order, and `Roots.images` steps
+    each new gate's images from the prefix it shares with the gate before.
     `checked` counts the distinct wall pairs seen; a failure names each wall
     by a reflection word.  Needs every rank-3 subsystem infinite.
     """
@@ -211,35 +211,30 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     from .roots import Roots  # only L24 needs the ring; other commands never load it
 
     n = ball.matrix.rank
-    # one int per residue, gate first, so the residues of a gate come together
-    residues = sorted((res.gate * n + res.gens[0]) * n + res.gens[1]
-                      for res in rank2_complete_residues(ball))
     roots = Roots(ball.matrix)
     images_of = roots.images(ball)
     walls = {}  # rendered root -> wall id
     origins = []  # wall id -> chamber * n + letter of its first residue
     pairs = []  # a << 32 | b for walls a < b, once per residue
-    for g, group in groupby(residues, key=lambda code: code // (n * n)):
-        gens = [divmod(code % (n * n), n) for code in group]
+    for g, s, t in rank2_complete_residues(ball):
         images = images_of(g)
-        for s, t in gens:
-            m = ball.matrix.order(s, t)
-            prev, cur = list(map(neg, images[t])), images[s]
-            chamber, x, y = g, s, t
-            ids = []
-            for k in range(m):
-                if k:
-                    prev, cur = cur, list(map(sub, roots.times(m, cur), prev))
-                key = roots.key(cur)
-                wall = walls.get(key)
-                if wall is None:
-                    wall = walls[key] = len(origins)
-                    origins.append(chamber * n + x)
-                ids.append(wall)
-                chamber, x, y = ball.edges[chamber][x], y, x
-            assert len(set(ids)) == m, "a residue's walls must be distinct"
-            for a, b in combinations(sorted(ids), 2):
-                pairs.append(a << 32 | b)
+        m = ball.matrix.order(s, t)
+        prev, cur = list(map(neg, images[t])), images[s]
+        chamber, x, y = g, s, t
+        ids = []
+        for k in range(m):
+            if k:
+                prev, cur = cur, list(map(sub, roots.times(m, cur), prev))
+            key = roots.key(cur)
+            wall = walls.get(key)
+            if wall is None:
+                wall = walls[key] = len(origins)
+                origins.append(chamber * n + x)
+            ids.append(wall)
+            chamber, x, y = ball.edges[chamber][x], y, x
+        assert len(set(ids)) == m, "a residue's walls must be distinct"
+        for a, b in combinations(sorted(ids), 2):
+            pairs.append(a << 32 | b)
     del walls  # the roots are not needed to count pairs; free them first
     pairs.sort()
     checks = []
@@ -306,13 +301,6 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
                             {"panel": _word_str(ball, w), "letter": s, "pair": f"{t},{u}"},
                             _word_str(ball, far), _word_str(ball, w), "==", False))
     return VerificationReport("P29", 0, ball.depth, tuple(checks), checked)
-
-
-def _pairs(ball: Ball):
-    """(s, t, bits of s and t, bits of every other letter, m_st) per pair s < t."""
-    full = (1 << ball.matrix.rank) - 1
-    return [(s, t, 1 << s | 1 << t, full & ~(1 << s | 1 << t), ball.matrix.order(s, t))
-            for s, t in combinations(range(ball.matrix.rank), 2)]
 
 
 def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:

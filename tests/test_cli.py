@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import random
@@ -149,13 +150,25 @@ def test_stats_writes_file(tmp_path, capsys):
     assert json.loads(out.read_text())["depth"] == 3
 
 
+def stats_csv(c, d):
+    """The CSV table of `stats`, written by the csv module."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["i", "c", "d"])
+    writer.writerows(zip(range(len(c)), c, d))
+    return buf.getvalue()
+
+
 def stats_by_ball(matrix, depth, cap, fmt):
     """(exit code, stdout, stderr) of `stats` when it built the ball to count."""
     try:
         ball = build_ball(matrix, depth, cap=cap)
     except ResourceLimitError as err:
         return 4, "", f"error: {err}\n"
-    return 0, cli._stats_text(compute_stats(ball), fmt), ""
+    stats = compute_stats(ball)
+    if fmt == "csv":
+        return 0, stats_csv(stats.c, stats.d), ""
+    return 0, cli._stats_text(stats, fmt), ""
 
 
 def run_cli(capsys, argv):
@@ -216,8 +229,10 @@ def test_stats_on_the_benchmark_jobs(tmp_path, capsys, size):
             if size == "tiny":
                 assert got == stats_by_ball(matrix, depth, 10_000_000, fmt)
             else:  # the full balls take seconds; the benchmark's references hold their counts
-                ref = SphereStats(matrix, tuple(refs[job]["c"]), tuple(refs[job]["d"]))
-                assert got == (0, cli._stats_text(ref, fmt), "")
+                c, d = refs[job]["c"], refs[job]["d"]
+                text = (stats_csv(c, d) if fmt == "csv"
+                        else cli._stats_text(SphereStats(matrix, tuple(c), tuple(d)), fmt))
+                assert got == (0, text, "")
 
 
 def test_stats_runs_deep_in_little_memory(tmp_path, capsys):
@@ -365,6 +380,23 @@ def test_ball_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
     assert run_cli(capsys, argv + ["--cap", "1000"]) == (
         4, "", "error: element cap 1000 reached by the terms of the small roots\n")
     assert run_cli(capsys, argv) == ball_by_ball(load_matrix(path), 400, 10_000_000)
+
+
+@pytest.mark.parametrize("argv", [
+    ["info"],
+    ["ball", "--depth", "6"],
+    ["stats", "--depth", "6"],
+    ["stats", "--depth", "6", "--format", "csv"],
+    ["verify", "--depth", "6"],
+    ["series", "--depth", "6"],
+], ids=lambda argv: " ".join(argv))
+def test_out_file_holds_what_stdout_prints(tmp_path, capsys, argv):
+    argv = [*argv, "--matrix", matrix_file(tmp_path, M344)]
+    code, text, err = run_cli(capsys, argv)
+    assert code == 0 and text
+    out = tmp_path / "out.txt"
+    assert run_cli(capsys, argv + ["--out", str(out)]) == (code, "", err)
+    assert out.read_bytes() == text.encode("utf-8")
 
 
 def test_repeat_runs_byte_identical(tmp_path):
@@ -674,6 +706,13 @@ def test_invalid_matrix_exits_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_invalid_uniform_label_below_rank_two_exits_three(tmp_path, capsys):
+    for data in ({"rank": 1, "uniform": "abc"}, {"rank": 1, "uniform": False},
+                 {"rank": 1, "uniform": 1}, {"rank": 0, "uniform": [1]}):
+        assert run_cli(capsys, ["info", "--matrix", matrix_file(tmp_path, data)]) == (
+            3, "", f"error: uniform label must be an integer >= 2 or inf, got {data['uniform']}\n")
+
+
 def test_invalid_flags_exit_three(tmp_path, capsys):
     matrix = matrix_file(tmp_path, MI24)
     assert cli.main(["stats", "--matrix", matrix, "--depth", "-1"]) == 3
@@ -742,7 +781,9 @@ for jid, _, argv in jobs:
     spans.job = jid
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    seen[jid] = [code, sorted({{s["name"] for s in spans.spans if s["job"] == jid}})]
+    mine = [s for s in spans.spans if s["job"] == jid]
+    seen[jid] = [code, sorted({{s["name"] for s in mine}}),
+                 sum(s["attrs"].get("residues", 0) for s in mine if s["name"] == "geometry.L24")]
 print(json.dumps(seen))
 """
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
@@ -753,13 +794,16 @@ print(json.dumps(seen))
     series = {"series.taylor", "series.verdict", "series.quotient"}
     k_ratio = set(seen["verify u44 --depth 5 --suite k-ratio"][1])
     assert "stats.counting_suites" in k_ratio and not k_ratio & geometry
-    for jid, (code, names) in seen.items():
+    for jid, (code, names, _) in seen.items():
         assert code == 0, jid
         if jid.startswith("verify") and "--suite" not in jid:
             assert {"stats.counting_suites", *geometry} <= set(names), jid
         elif jid.startswith("series"):
             assert series <= set(names), jid
     assert sum(jid.startswith("series") for jid in seen) == 3
+    # the tiny verify jobs have 60 complete rank-2 residues; 0 would mean that
+    # L24 no longer reaches them through the traced name
+    assert sum(residues for _, _, residues in seen.values()) == 60
 
 
 def test_missing_subcommand_is_usage_error():

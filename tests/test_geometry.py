@@ -87,9 +87,11 @@ def test_residue_incomplete_near_rim():
 
 def test_rank2_enumeration_counts():
     ball = get_ball(uniform_matrix(3, 4), 6)
-    residues = rank2_complete_residues(ball)
-    assert all(len(r.members) == 8 for r in residues)
-    assert all(r.complete for r in residues)
+    triples = rank2_complete_residues(ball)
+    assert triples == sorted(triples)  # gate order, then pair order
+    for g, s, t in triples:
+        res = residue(ball, g, (s, t))
+        assert res.complete and len(res.members) == 8 and res.gate == g
     # gates are exactly the chambers with no descent in the pair, low enough
     for pair in ((0, 1), (0, 2), (1, 2)):
         expected = sum(
@@ -98,7 +100,7 @@ def test_rank2_enumeration_counts():
             if ball.lengths[idx] + 4 <= 6
             and not (set(ball.descent_indices(idx)) & set(pair))
         )
-        got = sum(1 for r in residues if r.gens == pair)
+        got = sum(1 for _, s, t in triples if (s, t) == pair)
         assert got == expected
 
 
@@ -396,9 +398,14 @@ def cut_scan(ball, residues):
             if (got := _cuts(ball, refl, res.members)) is not None}
 
 
+def complete_residues(ball):
+    """Each (gate, s, t) of rank2_complete_residues as the `residue` walked from its gate."""
+    return [residue(ball, g, (s, t)) for g, s, t in rank2_complete_residues(ball)]
+
+
 def cut_scan_failures(ball):
     """Reflection pairs whose walls the scan finds cutting two or more residues."""
-    residues = rank2_complete_residues(ball)
+    residues = complete_residues(ball)
     cut_sets = {}
     for (refl, pos), cut in cut_scan(ball, residues).items():
         if cut:
@@ -449,7 +456,7 @@ def assert_root_walls_match_cut_scan(ball):
     """Root keys agree with _cuts wherever it decides, and L24 counts their pairs."""
     roots = Roots(ball.matrix)
     keys = reflection_keys(ball, roots)
-    residues = rank2_complete_residues(ball)
+    residues = complete_residues(ball)
     walls = [chain_walls(ball, roots, res) for res in residues]
     decided = cut_scan(ball, residues)
     for (refl, pos), cut in decided.items():
@@ -837,13 +844,17 @@ SCANS = [(verify_projection_collapse, p29_by_edges),
 
 def assert_scans_match_edge_walks(ball):
     """Each mask-driven scan reports what its edge walk reports, failures in order,
-    and each rank-2 residue equals the one `residue` walks from its gate."""
+    and the rank-2 triples are the (gate, s, t) of the residues `residue` walks,
+    each of them complete with 2m members."""
     reports = []
     for scan, oracle in SCANS:
         report = scan(ball, gate=False)
         assert report.to_dict() == oracle(ball).to_dict()
         reports.append(report)
-    assert rank2_complete_residues(ball) == residues_by_bfs(ball)
+    walked = residues_by_bfs(ball)
+    for res in walked:
+        assert res.complete and len(res.members) == 2 * ball.matrix.order(*res.gens)
+    assert rank2_complete_residues(ball) == sorted((res.gate, *res.gens) for res in walked)
     return reports
 
 

@@ -94,6 +94,26 @@ def test_parse_uniform_shorthand():
     assert parse_matrix_data({"rank": 3, "uniform": 4}) == uniform_matrix(3, 4)
 
 
+@pytest.mark.parametrize("rank, label", [
+    (1, "abc"), (1, False), (1, True), (1, 1), (1, 2.5), (0, [1]), (0, {}), (0, -3),
+])
+def test_uniform_label_is_checked_below_rank_two(rank, label):
+    # no off-diagonal entry holds the label, so it is checked on its own
+    with pytest.raises(BadOffDiagonalError, match="uniform label must be"):
+        parse_matrix_data({"rank": rank, "uniform": label})
+
+
+@pytest.mark.parametrize("rank, label", [(1, 3), (0, 3), (1, 0), (1, "inf"), (0, INF)])
+def test_uniform_label_below_rank_two_accepts_what_an_entry_would(rank, label):
+    assert uniform_matrix(rank, label).rank == rank
+
+
+def test_uniform_label_message_from_rank_two_names_the_entry():
+    with pytest.raises(BadOffDiagonalError) as err:
+        uniform_matrix(2, "abc")
+    assert str(err.value) == "entry (0,1) must be an integer >= 2 or inf, got abc"
+
+
 def test_properties_444():
     props = diagram_properties(uniform_matrix(3, 4))
     assert props.two_spherical
