@@ -4,156 +4,59 @@ Everything is integer or rational arithmetic: canonical-word enumeration
 of metric balls, sphere and descent statistics with their counting
 identities, rational growth series with finiteness verdicts at rational
 points, and chamber-level geometry checks (projections, walls).
+
+Each exported name is imported from its module on first use (PEP 562), so
+importing the package, or one command of `coxgrowth.cli`, loads no module
+that it does not run.
 """
-from .ball import Ball, build_ball, oracle_reduce
-from .coxmatrix import (
-    INF,
-    INFINITE,
-    CoxeterMatrix,
-    DiagramProperties,
-    FiniteTypeLabel,
-    classify_subset,
-    compare_preorder,
-    diagram_properties,
-    load_matrix,
-    matrix_to_data,
-    parse_matrix_data,
-    path_matrix,
-    poincare_polynomial,
-    spherical_subsets,
-    uniform_matrix,
-    validate_matrix,
-)
-from .errors import (
-    BadDiagonalError,
-    BadOffDiagonalError,
-    ClassificationError,
-    DepthExceededError,
-    DiagramNotCompleteError,
-    GeneratorOutOfRangeError,
-    HypothesisError,
-    LabelTooSmallError,
-    MatrixError,
-    NegativeCoefficientError,
-    NonSymmetricError,
-    NotSphericalError,
-    NotSquareError,
-    NotUniformError,
-    OracleBudgetError,
-    RangeEmptyError,
-    RankTooSmallError,
-    ResidueIncompleteError,
-    ResourceLimitError,
-    SingularAtZeroError,
-)
-from .geometry import (
-    Residue,
-    gallery_distance,
-    parallel_check,
-    projection,
-    rank2_complete_residues,
-    reflections,
-    residue,
-    verify_exit_ascent,
-    verify_not_both_down,
-    verify_projection_collapse,
-    verify_wall_pair_uniqueness,
-)
-from .report import Comparison, VerificationReport
-from .series import (
-    ConvergenceVerdict,
-    PoleAt,
-    QuotientReport,
-    RationalFunction,
-    attach_ratio_window,
-    finiteness_verdict,
-    quotient_criterion,
-    rational_growth_series,
-    taylor_coefficients,
-)
-from .stats import (
-    SphereStats,
-    compute_stats,
-    descent_ratio_floor,
-    verify_descent_ratio,
-    verify_descent_sum_lower,
-    verify_growth_lower,
-    verify_growth_upper,
-    verify_two_descent_recursion,
-    verify_up_edge_balance,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF",
-    "INFINITE",
-    "Ball",
-    "BadDiagonalError",
-    "BadOffDiagonalError",
-    "ClassificationError",
-    "Comparison",
-    "ConvergenceVerdict",
-    "CoxeterMatrix",
-    "DepthExceededError",
-    "DiagramNotCompleteError",
-    "DiagramProperties",
-    "FiniteTypeLabel",
-    "GeneratorOutOfRangeError",
-    "HypothesisError",
-    "LabelTooSmallError",
-    "MatrixError",
-    "NegativeCoefficientError",
-    "NonSymmetricError",
-    "NotSphericalError",
-    "NotSquareError",
-    "NotUniformError",
-    "OracleBudgetError",
-    "PoleAt",
-    "QuotientReport",
-    "RangeEmptyError",
-    "RankTooSmallError",
-    "RationalFunction",
-    "Residue",
-    "ResidueIncompleteError",
-    "ResourceLimitError",
-    "SingularAtZeroError",
-    "SphereStats",
-    "VerificationReport",
-    "attach_ratio_window",
-    "build_ball",
-    "classify_subset",
-    "compare_preorder",
-    "compute_stats",
-    "descent_ratio_floor",
-    "diagram_properties",
-    "finiteness_verdict",
-    "gallery_distance",
-    "load_matrix",
-    "matrix_to_data",
-    "oracle_reduce",
-    "parallel_check",
-    "parse_matrix_data",
-    "path_matrix",
-    "poincare_polynomial",
-    "projection",
-    "quotient_criterion",
-    "rank2_complete_residues",
-    "rational_growth_series",
-    "reflections",
-    "residue",
-    "spherical_subsets",
-    "taylor_coefficients",
-    "uniform_matrix",
-    "validate_matrix",
-    "verify_descent_ratio",
-    "verify_descent_sum_lower",
-    "verify_exit_ascent",
-    "verify_growth_lower",
-    "verify_growth_upper",
-    "verify_not_both_down",
-    "verify_projection_collapse",
-    "verify_two_descent_recursion",
-    "verify_up_edge_balance",
-    "verify_wall_pair_uniqueness",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "ball": ("Ball", "build_ball", "oracle_reduce"),
+    "coxmatrix": (
+        "INF", "INFINITE", "CoxeterMatrix", "DiagramProperties", "FiniteTypeLabel",
+        "classify_subset", "compare_preorder", "diagram_properties", "load_matrix",
+        "matrix_to_data", "parse_matrix_data", "path_matrix", "poincare_polynomial",
+        "spherical_subsets", "uniform_matrix", "validate_matrix",
+    ),
+    "errors": (
+        "BadDiagonalError", "BadOffDiagonalError", "ClassificationError",
+        "DepthExceededError", "DiagramNotCompleteError", "GeneratorOutOfRangeError",
+        "HypothesisError", "LabelTooSmallError", "MatrixError", "NegativeCoefficientError",
+        "NonSymmetricError", "NotSphericalError", "NotSquareError", "NotUniformError",
+        "OracleBudgetError", "RangeEmptyError", "RankTooSmallError",
+        "ResidueIncompleteError", "ResourceLimitError", "SingularAtZeroError",
+    ),
+    "geometry": (
+        "Residue", "gallery_distance", "parallel_check", "projection",
+        "rank2_complete_residues", "reflections", "residue", "verify_exit_ascent",
+        "verify_not_both_down", "verify_projection_collapse", "verify_wall_pair_uniqueness",
+    ),
+    "report": ("Comparison", "VerificationReport"),
+    "series": (
+        "ConvergenceVerdict", "PoleAt", "QuotientReport", "RationalFunction",
+        "attach_ratio_window", "finiteness_verdict", "quotient_criterion",
+        "rational_growth_series", "taylor_coefficients",
+    ),
+    "stats": (
+        "SphereStats", "compute_stats", "descent_ratio_floor", "verify_descent_ratio",
+        "verify_descent_sum_lower", "verify_growth_lower", "verify_growth_upper",
+        "verify_two_descent_recursion", "verify_up_edge_balance",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

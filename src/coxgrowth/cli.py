@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
-from fractions import Fraction
+from importlib import import_module
 
-from .ball import build_ball
 from .coxmatrix import (
     diagram_properties,
     load_matrix,
@@ -30,30 +28,43 @@ from .errors import (
     RangeEmptyError,
     ResourceLimitError,
 )
-from .geometry import (
-    verify_exit_ascent,
-    verify_not_both_down,
-    verify_projection_collapse,
-    verify_wall_pair_uniqueness,
-)
-from .series import (
-    attach_ratio_window,
-    finiteness_verdict,
-    quotient_criterion,
-    rational_growth_series,
-    taylor_coefficients,
-)
-from .stats import (
-    SphereStats,
-    compute_stats,
-    descent_ratio_floor,
-    verify_descent_ratio,
-    verify_descent_sum_lower,
-    verify_growth_lower,
-    verify_growth_upper,
-    verify_two_descent_recursion,
-    verify_up_edge_balance,
-)
+
+# the names that stats, verify and series take from the modules only they run
+_LAZY = {
+    "ball": ("build_ball",),
+    "geometry": ("verify_exit_ascent", "verify_not_both_down",
+                 "verify_projection_collapse", "verify_wall_pair_uniqueness"),
+    "series": ("attach_ratio_window", "finiteness_verdict", "quotient_criterion",
+               "rational_growth_series", "taylor_coefficients"),
+    "stats": ("SphereStats", "compute_stats", "descent_ratio_floor",
+              "verify_descent_ratio", "verify_descent_sum_lower", "verify_growth_lower",
+              "verify_growth_upper", "verify_two_descent_recursion",
+              "verify_up_edge_balance"),
+}
+
+
+def _bind(*modules) -> None:
+    """Import the modules and bind their _LAZY names into this module's globals.
+
+    A name already bound is kept.  The commands call these names as globals, so
+    a wrapper set on cli.<name> before the first call, by a tracer or by
+    monkeypatch, is what they call.
+    """
+    scope = globals()
+    for module in modules:
+        found = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            scope.setdefault(name, getattr(found, name))
+
+
+def __getattr__(name):
+    # PEP 562: cli.build_ball and the like resolve before any command has run
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -94,7 +105,10 @@ def _default_depth(rank: int) -> int:
 
 def _emit(chunks, out: str | None) -> None:
     """Write the strings in turn to stdout, or to the file out."""
-    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fp:
+    if out is None:
+        sys.stdout.writelines(chunks)
+        return
+    with open(out, "w", encoding="utf-8") as fp:
         fp.writelines(chunks)
 
 
@@ -133,7 +147,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    from .automaton import export_lines, sphere_counts  # imported on use, so info and verify never load it
+    from .automaton import export_lines, sphere_counts
 
     matrix, depth = _load(args)
     # the cap trips, as the ball's did, before any output or --out file exists
@@ -155,8 +169,9 @@ def _stats_text(stats, fmt: str) -> str:
 
 
 def cmd_stats(args) -> int:
-    from .automaton import sphere_counts  # imported on use, so info and verify never load it
+    from .automaton import sphere_counts
 
+    _bind("stats")
     matrix, depth = _load(args)
     c, d = sphere_counts(matrix, depth, cap=args.cap)
     stats = SphereStats(matrix, tuple(c), tuple(d))
@@ -179,6 +194,7 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 f"unknown suite {unknown}; choose from {', '.join(_SUITES)}"
             )
+    _bind("ball", "stats", "geometry")
     ball = build_ball(matrix, depth, cap=args.cap)
     stats = compute_stats(ball)
     gate = not args.no_hypothesis_gate
@@ -213,27 +229,33 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _parse_points(text: str) -> list[Fraction]:
-    points = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            points.append(Fraction(chunk))
-    return points
+# CPython's default limit on the digits of an int read or printed as text: a
+# longer point cannot be printed in its verdict, and building it can take longer
+# than any series
+_MAX_POINT_DIGITS = 4300
 
 
-def _default_points(rank: int) -> list[Fraction]:
-    points = []
-    for denom in (rank - 1, rank - 2):
-        if denom >= 2:
-            points.append(Fraction(1, denom))
-    return points
+def _point_digits(text: str) -> int:
+    """The length of a point's text once its exponent is written out as zeros."""
+    mantissa, _, exp = text.lower().partition("e")
+    exp = exp.lstrip("+-").replace("_", "").lstrip("0")
+    if not exp.isdecimal():  # no exponent, a zero one, or one that Fraction refuses
+        return len(mantissa)
+    return len(mantissa) + (int(exp) if len(exp) < 6 else _MAX_POINT_DIGITS + 1)
 
 
 def cmd_series(args) -> int:
-    from .automaton import sphere_counts  # imported on use, so info and verify never load it
+    from fractions import Fraction
+
+    from .automaton import sphere_counts
 
     matrix, depth = _load(args)
+    texts = [text for text in map(str.strip, (args.eval or "").split(",")) if text]
+    for text in texts:  # refused from the text, before any Fraction or series work
+        if _point_digits(text) > _MAX_POINT_DIGITS:
+            raise ValueError(
+                f"evaluation point {text} has more than {_MAX_POINT_DIGITS} digits")
+    _bind("stats", "series")
     series = rational_growth_series(matrix)
     coeffs = taylor_coefficients(series, depth)
     # the enumerated sizes come from the small roots, a route that shares no code
@@ -242,7 +264,10 @@ def cmd_series(args) -> int:
     stats = SphereStats(matrix, tuple(c), tuple(d))
     agreement = coeffs == c
 
-    points = _parse_points(args.eval) if args.eval else _default_points(matrix.rank)
+    if args.eval:
+        points = [Fraction(text) for text in texts]
+    else:
+        points = [Fraction(1, q) for q in (matrix.rank - 1, matrix.rank - 2) if q >= 2]
     verdicts = []
     for point in points:
         if not 0 < point < 1:

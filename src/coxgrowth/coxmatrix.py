@@ -8,7 +8,7 @@ files may spell it "inf" or 0, and we always emit "inf".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 from math import inf as INF, lcm
 
@@ -22,14 +22,19 @@ from .errors import (
     NotSphericalError,
     NotSquareError,
 )
-from . import polys
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    """Symmetric order matrix of a finitely generated Coxeter system."""
+# The three records are named tuples rather than dataclasses, which would load
+# inspect, ast and dis on every command's start-up path.
 
-    entries: tuple[tuple[object, ...], ...]
+
+class CoxeterMatrix(namedtuple("CoxeterMatrix", "entries")):
+    """Symmetric order matrix of a finitely generated Coxeter system.
+
+    entries is a tuple of rows, each a tuple of orders.
+    """
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -167,11 +172,12 @@ def matrix_to_data(matrix: CoxeterMatrix) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DiagramProperties:
-    two_spherical: bool
-    complete_diagram: bool
-    uniform_label: int | None
+class DiagramProperties(namedtuple(
+        "DiagramProperties", "two_spherical complete_diagram uniform_label")):
+    """Whether every pairwise order is finite, whether every one is >= 3, and the
+    one label they all share (None unless there is one, finite)."""
+
+    __slots__ = ()
 
 
 def diagram_properties(matrix: CoxeterMatrix) -> DiagramProperties:
@@ -228,16 +234,14 @@ def require_complete_two_spherical(matrix: CoxeterMatrix) -> None:
         raise DiagramNotCompleteError("needs every pairwise order >= 3")
 
 
-@dataclass(frozen=True)
-class FiniteTypeLabel:
+class FiniteTypeLabel(namedtuple("FiniteTypeLabel", "name exponents")):
     """Isomorphism type of a standard subsystem: a name plus its exponents.
 
     exponents is None exactly when the subsystem is infinite.  For finite
     types the order of the group is the product of (e + 1) over exponents.
     """
 
-    name: str
-    exponents: tuple[int, ...] | None
+    __slots__ = ()
 
     @property
     def finite(self) -> bool:
@@ -396,6 +400,8 @@ def poincare_polynomial(label: FiniteTypeLabel) -> tuple[int, ...]:
     The product of (1 + t + ... + t^e) over the exponents; evaluating at 1
     recovers the group order and the degree is the longest element's length.
     """
+    from . import polys  # imported on use: info, ball and stats never call this
+
     if not label.finite:
         raise NotSphericalError(f"no finite Poincare polynomial for {label.name}")
     out = (1,)

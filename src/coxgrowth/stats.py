@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .ball import Ball
 from .coxmatrix import CoxeterMatrix, diagram_properties, require_complete_two_spherical
 from .errors import (
     LabelTooSmallError,
@@ -47,8 +46,8 @@ class SphereStats:
         return len(self.c) - 1
 
 
-def compute_stats(ball: Ball) -> SphereStats:
-    """c_i from the layer sizes, d_i from the descent masks with one bit set."""
+def compute_stats(ball) -> SphereStats:
+    """c_i from a Ball's layer sizes, d_i from its descent masks with one bit set."""
     d = tuple(list(map(int.bit_count, ball.descents[r.start:r.stop])).count(1)
               for r in map(ball.layer, range(ball.depth + 1)))
     return SphereStats(ball.matrix, tuple(ball.layer_sizes()), d)

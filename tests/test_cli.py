@@ -563,6 +563,24 @@ def test_series_rejects_points_outside_unit_interval(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_series_refuses_a_huge_point_from_its_text(tmp_path, capsys, monkeypatch):
+    def no_series(matrix):
+        raise AssertionError("series work began")
+
+    monkeypatch.setattr(cli, "rational_growth_series", no_series)
+    matrix = matrix_file(tmp_path, M344)
+    # building 1e-9999999 as a Fraction alone takes seconds
+    long = "0." + "0" * 4299 + "1"
+    for points, named in (("1e-9999999", "1e-9999999"), ("1/3, 1E-4300", "1E-4300"),
+                          ("1e-00000000000000000000005000", "1e-00000000000000000000005000"),
+                          (long, long)):
+        assert run_cli(capsys, ["series", "--matrix", matrix, "--eval", points]) == (
+            3, "", f"error: evaluation point {named} has more than 4300 digits\n")
+    for text, digits in (("1/3", 3), ("1e-4300", 4301), ("1e-4299", 4300), ("2.5E+3", 6),
+                         ("1e0", 1), ("abc", 3)):
+        assert cli._point_digits(text) == digits, text
+
+
 def test_series_rejects_malformed_point(tmp_path, capsys):
     code = cli.main(
         ["series", "--matrix", matrix_file(tmp_path, M344), "--eval", "abc"]

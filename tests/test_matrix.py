@@ -137,6 +137,38 @@ def test_properties_rank4_uniform3():
     assert props.uniform_label == 3
 
 
+# each record: how to build it twice, a different value, its repr, one field
+RECORDS = [
+    (lambda: uniform_matrix(2, 4), uniform_matrix(2, 5), "CoxeterMatrix([1,4;4,1])", "entries"),
+    (lambda: path_matrix([5, "inf"]), path_matrix([5, 3]),
+     "CoxeterMatrix([1,5,2;5,1,inf;2,inf,1])", "entries"),
+    (lambda: diagram_properties(uniform_matrix(2, 4)), diagram_properties(uniform_matrix(2, 5)),
+     "DiagramProperties(two_spherical=True, complete_diagram=True, uniform_label=4)",
+     "two_spherical"),
+    (lambda: diagram_properties(path_matrix([5, "inf"])), diagram_properties(path_matrix([5, 3])),
+     "DiagramProperties(two_spherical=False, complete_diagram=False, uniform_label=None)",
+     "uniform_label"),
+    (lambda: classify_subset(uniform_matrix(2, 4), (0, 1)),
+     classify_subset(uniform_matrix(2, 5), (0, 1)),
+     "FiniteTypeLabel(name='I2(4)', exponents=(1, 3))", "name"),
+    (lambda: coxmatrix.FiniteTypeLabel("infinite", None), classify_subset(path_matrix([3]), (0, 1)),
+     "FiniteTypeLabel(name='infinite', exponents=None)", "exponents"),
+]
+
+
+@pytest.mark.parametrize("make, other, text, field", RECORDS)
+def test_records_are_immutable_values(make, other, text, field):
+    record, again = make(), make()
+    assert repr(record) == text
+    assert record == again and hash(record) == hash(again) and record is not again
+    assert record != other
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == text
+
+
 def test_path_matrix_a3():
     m = path_matrix([3, 3])
     assert m.order(0, 1) == 3

@@ -1,0 +1,97 @@
+"""Each command loads only the modules it runs; the package serves its names on use.
+
+Every check runs in a new interpreter, started without `site` so that no
+module of the environment is loaded before the package's own.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coxgrowth
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+RUN_COMMAND = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from coxgrowth import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+LAZY_EXPORTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import coxgrowth
+alone = sorted(name for name in sys.modules if name.startswith("coxgrowth"))
+listed = dir(coxgrowth)
+namespace = {}
+exec("from coxgrowth import *", namespace)
+same = all(namespace[name] is getattr(coxgrowth, name) for name in coxgrowth.__all__)
+print(json.dumps({"alone": alone, "listed": listed, "star": sorted(namespace), "same": same}))
+"""
+
+
+def fresh(script, *args):
+    proc = subprocess.run([sys.executable, "-S", "-c", script, SRC, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def loaded(tmp_path, command, *flags):
+    """The modules loaded by one cli.main call on (4,4,4), which must succeed."""
+    path = tmp_path / "t444.json"
+    path.write_text('{"rank": 3, "uniform": 4}', encoding="utf-8")
+    code, modules = fresh(RUN_COMMAND, command, "--matrix", str(path), *flags)
+    assert code == 0
+    return set(modules)
+
+
+def package(modules):
+    """The package's own modules among modules, named without the package prefix."""
+    return {name.removeprefix("coxgrowth.") for name in modules
+            if name.partition(".")[0] == "coxgrowth"}
+
+
+def test_info_and_ball_load_only_what_they_run(tmp_path):
+    info = loaded(tmp_path, "info")
+    ball = loaded(tmp_path, "ball", "--depth", "4")
+    assert package(info) == {"coxgrowth", "cli", "coxmatrix", "errors"}
+    assert package(ball) == package(info) | {"automaton"}
+    assert "dataclasses" not in info | ball
+
+
+@pytest.mark.parametrize("command", ["stats", "series"])
+def test_counting_commands_load_no_geometry(tmp_path, command):
+    assert not package(loaded(tmp_path, command, "--depth", "6")) & {"ball", "geometry", "roots"}
+
+
+def test_counting_suites_load_no_series_or_automaton(tmp_path):
+    modules = package(loaded(tmp_path, "verify", "--depth", "6", "--suite", "L32"))
+    assert "stats" in modules and not modules & {"series", "automaton"}
+
+
+def test_every_export_resolves_on_use():
+    got = fresh(LAZY_EXPORTS)
+    assert got["alone"] == ["coxgrowth"]
+    assert set(coxgrowth.__all__) <= set(got["listed"])
+    assert set(coxgrowth.__all__) <= set(got["star"]) and got["same"]
+
+
+def test_exports_are_one_table():
+    assert coxgrowth.__all__ == sorted(coxgrowth._HOME)
+    assert len(coxgrowth._HOME) == sum(map(len, coxgrowth._EXPORTS.values()))
+
+
+def test_unknown_names_raise_attribute_error():
+    from coxgrowth import cli
+
+    for module in (coxgrowth, cli):
+        message = f"module '{module.__name__}' has no attribute 'nope'"
+        with pytest.raises(AttributeError, match=message):
+            module.nope
