@@ -3,7 +3,7 @@
 Everything is integer or rational arithmetic: canonical-word enumeration
 of metric balls, sphere and descent statistics with their counting
 identities, rational growth series with finiteness verdicts at rational
-points, and chamber-level geometry checks (projections, walls).
+points, and chamber-level geometry checks (residues, walls).
 
 Each exported name is imported from its module on first use (PEP 562), so
 importing the package, or one command of `coxgrowth.cli`, loads no module
@@ -18,21 +18,20 @@ _EXPORTS = {
     "ball": ("Ball", "build_ball", "oracle_reduce"),
     "coxmatrix": (
         "INF", "INFINITE", "CoxeterMatrix", "DiagramProperties", "FiniteTypeLabel",
-        "classify_subset", "compare_preorder", "diagram_properties", "load_matrix",
-        "matrix_to_data", "parse_matrix_data", "path_matrix", "poincare_polynomial",
-        "spherical_subsets", "uniform_matrix", "validate_matrix",
+        "classify_subset", "diagram_properties", "load_matrix", "matrix_to_data",
+        "parse_matrix_data", "path_matrix", "poincare_polynomial", "spherical_subsets",
+        "uniform_matrix", "validate_matrix",
     ),
     "errors": (
         "BadDiagonalError", "BadOffDiagonalError", "ClassificationError",
         "DepthExceededError", "DiagramNotCompleteError", "GeneratorOutOfRangeError",
         "HypothesisError", "LabelTooSmallError", "MatrixError", "NegativeCoefficientError",
         "NonSymmetricError", "NotSphericalError", "NotSquareError", "NotUniformError",
-        "OracleBudgetError", "RangeEmptyError", "RankTooSmallError",
-        "ResidueIncompleteError", "ResourceLimitError", "SingularAtZeroError",
+        "OracleBudgetError", "RangeEmptyError", "RankTooSmallError", "ResourceLimitError",
+        "SingularAtZeroError",
     ),
     "geometry": (
-        "Residue", "gallery_distance", "parallel_check", "projection",
-        "rank2_complete_residues", "reflections", "residue", "verify_exit_ascent",
+        "Residue", "rank2_complete_residues", "reflections", "residue", "verify_exit_ascent",
         "verify_not_both_down", "verify_projection_collapse", "verify_wall_pair_uniqueness",
     ),
     "report": ("Comparison", "VerificationReport"),

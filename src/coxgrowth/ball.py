@@ -105,7 +105,6 @@ class Ball:
         self.edges = edges
         self.descents = descents
         self._offsets = offsets
-        self._inverse: list[int] | None = None
 
     # -- lookup ---------------------------------------------------------
 
@@ -162,13 +161,6 @@ class Ball:
         """Generators s with length(w s) < length(w), w = element idx."""
         self.check_index(idx)
         return tuple(s for s in range(self.matrix.rank) if self.descents[idx] >> s & 1)
-
-    def inverse_index(self, idx: int) -> int:
-        """Index of the inverse element (same length, so always in the ball)."""
-        self.check_index(idx)
-        if self._inverse is None:
-            self._inverse = [self.fold_inverse(0, g) for g in range(self.size)]
-        return self._inverse[idx]
 
     def fold_right(self, idx: int, letters) -> int | None:
         """Right-multiply by a word, None as soon as the path leaves the ball."""

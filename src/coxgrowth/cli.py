@@ -251,6 +251,8 @@ def cmd_series(args) -> int:
 
     matrix, depth = _load(args)
     texts = [text for text in map(str.strip, (args.eval or "").split(",")) if text]
+    if args.eval is not None and not texts:
+        raise ValueError(f"--eval {args.eval!r} names no evaluation point")
     for text in texts:  # refused from the text, before any Fraction or series work
         if _point_digits(text) > _MAX_POINT_DIGITS:
             raise ValueError(
@@ -264,12 +266,14 @@ def cmd_series(args) -> int:
     stats = SphereStats(matrix, tuple(c), tuple(d))
     agreement = coeffs == c
 
-    if args.eval:
+    if texts:
         points = [Fraction(text) for text in texts]
     else:
         points = [Fraction(1, q) for q in (matrix.rank - 1, matrix.rank - 2) if q >= 2]
+        texts = list(map(str, points))
+    limit = 10 ** _MAX_POINT_DIGITS
     verdicts = []
-    for point in points:
+    for text, point in zip(texts, points):
         if not 0 < point < 1:
             raise ValueError(f"evaluation points must lie in (0, 1), got {point}")
         verdict = finiteness_verdict(series, point)
@@ -277,6 +281,13 @@ def cmd_series(args) -> int:
             verdict = attach_ratio_window(verdict, quotient_criterion(stats, point))
         except (RangeEmptyError, HypothesisError):
             pass
+        # the point's own text is bounded above; its value and ratios are not
+        numbers = [verdict.value or 0]
+        if verdict.ratio_window is not None:
+            numbers += [r for _, r in verdict.ratio_window.ratios]
+        if any(abs(x.numerator) >= limit or x.denominator >= limit for x in numbers):
+            raise ValueError(f"the verdict at {text} has a number of more than "
+                             f"{_MAX_POINT_DIGITS} digits, too long to print")
         verdicts.append(verdict.to_dict())
 
     payload = {

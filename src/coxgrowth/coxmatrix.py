@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import combinations, permutations
+from itertools import combinations
 from math import inf as INF, lcm
 
 from .errors import (
@@ -410,28 +410,3 @@ def poincare_polynomial(label: FiniteTypeLabel) -> tuple[int, ...]:
     if label.order is not None and sum(out) != label.order:
         raise ClassificationError("exponent product disagrees with the order")
     return out
-
-
-def compare_preorder(small: CoxeterMatrix, big: CoxeterMatrix) -> bool:
-    """Entrywise-domination preorder, taken over all generator injections.
-
-    True when some injection phi of the first generator set into the second
-    has m_st <= m'_{phi(s)phi(t)} for every pair.  Exhaustive search; fine
-    at desk-scale ranks.
-    """
-    n, n2 = small.rank, big.rank
-    if n > n2:
-        return False
-    idx = list(range(n))
-    for image in permutations(range(n2), n):
-        ok = True
-        for i in idx:
-            for j in range(i + 1, n):
-                if not small.order(i, j) <= big.order(image[i], image[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False

@@ -73,9 +73,5 @@ class NegativeCoefficientError(ValueError):
     pass
 
 
-class ResidueIncompleteError(ValueError):
-    """The operation needs every chamber of the residue inside the ball."""
-
-
 class DepthExceededError(RuntimeError):
     """An intermediate product left the ball, so the result is unknown."""

@@ -1,4 +1,4 @@
-"""Chamber-level geometry over a finite ball: residues, projections, walls.
+"""Chamber-level geometry over a finite ball: residues, reflections, walls.
 
 Chambers are ball elements, named by ball index in every argument and
 result; s-adjacency is right multiplication.  Products are folded through
@@ -23,12 +23,7 @@ from operator import neg, sub
 
 from .ball import Ball, _alternating
 from .coxmatrix import classify_subset, require_complete_two_spherical
-from .errors import (
-    DepthExceededError,
-    GeneratorOutOfRangeError,
-    HypothesisError,
-    ResidueIncompleteError,
-)
+from .errors import GeneratorOutOfRangeError, HypothesisError
 from .report import Comparison, VerificationReport
 
 @dataclass(frozen=True)
@@ -65,65 +60,6 @@ def residue(ball: Ball, chamber: int, gens) -> Residue:
     label = classify_subset(ball.matrix, gens)
     complete = label.finite and len(members) == label.order
     return Residue(gens, gate, members, complete)
-
-
-def _residue_distances(ball: Ball, res: Residue, start: int) -> dict[int, int]:
-    """Gallery distances within the residue (cosets are convex)."""
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt_frontier = []
-        for cur in frontier:
-            for s in res.gens:
-                nxt = ball.edges[cur][s]
-                if nxt >= 0 and nxt in res.members and nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    nxt_frontier.append(nxt)
-        frontier = nxt_frontier
-    return dist
-
-
-def gallery_distance(ball: Ball, x: int, y: int) -> int:
-    """Length of x^{-1} y, folded through the ball from either end."""
-    if x == y:
-        return 0
-    got = ball.fold_right(ball.inverse_index(x), ball.word(y))
-    if got is None:
-        got = ball.fold_right(ball.inverse_index(y), ball.word(x))
-    if got is None:
-        raise DepthExceededError("gallery distance leaves the ball")
-    return ball.lengths[got]
-
-
-def projection(ball: Ball, chamber: int, res: Residue) -> int:
-    """The gate of the residue as seen from a chamber.
-
-    Returns the unique member z minimizing gallery distance, after checking
-    the gate identity d(x, y) = d(x, z) + d(z, y) against every member.
-    """
-    if not res.complete:
-        raise ResidueIncompleteError("projection needs the whole residue in the ball")
-    dist = {m: gallery_distance(ball, chamber, m) for m in res.members}
-    z = min(res.members, key=lambda m: (dist[m], m))
-    ties = [m for m in res.members if dist[m] == dist[z]]
-    if len(ties) != 1:
-        raise ArithmeticError(f"projection is not unique: {ties}")
-    inner = _residue_distances(ball, res, z)
-    for y in res.members:
-        if dist[y] != dist[z] + inner[y]:
-            raise ArithmeticError("gate identity failed; ball data inconsistent")
-    return z
-
-
-def parallel_check(ball: Ball, first: Residue, second: Residue) -> bool:
-    """Whether each residue projects onto the whole of the other."""
-    if not (first.complete and second.complete):
-        raise ResidueIncompleteError("parallelism needs both residues in the ball")
-    onto_second = {projection(ball, m, second) for m in first.members}
-    if onto_second != set(second.members):
-        return False
-    onto_first = {projection(ball, m, first) for m in second.members}
-    return onto_first == set(first.members)
 
 
 # -- reflections and rank-2 residues ---------------------------------------

@@ -1,7 +1,7 @@
 """Verification reports: per-instance comparisons with both sides recorded."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 

@@ -91,46 +91,6 @@ def coxeter_matrices(draw, max_rank=6, labels=(2, 3, 4, 5, 6, INF)):
 
 
 @pytest.fixture(scope="session")
-def ball_of():
-    return get_ball
-
-
-@pytest.fixture(scope="session")
-def m344():
-    return uniform_matrix(3, 4)
-
-
-@pytest.fixture(scope="session")
-def m4u3():
-    return uniform_matrix(4, 3)
-
-
-@pytest.fixture(scope="session")
-def m4u4():
-    return uniform_matrix(4, 4)
-
-
-@pytest.fixture(scope="session")
-def m333():
-    return uniform_matrix(3, 3)
-
-
-@pytest.fixture(scope="session")
-def m5u3():
-    return uniform_matrix(5, 3)
-
-
-@pytest.fixture(scope="session")
-def a3():
-    return path_matrix([3, 3])
-
-
-@pytest.fixture(scope="session")
-def i24():
-    return uniform_matrix(2, 4)
-
-
-@pytest.fixture(scope="session")
 def criterion():
     """Records one PASS/FAIL line per acceptance criterion."""
 

@@ -231,17 +231,6 @@ def test_index_of_unknown_word():
             deeper.index(word)
 
 
-def test_inverse_index():
-    ball = get_ball(uniform_matrix(3, 4), 6)
-    for idx in range(ball.size):
-        inv = ball.inverse_index(idx)
-        assert ball.lengths[inv] == ball.lengths[idx]
-        assert ball.inverse_index(inv) == idx
-    # a concrete non-involution: (01)^-1 = 10
-    idx01 = ball.index((0, 1))
-    assert ball.word(ball.inverse_index(idx01)) == (1, 0)
-
-
 def test_export_records_shape():
     ball = build_ball(uniform_matrix(3, 4), 2)
     records = list(ball.export_records())
@@ -298,13 +287,12 @@ def test_indices_outside_the_ball_are_rejected():
 
 
 def test_folds_reject_indices_outside_the_ball():
-    # -1 used to read as the last element: on this ball inverse_index(-1)
-    # gave 29, and fold_right(-1, (0,)) and fold_inverse(-1, 1) gave 21
+    # -1 used to read as the last element: on this ball fold_right(-1, (0,))
+    # and fold_inverse(-1, 1) gave 21
     ball = get_ball(uniform_matrix(3, 4), 4)
     for idx in (-1, ball.size):
-        calls = (lambda: ball.inverse_index(idx), lambda: ball.fold_right(idx, (0,)),
-                 lambda: ball.fold_right(idx, ()), lambda: ball.fold_inverse(idx, 1),
-                 lambda: ball.fold_inverse(1, idx))
+        calls = (lambda: ball.fold_right(idx, (0,)), lambda: ball.fold_right(idx, ()),
+                 lambda: ball.fold_inverse(idx, 1), lambda: ball.fold_inverse(1, idx))
         for call in calls:
             with pytest.raises(IndexError, match="outside the ball"):
                 call()

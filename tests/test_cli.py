@@ -581,6 +581,29 @@ def test_series_refuses_a_huge_point_from_its_text(tmp_path, capsys, monkeypatch
         assert cli._point_digits(text) == digits, text
 
 
+def test_series_refuses_an_eval_that_names_no_point(tmp_path, capsys, monkeypatch):
+    def no_series(matrix):
+        raise AssertionError("series work began")
+
+    monkeypatch.setattr(cli, "rational_growth_series", no_series)
+    matrix = matrix_file(tmp_path, M344)
+    for points in (",", "", " , "):
+        assert run_cli(capsys, ["series", "--matrix", matrix, "--eval", points]) == (
+            3, "", f"error: --eval {points!r} names no evaluation point\n")
+
+
+def test_series_refuses_a_verdict_too_long_to_print(tmp_path, capsys):
+    # 1e-2000 passes the text bound, but the value at it has about the series'
+    # degree times 2000 digits; at 0.99...9 the value is infinite and the
+    # ratios c_{i+1} t / c_i outgrow the point's 4298-digit denominator
+    near_one = "0." + "9" * 4298
+    for data, point in ((M344, "1e-2000"), (M4U3, near_one)):
+        argv = ["series", "--matrix", matrix_file(tmp_path, data), "--eval", point]
+        assert run_cli(capsys, argv) == (
+            3, "", f"error: the verdict at {point} has a number of more than 4300 digits,"
+                   " too long to print\n")
+
+
 def test_series_rejects_malformed_point(tmp_path, capsys):
     code = cli.main(
         ["series", "--matrix", matrix_file(tmp_path, M344), "--eval", "abc"]

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,13 +9,10 @@ from coxgrowth import (
     INF,
     BadDiagonalError,
     BadOffDiagonalError,
-    ClassificationError,
-    CoxeterMatrix,
     NonSymmetricError,
     NotSphericalError,
     NotSquareError,
     classify_subset,
-    compare_preorder,
     coxmatrix,
     diagram_properties,
     load_matrix,
@@ -342,29 +338,3 @@ def test_poincare_palindrome_and_order():
         poly = poincare_polynomial(label)
         assert poly == tuple(reversed(poly))
         assert sum(poly) == label.order
-
-
-# -- the reduction preorder -------------------------------------------------
-
-
-def test_preorder_uniform_increase():
-    assert compare_preorder(uniform_matrix(3, 3), uniform_matrix(3, 4))
-
-
-def test_preorder_not_reversed():
-    assert not compare_preorder(uniform_matrix(3, 4), uniform_matrix(3, 3))
-
-
-def test_preorder_reflexive():
-    m = uniform_matrix(4, 3)
-    assert compare_preorder(m, m)
-
-
-def test_preorder_rank4():
-    assert compare_preorder(uniform_matrix(4, 3), uniform_matrix(4, 4))
-
-
-def test_preorder_infinity_dominates():
-    m_inf = validate_matrix([[1, INF], [INF, 1]])
-    assert compare_preorder(uniform_matrix(2, 7), m_inf)
-    assert not compare_preorder(m_inf, uniform_matrix(2, 7))

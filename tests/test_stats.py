@@ -16,8 +16,6 @@ from coxgrowth import (
     NotUniformError,
     RangeEmptyError,
     RankTooSmallError,
-    SphereStats,
-    compare_preorder,
     build_ball,
     compute_stats,
     descent_ratio_floor,
@@ -240,7 +238,6 @@ def test_monotonicity_under_preorder():
         (uniform_matrix(4, 3), uniform_matrix(4, 4)),
     ]
     for small, big in pairs:
-        assert compare_preorder(small, big)
         c_small = compute_stats(get_ball(small, 8)).c
         c_big = compute_stats(get_ball(big, 8)).c
         assert all(a <= b for a, b in zip(c_small, c_big))
