@@ -24,7 +24,6 @@ from .coxmatrix import (
 from .errors import (
     ClassificationError,
     HypothesisError,
-    NotUniformError,
     RangeEmptyError,
     ResourceLimitError,
 )
@@ -73,21 +72,16 @@ EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 EXIT_COEFF = 6
 
-def _run_descent_ratio(stats, ball, gate):
-    if stats.m is None:
-        raise NotUniformError("descent ratio floor needs one uniform edge label")
-    return verify_descent_ratio(stats, descent_ratio_floor(stats.n, stats.m), gate=gate)
-
-
 # each suite as runner(stats, ball, gate), in the order they run; the lambdas
-# look verify_* up at call time, so a timer rebound onto those names sees the calls
+# look their names up at call time, so a timer rebound onto those names sees the calls
 _SUITES = {
     "L32": lambda stats, ball, gate: verify_two_descent_recursion(stats, gate=gate),
     "L33": lambda stats, ball, gate: verify_up_edge_balance(stats, gate=gate),
     "L34": lambda stats, ball, gate: verify_growth_upper(stats, gate=gate),
     "L35": lambda stats, ball, gate: verify_growth_lower(stats, gate=gate),
     "L45": lambda stats, ball, gate: verify_descent_sum_lower(stats, gate=gate),
-    "k-ratio": _run_descent_ratio,
+    "k-ratio": lambda stats, ball, gate: verify_descent_ratio(
+        stats, descent_ratio_floor(stats.n, stats.m), gate=gate),
     "P29": lambda stats, ball, gate: verify_projection_collapse(ball, gate=gate),
     "C210": lambda stats, ball, gate: verify_exit_ascent(ball, gate=gate),
     "L211": lambda stats, ball, gate: verify_not_both_down(ball, gate=gate),
@@ -156,14 +150,15 @@ def cmd_ball(args) -> int:
     return EXIT_OK
 
 
-def _stats_text(stats, fmt: str) -> str:
-    rows = range(stats.depth + 1)
+def _stats_text(matrix, c, d, fmt: str) -> str:
+    """The table of sphere counts c and single-descent counts d, as CSV or JSON."""
+    rows = range(len(c))
     if fmt == "csv":
-        return "i,c,d\n" + "".join(f"{i},{stats.c[i]},{stats.d[i]}\n" for i in rows)
+        return "i,c,d\n" + "".join(f"{i},{c[i]},{d[i]}\n" for i in rows)
     payload = {
-        "matrix": matrix_to_data(stats.matrix),
-        "depth": stats.depth,
-        "table": [{"i": i, "c": stats.c[i], "d": stats.d[i]} for i in rows],
+        "matrix": matrix_to_data(matrix),
+        "depth": len(c) - 1,
+        "table": [{"i": i, "c": c[i], "d": d[i]} for i in rows],
     }
     return _dumps(payload)
 
@@ -171,11 +166,9 @@ def _stats_text(stats, fmt: str) -> str:
 def cmd_stats(args) -> int:
     from .automaton import sphere_counts
 
-    _bind("stats")
     matrix, depth = _load(args)
     c, d = sphere_counts(matrix, depth, cap=args.cap)
-    stats = SphereStats(matrix, tuple(c), tuple(d))
-    _emit([_stats_text(stats, args.format)], args.out)
+    _emit([_stats_text(matrix, c, d, args.format)], args.out)
     return EXIT_OK
 
 
@@ -257,6 +250,10 @@ def cmd_series(args) -> int:
         if _point_digits(text) > _MAX_POINT_DIGITS:
             raise ValueError(
                 f"evaluation point {text} has more than {_MAX_POINT_DIGITS} digits")
+    points = [Fraction(text) for text in texts]
+    for point in points:  # a bad point is refused before the series or the cap can trip
+        if not 0 < point < 1:
+            raise ValueError(f"evaluation points must lie in (0, 1), got {point}")
     _bind("stats", "series")
     series = rational_growth_series(matrix)
     coeffs = taylor_coefficients(series, depth)
@@ -266,16 +263,12 @@ def cmd_series(args) -> int:
     stats = SphereStats(matrix, tuple(c), tuple(d))
     agreement = coeffs == c
 
-    if texts:
-        points = [Fraction(text) for text in texts]
-    else:
+    if not texts:
         points = [Fraction(1, q) for q in (matrix.rank - 1, matrix.rank - 2) if q >= 2]
         texts = list(map(str, points))
     limit = 10 ** _MAX_POINT_DIGITS
     verdicts = []
     for text, point in zip(texts, points):
-        if not 0 < point < 1:
-            raise ValueError(f"evaluation points must lie in (0, 1), got {point}")
         verdict = finiteness_verdict(series, point)
         try:
             verdict = attach_ratio_window(verdict, quotient_criterion(stats, point))

@@ -24,8 +24,8 @@ from .errors import (
 )
 
 
-# The three records are named tuples rather than dataclasses, which would load
-# inspect, ast and dis on every command's start-up path.
+# Every record of the package is a named tuple: the standard library's record
+# decorator would load inspect, ast and dis on every command's start-up path.
 
 
 class CoxeterMatrix(namedtuple("CoxeterMatrix", "entries")):

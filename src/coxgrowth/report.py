@@ -1,7 +1,7 @@
 """Verification reports: per-instance comparisons with both sides recorded."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -12,15 +12,11 @@ def json_value(v):
     return v
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """One checked instance: where it lives, both sides, and the outcome."""
+class Comparison(namedtuple("Comparison", "where lhs rhs relation ok")):
+    """One checked instance: where it lives (a dict), both sides, the relation
+    ("==", "<=", ">=" or "in") and the outcome."""
 
-    where: dict
-    lhs: object
-    rhs: object
-    relation: str  # "==", "<=", ">=", "in"
-    ok: bool
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out = {k: json_value(v) for k, v in self.where.items()}
@@ -31,21 +27,16 @@ class Comparison:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one identity or scan over an index range.
+class VerificationReport(namedtuple(
+        "VerificationReport", "name low high checks checked skipped", defaults=(0,))):
+    """Outcome of one identity or scan over the index range low..high.
 
     Counting verifiers record every comparison in `checks`; geometry scans
     record failures only and report the scan size through `checked`.
     `skipped` counts instances that would have left the ball.
     """
 
-    name: str
-    low: int
-    high: int
-    checks: tuple[Comparison, ...]
-    checked: int
-    skipped: int = 0
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

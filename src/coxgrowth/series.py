@@ -12,8 +12,7 @@ only for values that are fractions.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import polys
@@ -32,15 +31,13 @@ from .errors import (
 from .stats import SphereStats, descent_ratio_floor
 
 
-@dataclass(frozen=True)
-class PoleAt:
+class PoleAt(namedtuple("PoleAt", "point")):
     """Returned by evaluation when the point is a pole."""
 
-    point: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(namedtuple("RationalFunction", "num den")):
     """Quotient of integer polynomials, reduced, with denominator(0) > 0.
 
     Coefficients ascend; gcd(num, den) = 1 and the pair has content 1.  The
@@ -48,11 +45,10 @@ class RationalFunction:
     form unique.  Rational input is scaled to integers first.
     """
 
-    num: tuple
-    den: tuple = (1,)
+    __slots__ = ()
 
-    def __post_init__(self):
-        num, den = polys.trim(self.num), polys.trim(self.den)
+    def __new__(cls, num, den=(1,)):
+        num, den = polys.trim(num), polys.trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         # one scale for both, so the value of the fraction is kept
@@ -69,8 +65,7 @@ class RationalFunction:
             raise SingularAtZeroError("denominator vanishes at 0")
         if den[0] < 0:
             num, den = polys.neg(num), polys.neg(den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return super().__new__(cls, num, den)
 
     # -- analysis ---------------------------------------------------------
 
@@ -135,23 +130,19 @@ def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
     return series
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
+class ConvergenceVerdict(namedtuple(
+        "ConvergenceVerdict", "point finite value pole_interval justification ratio_window",
+        defaults=(None,))):
     """Whether the series converges at an exact point in (0, 1).
 
     finite=True carries the exact value; finite=False carries an interval
     around the smallest positive denominator root rho <= point, or
     (point, point) when that root is the point.  With nonnegative
     coefficients rho is the radius of convergence, so the series diverges
-    at the point itself.
+    at the point itself.  ratio_window is a QuotientReport, or None.
     """
 
-    point: Fraction
-    finite: bool
-    value: Fraction | None
-    pole_interval: tuple[Fraction, Fraction] | None
-    justification: str
-    ratio_window: "QuotientReport | None" = None
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -221,17 +212,12 @@ def finiteness_verdict(f: RationalFunction, point) -> ConvergenceVerdict:
     return ConvergenceVerdict(t0, False, None, (lo, hi), justification)
 
 
-@dataclass(frozen=True)
-class QuotientReport:
-    """Consecutive-term ratios c_{i+1}*t0/c_i, checked against the mode's bound."""
+class QuotientReport(namedtuple(
+        "QuotientReport", "point i_min i_max ratios mode bound satisfied")):
+    """Consecutive-term ratios c_{i+1}*t0/c_i as (i, ratio) pairs, checked against
+    the bound of the mode, "convergence" or "divergence"."""
 
-    point: Fraction
-    i_min: int
-    i_max: int
-    ratios: tuple[tuple[int, Fraction], ...]
-    mode: str  # "convergence" or "divergence"
-    bound: Fraction
-    satisfied: bool
+    __slots__ = ()
 
     @property
     def window(self) -> tuple[Fraction, Fraction]:
@@ -294,4 +280,4 @@ def quotient_criterion(stats: SphereStats, point) -> QuotientReport:
 def attach_ratio_window(
     verdict: ConvergenceVerdict, window: QuotientReport
 ) -> ConvergenceVerdict:
-    return replace(verdict, ratio_window=window)
+    return verdict._replace(ratio_window=window)

@@ -10,12 +10,12 @@ anyway for diagnostic use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import comb
+from operator import eq, ge, le
 
-from .coxmatrix import CoxeterMatrix, diagram_properties, require_complete_two_spherical
+from .coxmatrix import diagram_properties, require_complete_two_spherical
 from .errors import (
     LabelTooSmallError,
     NotUniformError,
@@ -25,19 +25,16 @@ from .errors import (
 from .report import Comparison, VerificationReport
 
 
-@dataclass(frozen=True)
-class SphereStats:
-    """Sphere and unique-descent counts of one ball."""
+class SphereStats(namedtuple("SphereStats", "matrix c d")):
+    """Sphere and unique-descent counts of one ball, as tuples c and d."""
 
-    matrix: CoxeterMatrix
-    c: tuple[int, ...]
-    d: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
         return self.matrix.rank
 
-    @cached_property
+    @property
     def m(self) -> int | None:
         return diagram_properties(self.matrix).uniform_label
 
@@ -67,10 +64,17 @@ def _need_uniform(stats: SphereStats, min_m: int, min_n: int, gate: bool) -> tup
     return n, m
 
 
-def _span(low: int, high: int, what: str) -> range:
+_HOLDS = {"==": eq, "<=": le, ">=": ge}
+
+
+def _counted(name: str, what: str, low: int, high: int, rows) -> VerificationReport:
+    """The report of a counting identity: rows(i) lists its (where, lhs, relation,
+    rhs) instances at i, for low <= i <= high, and every one is recorded."""
     if low > high:
         raise RangeEmptyError(f"{what}: empty index range {low}..{high}")
-    return range(low, high + 1)
+    checks = tuple(Comparison(where, lhs, rhs, rel, _HOLDS[rel](lhs, rhs))
+                   for i in range(low, high + 1) for where, lhs, rel, rhs in rows(i))
+    return VerificationReport(name, low, high, checks, len(checks))
 
 
 def verify_two_descent_recursion(stats: SphereStats, gate: bool = True) -> VerificationReport:
@@ -82,13 +86,9 @@ def verify_two_descent_recursion(stats: SphereStats, gate: bool = True) -> Verif
     admit.
     """
     n, m = _need_uniform(stats, 3, 3, gate)
-    N = stats.depth
-    checks = []
-    for i in _span(m + 1, N, "two-descent recursion"):
-        lhs = stats.c[i] - stats.d[i]
-        rhs = comb(n - 2, 2) * stats.c[i - m] + (n - 2) * stats.d[i - m]
-        checks.append(Comparison({"i": i}, lhs, rhs, "==", lhs == rhs))
-    return VerificationReport("L32", m + 1, N, tuple(checks), len(checks))
+    c, d = stats.c, stats.d
+    return _counted("L32", "two-descent recursion", m + 1, stats.depth, lambda i: [
+        ({"i": i}, c[i] - d[i], "==", comb(n - 2, 2) * c[i - m] + (n - 2) * d[i - m])])
 
 
 def verify_up_edge_balance(stats: SphereStats, gate: bool = True) -> VerificationReport:
@@ -99,43 +99,30 @@ def verify_up_edge_balance(stats: SphereStats, gate: bool = True) -> Verificatio
     below, n minus |descents| ascents above it.
     """
     n, m = _need_uniform(stats, 3, 3, gate)
-    N = stats.depth
-    checks = []
-    for i in _span(m + 1, N - 1, "up-edge balance"):
-        lhs = 2 * stats.c[i + 1] - stats.d[i + 1]
-        rhs = (n - 2) * stats.c[i] + stats.d[i]
-        checks.append(Comparison({"i": i}, lhs, rhs, "==", lhs == rhs))
-    return VerificationReport("L33", m + 1, N - 1, tuple(checks), len(checks))
+    c, d = stats.c, stats.d
+    return _counted("L33", "up-edge balance", m + 1, stats.depth - 1, lambda i: [
+        ({"i": i}, 2 * c[i + 1] - d[i + 1], "==", (n - 2) * c[i] + d[i])])
 
 
 def verify_growth_upper(stats: SphereStats, gate: bool = True) -> VerificationReport:
     """c_{i+1} <= (n-1)*c_i - (n-2)*d_{i-m+1} <= (n-1)*c_i for m < i <= N-1."""
     n, m = _need_uniform(stats, 3, 3, gate)
-    N = stats.depth
-    checks = []
-    for i in _span(m + 1, N - 1, "growth upper bound"):
-        mid = (n - 1) * stats.c[i] - (n - 2) * stats.d[i - m + 1]
-        hi = (n - 1) * stats.c[i]
-        checks.append(
-            Comparison({"i": i, "part": "refined"}, stats.c[i + 1], mid, "<=", stats.c[i + 1] <= mid)
-        )
-        checks.append(Comparison({"i": i, "part": "coarse"}, mid, hi, "<=", mid <= hi))
-    return VerificationReport("L34", m + 1, N - 1, tuple(checks), len(checks))
+    c, d = stats.c, stats.d
+
+    def rows(i):
+        mid = (n - 1) * c[i] - (n - 2) * d[i - m + 1]
+        return [({"i": i, "part": "refined"}, c[i + 1], "<=", mid),
+                ({"i": i, "part": "coarse"}, mid, "<=", (n - 1) * c[i])]
+
+    return _counted("L34", "growth upper bound", m + 1, stats.depth - 1, rows)
 
 
 def verify_growth_lower(stats: SphereStats, gate: bool = True) -> VerificationReport:
     """(n-2)*c_i <= c_{i+1} and (n-2)*d_i <= d_{i+1} for m < i <= N-1, m > 3."""
     n, m = _need_uniform(stats, 4, 3, gate)
-    N = stats.depth
-    checks = []
-    for i in _span(m + 1, N - 1, "growth lower bound"):
-        for seq_name, seq in (("c", stats.c), ("d", stats.d)):
-            lhs = (n - 2) * seq[i]
-            rhs = seq[i + 1]
-            checks.append(
-                Comparison({"i": i, "seq": seq_name}, lhs, rhs, "<=", lhs <= rhs)
-            )
-    return VerificationReport("L35", m + 1, N - 1, tuple(checks), len(checks))
+    seqs = (("c", stats.c), ("d", stats.d))
+    return _counted("L35", "growth lower bound", m + 1, stats.depth - 1, lambda i: [
+        ({"i": i, "seq": name}, (n - 2) * seq[i], "<=", seq[i + 1]) for name, seq in seqs])
 
 
 def verify_descent_sum_lower(stats: SphereStats, gate: bool = True) -> VerificationReport:
@@ -149,21 +136,19 @@ def verify_descent_sum_lower(stats: SphereStats, gate: bool = True) -> Verificat
         if n < 4:
             raise RankTooSmallError(f"needs rank >= 4, got {n}")
         require_complete_two_spherical(stats.matrix)
-    N = stats.depth
-    checks = []
-    for i in _span(0, N - 1, "descent sum lower bound"):
-        lhs = (n - 2) * stats.c[i]
-        rhs = stats.d[i] + stats.d[i + 1]
-        checks.append(Comparison({"i": i}, lhs, rhs, "<=", lhs <= rhs))
-    return VerificationReport("L45", 0, N - 1, tuple(checks), len(checks))
+    c, d = stats.c, stats.d
+    return _counted("L45", "descent sum lower bound", 0, stats.depth - 1, lambda i: [
+        ({"i": i}, (n - 2) * c[i], "<=", d[i] + d[i + 1])])
 
 
-def descent_ratio_floor(n: int, m: int) -> Fraction:
+def descent_ratio_floor(n: int, m: int | None) -> Fraction:
     """Exact lower bound k with d_i >= k * c_i beyond level m (uniform label).
 
     k = (1 - 1/(2*(n-2)^(m-2))) / (1/(n-2)^(m-1) + 1); k = 1/4 at (n,m) =
-    (3,4) and 7/9 at (4,4).
+    (3,4) and 7/9 at (4,4).  m is None when the labels are not uniform.
     """
+    if m is None:
+        raise NotUniformError("descent ratio floor needs one uniform edge label")
     if n < 3:
         raise RankTooSmallError(f"needs rank >= 3, got {n}")
     if m < 4:
@@ -175,12 +160,7 @@ def descent_ratio_floor(n: int, m: int) -> Fraction:
 
 def verify_descent_ratio(stats: SphereStats, k: Fraction, gate: bool = True) -> VerificationReport:
     """d_i >= k * c_i for m < i <= N, exact rational comparison."""
-    n, m = _need_uniform(stats, 4, 3, gate)
-    N = stats.depth
-    k = Fraction(k)
-    checks = []
-    for i in _span(m + 1, N, "descent ratio"):
-        lhs = Fraction(stats.d[i])
-        rhs = k * stats.c[i]
-        checks.append(Comparison({"i": i}, lhs, rhs, ">=", lhs >= rhs))
-    return VerificationReport("k-ratio", m + 1, N, tuple(checks), len(checks))
+    _, m = _need_uniform(stats, 4, 3, gate)
+    k, c, d = Fraction(k), stats.c, stats.d
+    return _counted("k-ratio", "descent ratio", m + 1, stats.depth, lambda i: [
+        ({"i": i}, Fraction(d[i]), ">=", k * c[i])])

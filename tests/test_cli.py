@@ -18,7 +18,6 @@ from coxgrowth import (
     INF,
     automaton,
     ResourceLimitError,
-    SphereStats,
     build_ball,
     cli,
     compute_stats,
@@ -168,7 +167,7 @@ def stats_by_ball(matrix, depth, cap, fmt):
     stats = compute_stats(ball)
     if fmt == "csv":
         return 0, stats_csv(stats.c, stats.d), ""
-    return 0, cli._stats_text(stats, fmt), ""
+    return 0, cli._stats_text(matrix, stats.c, stats.d, fmt), ""
 
 
 def run_cli(capsys, argv):
@@ -231,7 +230,7 @@ def test_stats_on_the_benchmark_jobs(tmp_path, capsys, size):
             else:  # the full balls take seconds; the benchmark's references hold their counts
                 c, d = refs[job]["c"], refs[job]["d"]
                 text = (stats_csv(c, d) if fmt == "csv"
-                        else cli._stats_text(SphereStats(matrix, tuple(c), tuple(d)), fmt))
+                        else cli._stats_text(matrix, c, d, fmt))
                 assert got == (0, text, "")
 
 
@@ -499,7 +498,7 @@ def test_verify_diagnostic_counterexamples_exit_zero(tmp_path, capsys):
     assert payload["all_hold"] is False
     report = payload["suites"][0]
     assert report["verdict"] == "fails"
-    assert report["checked"] == 54
+    assert report["checked"] == 60
     assert len(report["failures"]) == 18
     assert "FAILS" in err
 
@@ -590,6 +589,20 @@ def test_series_refuses_an_eval_that_names_no_point(tmp_path, capsys, monkeypatc
     for points in (",", "", " , "):
         assert run_cli(capsys, ["series", "--matrix", matrix, "--eval", points]) == (
             3, "", f"error: --eval {points!r} names no evaluation point\n")
+
+
+def test_series_refuses_a_bad_point_before_any_series_work(tmp_path, capsys, monkeypatch):
+    # a bad point is input error 3 even where the series or the element cap would fail
+    def no_series(matrix):
+        raise AssertionError("series work began")
+
+    monkeypatch.setattr(cli, "rational_growth_series", no_series)
+    matrix = matrix_file(tmp_path, M344)
+    for points, message in (("3/2", "evaluation points must lie in (0, 1), got 3/2"),
+                            ("1/3, 0", "evaluation points must lie in (0, 1), got 0"),
+                            ("abc", "Invalid literal for Fraction: 'abc'")):
+        assert run_cli(capsys, ["series", "--matrix", matrix, "--eval", points]) == (
+            3, "", f"error: {message}\n")
 
 
 def test_series_refuses_a_verdict_too_long_to_print(tmp_path, capsys):

@@ -63,7 +63,20 @@ def test_info_and_ball_load_only_what_they_run(tmp_path):
     ball = loaded(tmp_path, "ball", "--depth", "4")
     assert package(info) == {"coxgrowth", "cli", "coxmatrix", "errors"}
     assert package(ball) == package(info) | {"automaton"}
-    assert "dataclasses" not in info | ball
+
+
+@pytest.mark.parametrize("argv", [["info"], ["ball", "--depth", "4"], ["stats", "--depth", "6"],
+                                  ["series", "--depth", "6"], ["verify", "--depth", "6"],
+                                  ["verify", "--depth", "6", "--suite", "k-ratio"]],
+                         ids=["info", "ball", "stats", "series", "verify", "verify-k-ratio"])
+def test_no_command_loads_dataclasses(tmp_path, argv):
+    assert "dataclasses" not in loaded(tmp_path, *argv)
+
+
+def test_stats_loads_what_ball_loads(tmp_path):
+    # stats prints the counts it took from the automaton; it runs no lemma code
+    stats = package(loaded(tmp_path, "stats", "--depth", "6"))
+    assert stats == package(loaded(tmp_path, "ball", "--depth", "6"))
 
 
 @pytest.mark.parametrize("command", ["stats", "series"])

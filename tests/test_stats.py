@@ -3,7 +3,6 @@
 Frozen c/d tables come from the independent rewriting oracle (all words
 enumerated and canonicalized without the ball builder).
 """
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -124,7 +123,7 @@ def test_up_edge_balance():
 
 def test_up_edge_balance_detects_corruption():
     stats = stats_for(3, 4, 8)
-    broken = replace(stats, d=stats.d[:6] + (stats.d[6] + 1,) + stats.d[7:])
+    broken = stats._replace(d=stats.d[:6] + (stats.d[6] + 1,) + stats.d[7:])
     report = verify_up_edge_balance(broken)
     assert not report.holds
     bad_is = {f.where["i"] for f in report.failures}
