@@ -7,7 +7,8 @@ points, and chamber-level geometry checks (residues, walls).
 
 Each exported name is imported from its module on first use (PEP 562), so
 importing the package, or one command of `coxgrowth.cli`, loads no module
-that it does not run.
+that it does not run.  `_EXPORTS` is the one table of modules and names;
+one binder, `_bind`, and the `_lazy` hook serve it to the package and `cli`.
 """
 from importlib import import_module
 
@@ -50,11 +51,25 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)
 
 
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
-    return value
+def _bind(scope, *modules):
+    """Import the modules and bind their _EXPORTS names into scope; a bound name stays."""
+    for module in modules:
+        found = import_module(f"{__name__}.{module}")
+        for name in _EXPORTS[module]:
+            scope.setdefault(name, getattr(found, name))
+
+
+def _lazy(scope):
+    """A PEP 562 module __getattr__ that binds an exported name's module into scope."""
+    def __getattr__(name):
+        if name not in _HOME:
+            raise AttributeError(f"module {scope['__name__']!r} has no attribute {name!r}")
+        _bind(scope, _HOME[name])
+        return scope[name]
+    return __getattr__
+
+
+__getattr__ = _lazy(globals())
 
 
 def __dir__():

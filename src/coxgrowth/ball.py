@@ -137,8 +137,8 @@ class Ball:
 
     def index(self, word) -> int:
         """Index of the element whose canonical word is `word`."""
-        word = _check_word(word, self.matrix.rank)
-        got = self.fold_right(0, word)
+        word = tuple(word)
+        got = self.fold_right(0, word)  # refuses a letter outside the system
         if got is None or self.word(got) != word:
             raise ValueError(f"{word} is not the canonical word of a ball element")
         return got
@@ -166,7 +166,7 @@ class Ball:
         """Right-multiply by a word, None as soon as the path leaves the ball."""
         self.check_index(idx)
         cur = idx
-        for s in letters:
+        for s in _check_word(letters, self.matrix.rank):
             cur = self.edges[cur][s]
             if cur < 0:
                 return None

@@ -7,14 +7,18 @@ Exit codes: 0 success, 2 unreadable input or output path, 3 invalid
 matrix or flag value, 4 element cap exceeded, 5 a verification suite
 failed on its validity range, 6 series coefficients disagree with the
 enumerated sphere sizes.
+
+verify and series bind the modules only they run with the package's `_bind`,
+and every package export resolves as cli.<name> before that; a name set on
+cli first, by a tracer or by monkeypatch, is the one the command calls.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from importlib import import_module
 
+from . import _bind, _lazy
 from .coxmatrix import (
     diagram_properties,
     load_matrix,
@@ -28,42 +32,7 @@ from .errors import (
     ResourceLimitError,
 )
 
-# the names that stats, verify and series take from the modules only they run
-_LAZY = {
-    "ball": ("build_ball",),
-    "geometry": ("verify_exit_ascent", "verify_not_both_down",
-                 "verify_projection_collapse", "verify_wall_pair_uniqueness"),
-    "series": ("attach_ratio_window", "finiteness_verdict", "quotient_criterion",
-               "rational_growth_series", "taylor_coefficients"),
-    "stats": ("SphereStats", "compute_stats", "descent_ratio_floor",
-              "verify_descent_ratio", "verify_descent_sum_lower", "verify_growth_lower",
-              "verify_growth_upper", "verify_two_descent_recursion",
-              "verify_up_edge_balance"),
-}
-
-
-def _bind(*modules) -> None:
-    """Import the modules and bind their _LAZY names into this module's globals.
-
-    A name already bound is kept.  The commands call these names as globals, so
-    a wrapper set on cli.<name> before the first call, by a tracer or by
-    monkeypatch, is what they call.
-    """
-    scope = globals()
-    for module in modules:
-        found = import_module(f".{module}", __package__)
-        for name in _LAZY[module]:
-            scope.setdefault(name, getattr(found, name))
-
-
-def __getattr__(name):
-    # PEP 562: cli.build_ball and the like resolve before any command has run
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__ = _lazy(globals())
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -187,7 +156,7 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 f"unknown suite {unknown}; choose from {', '.join(_SUITES)}"
             )
-    _bind("ball", "stats", "geometry")
+    _bind(globals(), "ball", "stats", "geometry")
     ball = build_ball(matrix, depth, cap=args.cap)
     stats = compute_stats(ball)
     gate = not args.no_hypothesis_gate
@@ -254,7 +223,7 @@ def cmd_series(args) -> int:
     for point in points:  # a bad point is refused before the series or the cap can trip
         if not 0 < point < 1:
             raise ValueError(f"evaluation points must lie in (0, 1), got {point}")
-    _bind("stats", "series")
+    _bind(globals(), "stats", "series")
     series = rational_growth_series(matrix)
     coeffs = taylor_coefficients(series, depth)
     # the enumerated sizes come from the small roots, a route that shares no code

@@ -110,6 +110,7 @@ def validate_matrix(raw) -> CoxeterMatrix:
 
 def uniform_matrix(rank: int, label) -> CoxeterMatrix:
     """Matrix with every off-diagonal order equal to label."""
+    rank = _checked_rank(rank)
     label = _normalize_entry(label)
     if rank < 2 and not _is_label(label):  # no entry holds it for validate_matrix to check
         raise BadOffDiagonalError(f"uniform label must be an integer >= 2 or inf, got {label}")
@@ -130,9 +131,8 @@ def path_matrix(labels) -> CoxeterMatrix:
     return validate_matrix(rows)
 
 
-def _declared_rank(data) -> int:
-    """The "rank" value: a non-negative whole number (3.0 is read as 3)."""
-    rank = data.get("rank")
+def _checked_rank(rank) -> int:
+    """A rank: a non-negative whole number (3.0, as JSON may write it, is read as 3)."""
     if isinstance(rank, float) and rank.is_integer():
         rank = int(rank)
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
@@ -145,12 +145,12 @@ def parse_matrix_data(data) -> CoxeterMatrix:
     if not isinstance(data, dict):
         raise BadOffDiagonalError("matrix file must decode to a JSON object")
     if "uniform" in data:
-        return uniform_matrix(_declared_rank(data), data["uniform"])
+        return uniform_matrix(data.get("rank"), data["uniform"])
     rows = data.get("m")
     if rows is None:
         raise BadOffDiagonalError('matrix object needs an "m" or "uniform" key')
     mat = validate_matrix(rows)
-    if "rank" in data and _declared_rank(data) != mat.rank:
+    if "rank" in data and _checked_rank(data["rank"]) != mat.rank:
         raise NotSquareError(
             f'declared rank {data["rank"]} does not match {mat.rank} rows'
         )

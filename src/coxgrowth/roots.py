@@ -55,18 +55,15 @@ class Roots:
             cells = [cells[c] for c in order[:(p - 1) * chunk]]
 
     def times(self, m, w: list[int]) -> list[int]:
-        """c_st w for the label m = m_st; w is one coordinate or a whole vector.
-
-        May return w itself.
-        """
+        """c_st w for the label m = m_st and a whole vector w.  May return w itself."""
         if m == INF:
             return list(map(add, w, w))
         if m == 3:
             return w
         if m == 2:
             return [0] * len(w)
-        # x^a moves a coefficient a places in a coordinate, a * rank in a vector
-        a = self.big // (2 * int(m)) * (2 * len(w) // self.big)
+        # x^a moves each coefficient a * rank places in the vector
+        a = self.big // (2 * int(m)) * self.rank
         return list(map(add, list(map(neg, w[-a:])) + w[:-a], w[a:] + list(map(neg, w[:a]))))
 
     def images(self, ball: Ball):

@@ -298,6 +298,15 @@ def test_folds_reject_indices_outside_the_ball():
                 call()
 
 
+@pytest.mark.parametrize("letters", [(-1,), (3,), (0, 3), (True, 4)])
+def test_fold_right_rejects_letters_outside_the_system(letters):
+    # -1 used to read as the last letter, so fold_right(0, (-1,)) gave the
+    # element (2,), and 3 raised a bare IndexError
+    ball = get_ball(uniform_matrix(3, 4), 3)
+    with pytest.raises(GeneratorOutOfRangeError, match="outside 0..2"):
+        ball.fold_right(0, letters)
+
+
 def test_ball_memory_per_element():
     # parent and letter in place of a stored word: about 160 B per element
     # on (4,4,4), where a tuple per word made it about 300 B

@@ -90,6 +90,17 @@ def test_parse_uniform_shorthand():
     assert parse_matrix_data({"rank": 3, "uniform": 4}) == uniform_matrix(3, 4)
 
 
+@pytest.mark.parametrize("rank", [-3, 2.5, None, True, "3"])
+def test_uniform_rank_is_checked_as_the_json_rank_is(rank):
+    # uniform_matrix(-3, 4) used to give CoxeterMatrix([]) and 2.5 a bare TypeError
+    message = f'"rank" must be a non-negative integer, got {rank!r}'
+    for build in (lambda: uniform_matrix(rank, 4),
+                  lambda: parse_matrix_data({"rank": rank, "uniform": 4})):
+        with pytest.raises(NotSquareError) as err:
+            build()
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("rank, label", [
     (1, "abc"), (1, False), (1, True), (1, 1), (1, 2.5), (0, [1]), (0, {}), (0, -3),
 ])

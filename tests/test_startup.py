@@ -3,6 +3,7 @@
 Every check runs in a new interpreter, started without `site` so that no
 module of the environment is loaded before the package's own.
 """
+import ast
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import coxgrowth
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+PACKAGE = Path(SRC) / "coxgrowth"
 
 RUN_COMMAND = """
 import contextlib, io, json, sys
@@ -33,6 +35,15 @@ namespace = {}
 exec("from coxgrowth import *", namespace)
 same = all(namespace[name] is getattr(coxgrowth, name) for name in coxgrowth.__all__)
 print(json.dumps({"alone": alone, "listed": listed, "star": sorted(namespace), "same": same}))
+"""
+
+CLI_EXPORTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import coxgrowth
+from coxgrowth import cli
+print(json.dumps([name for name in coxgrowth.__all__
+                  if getattr(cli, name) is not getattr(coxgrowth, name)]))
 """
 
 
@@ -108,3 +119,22 @@ def test_unknown_names_raise_attribute_error():
         message = f"module '{module.__name__}' has no attribute 'nope'"
         with pytest.raises(AttributeError, match=message):
             module.nope
+
+
+def test_every_export_resolves_on_cli_as_on_the_package():
+    # cli binds through the package's own table, so no export is missing there
+    assert fresh(CLI_EXPORTS) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_runtime_imports_only_the_standard_library(path):
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            tops = [node.module.partition(".")[0]]
+        else:
+            continue
+        outside += [top for top in tops if top not in sys.stdlib_module_names]
+    assert outside == []
