@@ -23,6 +23,7 @@ found one depth at a time, as the walk reaches them.
 """
 from __future__ import annotations
 
+from itertools import chain
 from math import inf as INF, prod
 from operator import getitem
 
@@ -349,52 +350,17 @@ class ShortLex:
         return tuple(s for s in range(self.rank) if state >> 2 * s & 1)
 
 
-def export_lines(matrix: CoxeterMatrix, depth: int):
-    """The `ball` export, one string of JSON lines per length 0..depth.
+def _layers(auto: ShortLex, depth: int, cap: int):
+    """The count walk: for each length 1..depth, how many elements reach each state.
 
-    Each line is json.dumps({"i": i, "w": word, "desc": descents},
-    sort_keys=True) for one element, in the ball's order: each element's
-    children follow in letter order, and a word is its parent's word
-    followed by the letter's decimal digits.  The text before the word
-    depends only on the length and the element's state, so it is made once
-    per (state, letter) and length; a layer keeps only its words and
-    states.  No cap: run sphere_counts first for that.
+    A layer maps states to counts, so it never holds more states than
+    elements.  Raises ResourceLimitError, as build_ball does, at the first
+    length whose running total of elements exceeds cap.  A layer is counted
+    before the roots it needs are found, so the cap stops the walk there;
+    the roots found by then raise it only if their terms pass
+    max(cap, FREE_TERMS).
     """
-    auto = ShortLex(matrix, depth, cap=INF)
-    yield '{"desc": [], "i": 0, "w": ""}\n'
-    layer = [("", 0)]
-    for length in range(1, depth + 1):
-        auto.grow(length)
-        steps = {}  # state -> [(digits, new state, line head)], for this length
-        below, layer, heads = layer, [], []
-        for word, state in below:
-            step = steps.get(state)
-            if step is None:
-                step = steps[state] = [
-                    (str(s), new, '{"desc": [%s], "i": %d, "w": "'
-                     % (", ".join(map(str, auto.descents(new))), length))
-                    for s, new in auto.successors(state)]
-            for digits, new, head in step:
-                w = word + digits
-                layer.append((w, new))
-                heads.append(head + w)
-        if heads:
-            yield '"}\n'.join(heads) + '"}\n'
-
-
-def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
-    """(c, d) for lengths 0..depth: c_i elements of length i, d_i those with one right descent.
-
-    Each layer maps the states reached to how many elements reach them, so
-    it never holds more states than elements.  Raises ResourceLimitError,
-    as build_ball does, at the first length whose running total of
-    elements exceeds cap.  A layer is counted before the roots it needs are
-    found, so the cap stops the walk there; the roots found by then raise
-    it only if their terms pass max(cap, FREE_TERMS).
-    """
-    auto = ShortLex(matrix, depth, cap)
-    n = matrix.rank
-    c, d = [1], [0]
+    n = auto.rank
     layer, total = {0: 1}, 1
     for length in range(1, depth + 1):
         # the letters allowed after a state are those whose simple root is not in L
@@ -407,6 +373,79 @@ def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
         for state, count in below.items():
             for _, new in auto.successors(state):
                 layer[new] = layer.get(new, 0) + count
+        yield layer
+
+
+def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
+    """The `ball` export, one string of JSON lines per length 0..depth up to an empty one.
+
+    Each line is json.dumps({"i": i, "w": word, "desc": descents},
+    sort_keys=True) for one element, in the ball's order: each element's
+    children follow in letter order, and a word is its parent's word
+    followed by the letter's decimal digits.
+
+    The count walk of sphere_counts, `_layers`, runs before the generator
+    is returned, so the cap raises ResourceLimitError, with sphere_counts'
+    message at the same length, before any line is asked for.  It stops at
+    the first empty layer, where a finite group's ball ends, and the lines
+    are then read from the same automaton.
+
+    A layer holds its words, its distinct states, and for each word the
+    index of its state.  The children's lines of an element differ from
+    one element to another of the same state only in its word, so each
+    distinct state gets one template per length: its children's lines,
+    split where the parent's word goes.  A layer's text is then one
+    `str.join` per parent, and the next layer's words one more.
+    """
+    auto = ShortLex(matrix, depth, cap)
+    for layer in _layers(auto, depth, cap):
+        if not layer:
+            break
+    return _lines(auto, depth)
+
+
+def _lines(auto: ShortLex, depth: int):
+    yield '{"desc": [], "i": 0, "w": ""}\n'
+    # a layer: the words, the distinct states, and each word's index into them
+    words, ids, states = [""], [0], [0]
+    for length in range(1, depth + 1):
+        index = {}  # the next layer's distinct states, numbered as found
+        # per state: its children's lines split where the word goes, their last
+        # letters, and their indices
+        pieces, letters, children = [], [], []
+        for state in states:
+            line, letter, kids = [""], [""], []
+            for s, new in auto.successors(state):
+                line[-1] += '{"desc": [%s], "i": %d, "w": "' % (
+                    ", ".join(map(str, auto.descents(new))), length)
+                line.append('%d"}\n' % s)
+                letter.append("%d\n" % s)
+                kids.append(index.setdefault(new, len(index)))
+            pieces.append(line)
+            letters.append(letter)
+            children.append(kids)
+        # word.join(pieces) puts the parent's word in each child's line
+        text = "".join(map(str.join, words, map(pieces.__getitem__, ids)))
+        if not text:  # a finite group's ball has ended
+            return
+        yield text
+        del text  # before the next layer's words are made
+        if length < depth:
+            words = "".join(map(str.join, words, map(letters.__getitem__, ids))).split("\n")
+            words.pop()
+            ids = list(chain.from_iterable(map(children.__getitem__, ids)))
+            states = list(index)
+
+
+def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
+    """(c, d) for lengths 0..depth: c_i elements of length i, d_i those with one right descent.
+
+    The counts come from the count walk `_layers`, which raises
+    ResourceLimitError when the elements or the small roots' terms pass the cap.
+    """
+    auto = ShortLex(matrix, depth, cap)
+    c, d = [1], [0]
+    for layer in _layers(auto, depth, cap):
         c.append(sum(layer.values()))
         d.append(sum(count for state, count in layer.items()
                      if (state & auto.simple).bit_count() == 1))

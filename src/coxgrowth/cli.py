@@ -110,12 +110,11 @@ def cmd_info(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    from .automaton import export_lines, sphere_counts
+    from .automaton import export_lines
 
     matrix, depth = _load(args)
-    # the cap trips, as the ball's did, before any output or --out file exists
-    sphere_counts(matrix, depth, cap=args.cap)
-    _emit(export_lines(matrix, depth), args.out)
+    # export_lines checks the cap, as the ball did, before any output or --out file exists
+    _emit(export_lines(matrix, depth, cap=args.cap), args.out)
     return EXIT_OK
 
 

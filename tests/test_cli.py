@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -316,6 +317,15 @@ def test_ball_prints_what_the_ball_holds_random(tmp_path_factory, matrix, depth,
     assert (code, out.getvalue(), err.getvalue()) == ball_by_ball(matrix, depth, cap)
 
 
+# sha256 of the full `export` jobs' stdout at seed 1, taken from json.dumps line by
+# line; comparing with the ball itself, as the tiny jobs do, takes seconds here
+FULL_EXPORT_SHA256 = {
+    "ball t444 --depth 19": "a2819f6e460cf8a27f846cb5744365a13def280c65c6b7cbb207f765783076de",
+    "ball u44 --depth 10": "4fcb3d43cb7a20321495209a4af909c5f8c9aaf066190a40902c501e996911b9",
+    "ball mixed --depth 10": "6e8af434123193154f6d42bd3eadc029a64d42bd6aeb2bd326d734503af0fedf",
+}
+
+
 @pytest.mark.parametrize("size", ["tiny", "full"])
 def test_ball_on_the_benchmark_jobs(tmp_path, capsys, size):
     refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[size]
@@ -323,10 +333,12 @@ def test_ball_on_the_benchmark_jobs(tmp_path, capsys, size):
     for job, kind, argv in perfbench_module("workloads").make_jobs("export", size, 1, tmp_path):
         got = run_cli(capsys, argv)
         assert got[0] == 0 and summarize(kind, got[1]) == refs[job]
-        if size == "tiny":  # the full balls take seconds; their counts are in the references
+        if size == "tiny":  # the full balls take seconds; their bytes are pinned instead
             matrix = load_matrix(argv[argv.index("--matrix") + 1])
             depth = int(argv[argv.index("--depth") + 1])
             assert got == ball_by_ball(matrix, depth, 10_000_000)
+        else:
+            assert hashlib.sha256(got[1].encode()).hexdigest() == FULL_EXPORT_SHA256[job]
 
 
 def test_ball_out_file_and_cap(tmp_path, capsys):
@@ -359,16 +371,43 @@ def test_ball_streams_in_little_memory(tmp_path, capsys):
     text = out.read_bytes()
     c, d = sphere_counts(load_matrix(path), 16)
     assert perfbench_module("check").summarize("ball", text.decode()) == {"c": c, "d": d}
-    # only a layer's words and lines are live; a built ball of this size takes 12.4 MB
+    # only a layer's words and text are live, about 2.7 MB; a built ball of this size takes 12.4 MB
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8_000_000
+    assert peak <= 4_500_000
     assert out.read_bytes().splitlines(keepends=True) == text.splitlines(keepends=True)
     assert capsys.readouterr().out == ""
+
+
+def test_ball_ends_with_a_finite_group(tmp_path):
+    # past its longest element a finite group's layers are empty, and neither
+    # the cap walk nor the lines walk steps through them
+    for data, depth, last in (({"m": [[1, 3], [3, 1]]}, 10**9, 3),
+                              ({"m": [[1, 5, 2], [5, 1, 3], [2, 3, 1]]}, 10**6, 15)):
+        path = matrix_file(tmp_path, data)
+        outs = [subprocess.run([sys.executable, "-m", "coxgrowth.cli", "ball", "--matrix", path,
+                                "--depth", str(d)], capture_output=True, timeout=20)
+                for d in (depth, last)]
+        assert [(p.returncode, p.stderr) for p in outs] == [(0, b""), (0, b"")]
+        assert outs[0].stdout == outs[1].stdout
+
+
+def test_ball_builds_one_automaton(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class Counted(automaton.SmallRoots):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(automaton, "SmallRoots", Counted)
+    argv = ["ball", "--matrix", matrix_file(tmp_path, M344), "--depth", "6"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(built) == 1
 
 
 def test_ball_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
