@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "report": ("Comparison", "VerificationReport"),
     "series": (
-        "ConvergenceVerdict", "PoleAt", "QuotientReport", "RationalFunction",
+        "ConvergenceVerdict", "QuotientReport", "RationalFunction",
         "attach_ratio_window", "finiteness_verdict", "quotient_criterion",
         "rational_growth_series", "taylor_coefficients",
     ),

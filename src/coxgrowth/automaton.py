@@ -23,7 +23,7 @@ found one depth at a time, as the walk reaches them.
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from math import inf as INF, prod
 from operator import getitem
 
@@ -354,18 +354,22 @@ def _layers(auto: ShortLex, depth: int, cap: int):
     """The count walk: for each length 1..depth, how many elements reach each state.
 
     A layer maps states to counts, so it never holds more states than
-    elements.  Raises ResourceLimitError, as build_ball does, at the first
-    length whose running total of elements exceeds cap.  A layer is counted
-    before the roots it needs are found, so the cap stops the walk there;
-    the roots found by then raise it only if their terms pass
+    elements.  The walk stops before the first empty length, where a finite
+    group's ball ends.  Raises ResourceLimitError, as build_ball does, at
+    the first length whose running total of elements exceeds cap.  A layer
+    is counted before the roots it needs are found, so the cap stops the
+    walk there; the roots found by then raise it only if their terms pass
     max(cap, FREE_TERMS).
     """
     n = auto.rank
     layer, total = {0: 1}, 1
     for length in range(1, depth + 1):
         # the letters allowed after a state are those whose simple root is not in L
-        total += sum(count * (n - (state & auto.forbidding).bit_count())
-                     for state, count in layer.items())
+        size = sum(count * (n - (state & auto.forbidding).bit_count())
+                   for state, count in layer.items())
+        if not size:
+            return
+        total += size
         if total > cap:
             raise ResourceLimitError(f"element cap {cap} reached at length {length}")
         auto.grow(length)
@@ -377,7 +381,7 @@ def _layers(auto: ShortLex, depth: int, cap: int):
 
 
 def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
-    """The `ball` export, one string of JSON lines per length 0..depth up to an empty one.
+    """The `ball` export: one string of JSON lines per nonempty length 0..depth.
 
     Each line is json.dumps({"i": i, "w": word, "desc": descents},
     sort_keys=True) for one element, in the ball's order: each element's
@@ -386,8 +390,7 @@ def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
 
     The count walk of sphere_counts, `_layers`, runs before the generator
     is returned, so the cap raises ResourceLimitError, with sphere_counts'
-    message at the same length, before any line is asked for.  It stops at
-    the first empty layer, where a finite group's ball ends, and the lines
+    message at the same length, before any line is asked for.  The lines
     are then read from the same automaton.
 
     A layer holds its words, its distinct states, and for each word the
@@ -398,10 +401,9 @@ def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
     `str.join` per parent, and the next layer's words one more.
     """
     auto = ShortLex(matrix, depth, cap)
-    for layer in _layers(auto, depth, cap):
-        if not layer:
-            break
-    return _lines(auto, depth)
+    # the last length that holds an element: depth, or a finite group's longest element
+    last = sum(1 for _ in _layers(auto, depth, cap))
+    return _lines(auto, last)
 
 
 def _lines(auto: ShortLex, depth: int):
@@ -426,8 +428,6 @@ def _lines(auto: ShortLex, depth: int):
             children.append(kids)
         # word.join(pieces) puts the parent's word in each child's line
         text = "".join(map(str.join, words, map(pieces.__getitem__, ids)))
-        if not text:  # a finite group's ball has ended
-            return
         yield text
         del text  # before the next layer's words are made
         if length < depth:
@@ -442,6 +442,9 @@ def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
 
     The counts come from the count walk `_layers`, which raises
     ResourceLimitError when the elements or the small roots' terms pass the cap.
+    Past a finite group's longest element the rows are zeros, one per
+    length, and they count against the cap too: when depth + 1 rows pass
+    it, ResourceLimitError is raised before any is made.
     """
     auto = ShortLex(matrix, depth, cap)
     c, d = [1], [0]
@@ -449,4 +452,10 @@ def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
         c.append(sum(layer.values()))
         d.append(sum(count for state, count in layer.items()
                      if (state & auto.simple).bit_count() == 1))
+    if len(c) <= depth:
+        if depth + 1 > cap:
+            raise ResourceLimitError(
+                f"element cap {cap} reached by the {depth + 1} rows of lengths 0..{depth}")
+        c.extend(repeat(0, depth + 1 - len(c)))
+        d.extend(repeat(0, depth + 1 - len(d)))
     return c, d

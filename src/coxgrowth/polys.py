@@ -2,8 +2,8 @@
 
 Polynomials are tuples of int coefficients in ascending degree order with
 no trailing zeros; the zero polynomial is the empty tuple.  Every routine
-takes and returns ints, except at the boundary: clear_denominators takes
-rational coefficients, and eval_at returns the exact value at a rational.
+takes and returns ints, except eval_at, which returns the exact value at a
+rational.
 
 Exact quotients are integer long divisions by a divisor that divides: a
 monic one, or a primitive one by Gauss's lemma.  The gcd and the Sturm
@@ -15,7 +15,7 @@ homogenised Horner sum sum c_i a^i b^(d-i), an integer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def trim(coeffs) -> tuple:
@@ -129,12 +129,6 @@ def gcd_poly(p: tuple, q: tuple) -> tuple:
     while b:
         a, b = b, primitive(pseudo_remainder(a, b))
     return neg(a) if a and a[-1] < 0 else a
-
-
-def clear_denominators(p: tuple) -> tuple:
-    """Scale a rational polynomial by a positive integer to get integer coefficients."""
-    mult = lcm(*(a.denominator for a in p))
-    return tuple(int(a * mult) for a in p)
 
 
 def square_free_part(p: tuple) -> tuple:

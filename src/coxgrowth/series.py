@@ -1,14 +1,16 @@
 """Exact growth series: rational normal form, coefficients, convergence.
 
 The growth series of the system is reconstructed from the finite standard
-subsystems through the alternating sum over spherical subsets J of
+subsystems through Steinberg's alternating sum over spherical subsets J of
 (-1)^|J| / W_J(t), which equals the reciprocal growth series evaluated at
-1/t whenever the whole group is infinite.  The sum is assembled per finite
-type over one common denominator, a product of q-integers
-[k] = 1 + t + ... + t^(k-1), and reduced once.  Finite groups short-circuit
-to the exponent-product polynomial.  Everything downstream (coefficients,
-evaluation, root isolation) is exact: integer polynomials, with Fractions
-only for values that are fractions.
+1/t.  For an infinite group that is Steinberg's theorem; for a finite one
+S itself is spherical, and Solomon's identity (J. Algebra 4, 1966) makes
+the sum t^N / W(t), so the same route gives the exponent-product
+polynomial.  The sum is assembled per finite type over one common
+denominator, a product of q-integers [k] = 1 + t + ... + t^(k-1), and
+reduced once.  Everything downstream (coefficients, evaluation, root
+isolation) is exact: integer polynomials, with Fractions only for values
+that are fractions.
 """
 from __future__ import annotations
 
@@ -16,12 +18,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import polys
-from .coxmatrix import (
-    CoxeterMatrix,
-    classify_subset,
-    poincare_polynomial,
-    spherical_subsets,
-)
+from .coxmatrix import CoxeterMatrix, poincare_polynomial, spherical_subsets
 from .errors import (
     ClassificationError,
     NegativeCoefficientError,
@@ -31,18 +28,12 @@ from .errors import (
 from .stats import SphereStats, descent_ratio_floor
 
 
-class PoleAt(namedtuple("PoleAt", "point")):
-    """Returned by evaluation when the point is a pole."""
-
-    __slots__ = ()
-
-
 class RationalFunction(namedtuple("RationalFunction", "num den")):
     """Quotient of integer polynomials, reduced, with denominator(0) > 0.
 
-    Coefficients ascend; gcd(num, den) = 1 and the pair has content 1.  The
-    normalization makes Taylor expansion at 0 well defined and the printed
-    form unique.  Rational input is scaled to integers first.
+    Coefficients ascend and are ints; gcd(num, den) = 1 and the pair has
+    content 1.  The normalization makes Taylor expansion at 0 well defined
+    and the printed form unique.
     """
 
     __slots__ = ()
@@ -51,9 +42,6 @@ class RationalFunction(namedtuple("RationalFunction", "num den")):
         num, den = polys.trim(num), polys.trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        # one scale for both, so the value of the fraction is kept
-        both = polys.clear_denominators(num + den)
-        num, den = both[: len(num)], both[len(num) :]
         if not num:
             den = (1,)  # canonical zero
         else:
@@ -69,12 +57,10 @@ class RationalFunction(namedtuple("RationalFunction", "num den")):
 
     # -- analysis ---------------------------------------------------------
 
-    def evaluate(self, point) -> Fraction | PoleAt:
+    def evaluate(self, point) -> Fraction:
+        """The exact value at a rational point; ZeroDivisionError at a pole."""
         t0 = Fraction(point)
-        bottom = polys.eval_at(self.den, t0)
-        if bottom == 0:
-            return PoleAt(t0)
-        return polys.eval_at(self.num, t0) / bottom
+        return polys.eval_at(self.num, t0) / polys.eval_at(self.den, t0)
 
 
 def taylor_coefficients(f: RationalFunction, count: int) -> list:
@@ -93,20 +79,18 @@ def taylor_coefficients(f: RationalFunction, count: int) -> list:
 def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
     """Length generating series of the whole system, as a reduced fraction.
 
-    Finite systems return their exponent-product polynomial over 1.  For
-    infinite systems the alternating sum G(t) over spherical subsets is
-    assembled by type: every subset of one finite type has the type's rank
-    as its size, so those terms add up to (-1)^rank * count / W(t).  Each
-    W is a product of q-integers [e + 1] = 1 + t + ... + t^e, so raising
-    every [k] to its largest multiplicity among the types gives one common
-    denominator D, and G is reduced once from sum(sign * D / W) / D.  The
-    series is 1 / G(1/t), realized by reversing the coefficients of the
-    reduced numerator and denominator (their degrees match because G tends
-    to 1 at infinity).
+    The alternating sum G(t) over spherical subsets is assembled by type:
+    every subset of one finite type has the type's rank as its size, so
+    those terms add up to (-1)^rank * count / W(t).  Each W is a product of
+    q-integers [e + 1] = 1 + t + ... + t^e, so raising every [k] to its
+    largest multiplicity among the types gives one common denominator D,
+    and G = sum(sign * D / W) / D.  The series is 1 / G(1/t), realized by
+    reversing the coefficients of that numerator and denominator (their
+    degrees match because G tends to 1 at infinity, and a common factor
+    cancels from both alike) and reduced once.  For a finite group S is
+    among the subsets, and Solomon's identity makes G(t) = t^N / W(t), so
+    the result is W(t) over 1.
     """
-    full = classify_subset(matrix, tuple(matrix.generators()))
-    if full.finite:
-        return RationalFunction(poincare_polynomial(full))
     counts = Counter(label for _, label in spherical_subsets(matrix))
     power = Counter()
     for label in counts:
@@ -118,13 +102,11 @@ def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
     for label, count in counts.items():
         quo = polys.quotient(den, poincare_polynomial(label))  # W is monic
         num = polys.add(num, polys.scale(quo, (-1) ** len(label.exponents) * count))
-    acc = RationalFunction(num, den)
-    p, q = acc.num, acc.den
-    if polys.degree(p) != polys.degree(q):
+    if polys.degree(num) != polys.degree(den):
         raise ClassificationError(
             "alternating sum should tend to 1 at infinity; degrees differ"
         )
-    series = RationalFunction(tuple(reversed(q)), tuple(reversed(p)))
+    series = RationalFunction(tuple(reversed(den)), tuple(reversed(num)))
     if taylor_coefficients(series, 0)[0] != 1:
         raise ClassificationError("reconstructed series does not start at 1")
     return series
@@ -196,9 +178,7 @@ def finiteness_verdict(f: RationalFunction, point) -> ConvergenceVerdict:
     v_lo = variations(Fraction(0))
     count = v_lo - variations(t0)
     if count == 0:
-        value = f.evaluate(t0)
-        assert isinstance(value, Fraction)
-        return ConvergenceVerdict(t0, True, value, None, justification)
+        return ConvergenceVerdict(t0, True, f.evaluate(t0), None, justification)
     if count == 1 and polys.eval_at(g, t0) == 0:
         return ConvergenceVerdict(t0, False, None, (t0, t0), justification)
     lo, hi = Fraction(0), t0

@@ -159,6 +159,14 @@ def stats_csv(c, d):
     return buf.getvalue()
 
 
+def rows_over_cap(c, cap):
+    """The error of a finite group's table, whose depth + 1 rows count against the cap."""
+    if c[-1] == 0 and len(c) > cap:
+        return ResourceLimitError(
+            f"element cap {cap} reached by the {len(c)} rows of lengths 0..{len(c) - 1}")
+    return None
+
+
 def stats_by_ball(matrix, depth, cap, fmt):
     """(exit code, stdout, stderr) of `stats` when it built the ball to count."""
     try:
@@ -166,6 +174,8 @@ def stats_by_ball(matrix, depth, cap, fmt):
     except ResourceLimitError as err:
         return 4, "", f"error: {err}\n"
     stats = compute_stats(ball)
+    if err := rows_over_cap(stats.c, cap):
+        return 4, "", f"error: {err}\n"
     if fmt == "csv":
         return 0, stats_csv(stats.c, stats.d), ""
     return 0, cli._stats_text(matrix, stats.c, stats.d, fmt), ""
@@ -208,14 +218,15 @@ def test_stats_prints_what_the_ball_counts(tmp_path, capsys, data, depth):
         got = run_cli(capsys, ["stats", "--matrix", path, "--depth", str(depth),
                                "--format", fmt])
         assert got == stats_by_ball(matrix, depth, 10_000_000, fmt)
-    # the cap trips exactly when the ball would outgrow it, with its message
-    total = build_ball(matrix, depth).size
-    for cap in (total, total - 1):
+    # the cap trips exactly when the ball, or a finite group's depth + 1 rows,
+    # would outgrow it, with its message
+    need = max(build_ball(matrix, depth).size, depth + 1)
+    for cap in (need, need - 1):
         if cap >= 1:
             got = run_cli(capsys, ["stats", "--matrix", path, "--depth", str(depth),
                                    "--cap", str(cap)])
             assert got == stats_by_ball(matrix, depth, cap, "json")
-            assert got[0] == (0 if cap == total else 4)
+            assert got[0] == (0 if cap == need else 4)
 
 
 @pytest.mark.parametrize("size", ["tiny", "full"])
@@ -394,6 +405,36 @@ def test_ball_ends_with_a_finite_group(tmp_path):
                 for d in (depth, last)]
         assert [(p.returncode, p.stderr) for p in outs] == [(0, b""), (0, b"")]
         assert outs[0].stdout == outs[1].stdout
+
+
+def test_finite_rows_count_against_the_cap(tmp_path, capsys):
+    # past A2's longest element every row is 0, but each is still printed
+    path = matrix_file(tmp_path, {"m": [[1, 3], [3, 1]]})
+    for command in ("stats", "series"):
+        got = run_cli(capsys, [command, "--matrix", path, "--depth", "200", "--cap", "100"])
+        assert got == (4, "", "error: element cap 100 reached by the 201 rows of lengths 0..200\n")
+    code, out, _ = run_cli(capsys, ["stats", "--matrix", path, "--depth", "200", "--cap", "201"])
+    assert code == 0 and [row["c"] for row in json.loads(out)["table"]] == [1, 2, 2, 1] + [0] * 197
+
+
+def test_finite_counts_stop_at_the_longest_element(tmp_path, capsys, monkeypatch):
+    grown = []
+    grow = automaton.ShortLex.grow
+    monkeypatch.setattr(automaton.ShortLex, "grow",
+                        lambda self, length: grown.append(length) or grow(self, length))
+    path = matrix_file(tmp_path, {"m": [[1, 3], [3, 1]]})
+    code, out, _ = run_cli(capsys, ["stats", "--matrix", path, "--depth", "1000"])
+    assert code == 0 and len(json.loads(out)["table"]) == 1001
+    assert len(grown) <= 4
+
+
+def test_finite_group_at_a_huge_depth_exits_four(tmp_path):
+    path = matrix_file(tmp_path, {"m": [[1, 3], [3, 1]]})
+    proc = subprocess.run([sys.executable, "-m", "coxgrowth.cli", "stats", "--matrix", path,
+                           "--depth", str(10**9)], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("error: element cap 10000000 reached by the 1000000001 rows "
+                           "of lengths 0..1000000000\n")
 
 
 def test_ball_builds_one_automaton(tmp_path, capsys, monkeypatch):
@@ -687,6 +728,8 @@ def series_by_ball(argv):
     def counts_by_ball(matrix, depth, cap=10_000_000):
         calls.append(depth)
         stats = compute_stats(build_ball(matrix, depth, cap=cap))
+        if err := rows_over_cap(stats.c, cap):
+            raise err
         return list(stats.c), list(stats.d)
 
     out, err = io.StringIO(), io.StringIO()
@@ -700,17 +743,18 @@ def series_by_ball(argv):
 @pytest.mark.parametrize("data, depth", STATS_SYSTEMS)
 def test_series_prints_what_the_ball_counts(tmp_path, capsys, data, depth):
     path = matrix_file(tmp_path, data)
-    total = build_ball(load_matrix(path), depth).size
+    need = max(build_ball(load_matrix(path), depth).size, depth + 1)
     for points in ([], ["--eval", "1/2,1/3"]):
         argv = ["series", "--matrix", path, "--depth", str(depth), *points]
         got = run_cli(capsys, argv)
         assert got == series_by_ball(argv) and got[0] == 0
-        # the cap trips exactly when the ball would outgrow it, with its message
-        for cap in (total, total - 1):
+        # the cap trips exactly when the ball, or a finite group's depth + 1 rows,
+        # would outgrow it, with its message
+        for cap in (need, need - 1):
             if cap >= 1:
                 got = run_cli(capsys, argv + ["--cap", str(cap)])
                 assert got == series_by_ball(argv + ["--cap", str(cap)])
-                assert got[0] == (0 if cap == total else 4)
+                assert got[0] == (0 if cap == need else 4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -746,6 +790,15 @@ def test_series_builds_no_ball(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_ball", no_ball)
     for _, _, argv in perfbench_module("workloads").make_jobs("series", "tiny", 1, tmp_path):
         assert run_cli(capsys, argv)[0] == 0
+
+
+def test_series_checks_the_cap_before_expanding(tmp_path, capsys, monkeypatch):
+    expanded = []
+    monkeypatch.setattr(cli, "taylor_coefficients", lambda *args: expanded.append(args))
+    path = matrix_file(tmp_path, {"rank": 4, "uniform": 4})
+    got = run_cli(capsys, ["series", "--matrix", path, "--depth", "30", "--cap", "50"])
+    assert got == (4, "", "error: element cap 50 reached at length 3\n")
+    assert expanded == []
 
 
 def test_series_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):

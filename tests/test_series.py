@@ -8,7 +8,6 @@ from conftest import ORACLE_MATRICES, affine_a, coxeter_matrices, get_ball
 from coxgrowth import (
     INF,
     NegativeCoefficientError,
-    PoleAt,
     RationalFunction,
     SingularAtZeroError,
     SphereStats,
@@ -47,13 +46,14 @@ def test_normalization_reduces_common_factors():
 
 
 def test_normalization_clears_denominators_and_sign():
-    f = RationalFunction((Fraction(1, 2),), (Fraction(-3, 2), Fraction(1, 2)))
-    # scaled to integers with positive constant term downstairs
+    f = RationalFunction((1,), (-3, 1))
+    # integers with positive constant term downstairs
     assert f.den[0] > 0
     assert all(isinstance(c, int) for c in f.num + f.den)
     assert f.evaluate(0) == Fraction(-1, 3)
-    # a rational numerator over an integral denominator keeps its value
-    assert RationalFunction((Fraction(1, 2),), (1, 1)).evaluate(1) == Fraction(1, 4)
+    # coefficients are integers only
+    with pytest.raises(TypeError):
+        RationalFunction((Fraction(1, 2),), (1, 1))
 
 
 def test_singular_at_zero_rejected():
@@ -93,8 +93,8 @@ def test_evaluate_and_poles():
     assert RationalFunction((1, 2, 2, 2, 1)).evaluate(1) == 8
     geom = RationalFunction((1,), (1, -1))
     assert geom.evaluate(Fraction(1, 2)) == 2
-    hit = RationalFunction((1,), (1, -2)).evaluate(Fraction(1, 2))
-    assert hit == PoleAt(Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction((1,), (1, -2)).evaluate(Fraction(1, 2))
 
 
 @st.composite
@@ -199,6 +199,40 @@ def subset_by_subset(matrix):
 @pytest.mark.parametrize("matrix", ORACLE_MATRICES)
 def test_series_matches_subset_by_subset(matrix):
     f = rational_growth_series(matrix)
+    assert (f.num, f.den) == subset_by_subset(matrix)
+
+
+def diagram(rank, edges):
+    """The rank-rank matrix with label m on each edge (i, j, m) and 2 elsewhere."""
+    rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i, j, m in edges:
+        rows[i][j] = rows[j][i] = m
+    return validate_matrix(rows)
+
+
+FINITE_TYPES = [
+    pytest.param(diagram(0, []), id="rank0"),
+    pytest.param(diagram(1, []), id="A1"),
+    pytest.param(diagram(2, []), id="A1xA1"),
+    pytest.param(path_matrix([3]), id="A2"),
+    pytest.param(path_matrix([7]), id="I2(7)"),
+    pytest.param(path_matrix([4, 3]), id="B3"),
+    pytest.param(path_matrix([5, 3]), id="H3"),
+    pytest.param(path_matrix([5, 3, 3]), id="H4"),
+    pytest.param(path_matrix([3, 4, 3]), id="F4"),
+    pytest.param(path_matrix([3, 3, 3, 3, 3]), id="A6"),
+    pytest.param(path_matrix([4, 3, 3, 3, 3]), id="B6"),
+    pytest.param(diagram(5, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)]), id="D5"),
+    pytest.param(diagram(8, [(i, i + 1, 3) for i in range(6)] + [(2, 7, 3)]), id="E8"),
+    pytest.param(diagram(5, [(0, 1, 3), (2, 3, 4), (3, 4, 3)]), id="A2xB3"),
+]
+
+
+@pytest.mark.parametrize("matrix", FINITE_TYPES)
+def test_finite_series_is_the_exponent_product(matrix):
+    """Steinberg's sum gives a finite group's polynomial too (Solomon's identity)."""
+    f = rational_growth_series(matrix)
+    assert f == RationalFunction(poincare_polynomial(classify_subset(matrix, range(matrix.rank))))
     assert (f.num, f.den) == subset_by_subset(matrix)
 
 
