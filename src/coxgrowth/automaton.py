@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from math import inf as INF, prod
-from operator import getitem
 
 from .coxmatrix import CoxeterMatrix, cyclotomic_ring, reflection_rows
 from .errors import ResourceLimitError
@@ -35,6 +34,8 @@ START_BITS = 64
 # so this is a few MB, less than the interpreter itself; a smaller cap is
 # left to the element count, which trips where the ball's would.
 FREE_TERMS = 1 << 16
+# the set bits of each byte value
+_BITS = [[b for b in range(8) if v >> b & 1] for v in range(256)]
 
 
 def _atan_inverse(k: int, q: int) -> tuple[int, int]:
@@ -296,10 +297,15 @@ class ShortLex:
     Bit 2i of a state says that the small root beta_i of `SmallRoots` is in
     D, and bit 2i + 1 that it is in L.  Roots come by depth, so a state of a
     short element has only low bits, and `grow` finds the roots a layer
-    needs just before it.  s acts on a state one byte at a time through
-    tables, made for a byte when a state first reaches it, and the images
-    of distinct roots are distinct, so the bytes' images add up without
-    overlap.
+    needs just before it.  Per letter s an append-only list holds the
+    images of the bits: entry 2i + b is 1 << 2 act[s][i] + b, or 0 when
+    act[s][i] is -1.  `grow` appends the entries of the roots just visited
+    and never rewrites one, since a visited root's images are final: its
+    own visit sets them, or a shallower root's visit already did, and a
+    later visit only pairs a root with a deeper one.  A bit of a root not
+    yet visited has no entry, so it raises IndexError.  The images of
+    distinct roots are distinct, so a state's image is the sum of its
+    bits' images.
     """
 
     def __init__(self, matrix: CoxeterMatrix, depth: int, cap: int):
@@ -308,43 +314,26 @@ class ShortLex:
         self.simple = sum(1 << 2 * s for s in range(n))
         self.forbidding = self.simple << 1
         self.letters = []
-        # byte tables made, and bytes whose four roots had all their images at the last grow
-        self.made = self.final = 0
 
     def grow(self, length: int) -> None:
         """Ready the step from length - 1 to length: find the images of the roots it meets."""
         act = self.roots.extend(length)
         if not self.letters:
             # per letter: its L bit, what it adds (alpha_s to D; alpha_s and
-            # each small s alpha_t, t < s, to L) and its byte tables
+            # each small s alpha_t, t < s, to L) and the images of the bits
             self.letters = [(s, 2 << 2 * s, 1 << 2 * s | sum(2 << 2 * j for j in [s] + row[:s] if j >= 0),
                              []) for s, row in enumerate(act)]
-        # a table made before all four of its roots had their images is stale
-        for _, _, _, tables in self.letters:
-            del tables[self.final:]
-        self.made = min(self.made, self.final)
-        self.final = self.roots.done // 4
-
-    def _make(self, nbytes: int) -> None:
-        for s, _, _, tables in self.letters:
-            row = self.roots.act[s]
-            for k in range(self.made, nbytes):
-                table = [0]
-                for bit in range(8 * k, 8 * k + 8):
-                    i, in_l = divmod(bit, 2)
-                    j = row[i] if i < len(row) else -1
-                    x = 1 << 2 * j + in_l if j >= 0 else 0
-                    table += [y + x for y in table]
-                tables.append(table)
-        self.made = nbytes
+        for s, _, _, images in self.letters:
+            for j in act[s][len(images) // 2:self.roots.done]:
+                x = 1 << 2 * j if j >= 0 else 0
+                images += x, 2 * x
 
     def successors(self, state: int) -> list[tuple[int, int]]:
         """(s, state after s) for each letter s allowed after the state, s ascending."""
         data = state.to_bytes((state.bit_length() + 7) // 8, "little")
-        if len(data) > self.made:
-            self._make(len(data))
-        return [(s, base | sum(map(getitem, tables, data)))
-                for s, in_l, base, tables in self.letters if not state & in_l]
+        bits = [k + b for k, byte in zip(range(0, 8 * len(data), 8), data) for b in _BITS[byte]]
+        return [(s, base | sum(map(images.__getitem__, bits)))
+                for s, in_l, base, images in self.letters if not state & in_l]
 
     def descents(self, state: int) -> tuple[int, ...]:
         return tuple(s for s in range(self.rank) if state >> 2 * s & 1)
@@ -354,15 +343,18 @@ def _layers(auto: ShortLex, depth: int, cap: int):
     """The count walk: for each length 1..depth, how many elements reach each state.
 
     A layer maps states to counts, so it never holds more states than
-    elements.  The walk stops before the first empty length, where a finite
-    group's ball ends.  Raises ResourceLimitError, as build_ball does, at
-    the first length whose running total of elements exceeds cap.  A layer
-    is counted before the roots it needs are found, so the cap stops the
-    walk there; the roots found by then raise it only if their terms pass
+    elements.  The walk keeps the successors of the last layer's states, so
+    a state that recurs from one length to the next is stepped once while
+    it recurs, and it holds the states of two lengths.  The walk stops
+    before the first empty length, where a finite group's ball ends.
+    Raises ResourceLimitError, as build_ball does, at the first length
+    whose running total of elements exceeds cap.  A layer is counted
+    before the roots it needs are found, so the cap stops the walk there;
+    the roots found by then raise it only if their terms pass
     max(cap, FREE_TERMS).
     """
     n = auto.rank
-    layer, total = {0: 1}, 1
+    layer, total, steps = {0: 1}, 1, {}
     for length in range(1, depth + 1):
         # the letters allowed after a state are those whose simple root is not in L
         size = sum(count * (n - (state & auto.forbidding).bit_count())
@@ -373,9 +365,11 @@ def _layers(auto: ShortLex, depth: int, cap: int):
         if total > cap:
             raise ResourceLimitError(f"element cap {cap} reached at length {length}")
         auto.grow(length)
+        steps = {state: steps[state] if state in steps else auto.successors(state)
+                 for state in layer}
         below, layer = layer, {}
         for state, count in below.items():
-            for _, new in auto.successors(state):
+            for _, new in steps[state]:
                 layer[new] = layer.get(new, 0) + count
         yield layer
 
@@ -409,15 +403,18 @@ def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
 def _lines(auto: ShortLex, depth: int):
     yield '{"desc": [], "i": 0, "w": ""}\n'
     # a layer: the words, the distinct states, and each word's index into them
-    words, ids, states = [""], [0], [0]
+    words, ids, states, steps = [""], [0], [0], {}
     for length in range(1, depth + 1):
         index = {}  # the next layer's distinct states, numbered as found
         # per state: its children's lines split where the word goes, their last
         # letters, and their indices
         pieces, letters, children = [], [], []
-        for state in states:
+        # as in `_layers`, a state of the last layer keeps its successors
+        steps = {state: steps[state] if state in steps else auto.successors(state)
+                 for state in states}
+        for successors in steps.values():
             line, letter, kids = [""], [""], []
-            for s, new in auto.successors(state):
+            for s, new in successors:
                 line[-1] += '{"desc": [%s], "i": %d, "w": "' % (
                     ", ".join(map(str, auto.descents(new))), length)
                 line.append('%d"}\n' % s)
@@ -434,7 +431,7 @@ def _lines(auto: ShortLex, depth: int):
             words = "".join(map(str.join, words, map(letters.__getitem__, ids))).split("\n")
             words.pop()
             ids = list(chain.from_iterable(map(children.__getitem__, ids)))
-            states = list(index)
+            states = index
 
 
 def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):

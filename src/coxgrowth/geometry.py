@@ -133,6 +133,18 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     each new gate's images from the prefix it shares with the gate before.
     `checked` counts the distinct wall pairs seen; a failure names each wall
     by a reflection word.  Needs every rank-3 subsystem infinite.
+
+    The roots are those of the matrix with every label above 4 depth made
+    inf, as `SmallRoots` does with labels above depth; the rank-3 gate
+    reads the true labels.  Each wall is a reflection c x c^-1 with
+    length(c) <= depth - 1, so two walls are equal exactly when a word of
+    length <= 4 depth - 2 is trivial.  By Tits' word property
+    (Bjorner-Brenti Thm 3.3.1) such a word reaches the empty word by
+    deletions of ss and braid moves that never lengthen it, so each move
+    has a label of at most 4 depth - 2 and holds in both groups; and a
+    word trivial in the group with more labels inf is trivial in the
+    original, which is its quotient.  So both groups have the same equal
+    walls, and a label that no residue can reach never enters the ring.
     """
     if gate:
         for subset in combinations(range(ball.matrix.rank), 3):
@@ -143,7 +155,9 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     from .roots import Roots  # only L24 needs the ring; other commands never load it
 
     n = ball.matrix.rank
-    roots = Roots(ball.matrix)
+    bound = 4 * ball.depth
+    roots = Roots(ball.matrix._replace(entries=tuple(
+        tuple(INF if m > bound else m for m in row) for row in ball.matrix.entries)))
     images_of = roots.images(ball)
     walls = {}  # rendered root -> wall id
     origins = []  # wall id -> chamber * n + letter of its first residue

@@ -36,6 +36,7 @@ from coxgrowth import polys
 from coxgrowth.automaton import (
     FREE_TERMS,
     START_BITS,
+    ShortLex,
     SmallRoots,
     _Ring,
     export_lines,
@@ -390,3 +391,36 @@ def test_small_root_terms_count_against_the_cap():
     roots = SmallRoots(matrix, 400, cap=10**6)
     assert len(roots.extend(401)[0]) == 400
     assert FREE_TERMS < 10**6 - roots.ring.left < 10**6
+
+
+def count_successors(monkeypatch):
+    calls = []
+    successors = ShortLex.successors
+    monkeypatch.setattr(ShortLex, "successors",
+                        lambda self, state: calls.append(state) or successors(self, state))
+    return calls
+
+
+def test_a_recurring_state_is_stepped_once(monkeypatch):
+    # u44 has 66 states; stepping every state of every layer took 1,580 calls
+    calls = count_successors(monkeypatch)
+    sphere_counts(uniform_matrix(4, 4), 30, cap=10**30)
+    assert len(calls) == len(set(calls)) == 66
+
+
+def test_the_lines_walk_steps_a_recurring_state_once(monkeypatch):
+    # the count walk and the lines walk each step a state once; stepping
+    # every state of every layer took 598 calls
+    calls = count_successors(monkeypatch)
+    list(export_lines(uniform_matrix(4, 4), 9))
+    assert len(calls) <= 2 * 66
+
+
+def test_a_bit_of_an_unvisited_root_raises():
+    # a root's images come when it is visited, so a bit of a root not yet
+    # visited raises rather than read an image that a later visit could change
+    auto = ShortLex(uniform_matrix(3, 4), 10, cap=INF)
+    auto.grow(1)
+    assert auto.successors(1)
+    with pytest.raises(IndexError):
+        auto.successors(1 << 2 * auto.roots.done)

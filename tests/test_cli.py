@@ -890,6 +890,17 @@ def test_module_entry_point(tmp_path):
     }
 
 
+def test_l24_builds_no_ring_for_labels_no_residue_reaches(tmp_path):
+    # at depth 4 no residue reaches a label of 101, 103 or 107; their ring
+    # has N = 2,226,242, and building it took 20 s and 1 GB for 0 wall pairs
+    path = matrix_file(tmp_path, {"m": [[1, 101, 103], [101, 1, 107], [103, 107, 1]]})
+    proc = subprocess.run([sys.executable, "-m", "coxgrowth.cli", "verify", "--matrix", path,
+                           "--depth", "4", "--suite", "L24"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "L24: holds (0 checked)\n")
+    assert json.loads(proc.stdout)["suites"][0]["checked"] == 0
+
+
 def test_only_verify_loads_the_roots_of_l24(tmp_path):
     # each command runs in a fresh interpreter, so sys.modules shows what it imported
     script = ("import contextlib, io, sys\n"

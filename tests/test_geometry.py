@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import coxeter_matrices, get_ball, perfbench_matrices
@@ -29,7 +29,7 @@ from coxgrowth import (
     verify_projection_collapse,
     verify_wall_pair_uniqueness,
 )
-from coxgrowth import polys
+from coxgrowth import polys, roots as roots_module
 from coxgrowth.ball import _alternating
 from coxgrowth.geometry import _word_str
 from coxgrowth.report import Comparison, VerificationReport
@@ -637,6 +637,20 @@ def test_wall_pair_uniqueness_memory_with_large_labels():
         tracemalloc.stop()
     assert report.holds and report.checked == 1_991
     assert peak <= 4.5 * 1024 * 1024
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(max_rank=4, labels=(2, 3, 4, 13, 16, INF)), st.integers(3, 4))
+@example(validate_matrix([[1, 13, 16, 3], [13, 1, 4, INF], [16, 4, 1, 2], [3, INF, 2, 1]]), 3)
+def test_walls_in_the_bounded_ring_match_the_full_ring(matrix, depth):
+    # L24 reads labels above 4 depth as inf: at depth 3 the ring of 13 and 16
+    # (N = 416) is not built, and the full ring must find the same equal walls
+    ball = build_ball(matrix, depth)
+    bounded = verify_wall_pair_uniqueness(ball, gate=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots_module, "Roots", lambda _: Roots(matrix))
+        full = verify_wall_pair_uniqueness(ball, gate=False)
+    assert bounded == full
 
 
 def test_wall_pair_uniqueness_gate():
