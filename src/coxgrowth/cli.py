@@ -8,15 +8,19 @@ matrix or flag value, 4 element cap exceeded, 5 a verification suite
 failed on its validity range, 6 series coefficients disagree with the
 enumerated sphere sizes.
 
+stats, series and verify count with automaton.sphere_counts under one cap rule,
+which verify meets before it builds a ball for its geometry suites alone.
 verify and series bind the modules only they run with the package's `_bind`,
-and every package export resolves as cli.<name> before that; a name set on
-cli first, by a tracer or by monkeypatch, is the one the command calls.
+and every package export resolves as cli.<name> before that; a name set on cli
+first, by a tracer or by monkeypatch, is the one the command calls.  main
+builds the parser once, and set_defaults binds the cmd_* functions then.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import _bind, _lazy
 from .coxmatrix import (
@@ -41,8 +45,15 @@ EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 EXIT_COEFF = 6
 
-# each suite as runner(stats, ball, gate), in the order they run; the lambdas
-# look their names up at call time, so a timer rebound onto those names sees the calls
+# each suite as runner(stats, ball, gate), in the order they run, the geometry suites
+# (which alone read a ball) last; the lambdas look their names up at call time, so a
+# timer rebound onto those names sees the calls
+_GEOMETRY = {
+    "P29": lambda stats, ball, gate: verify_projection_collapse(ball, gate=gate),
+    "C210": lambda stats, ball, gate: verify_exit_ascent(ball, gate=gate),
+    "L211": lambda stats, ball, gate: verify_not_both_down(ball, gate=gate),
+    "L24": lambda stats, ball, gate: verify_wall_pair_uniqueness(ball, gate=gate),
+}
 _SUITES = {
     "L32": lambda stats, ball, gate: verify_two_descent_recursion(stats, gate=gate),
     "L33": lambda stats, ball, gate: verify_up_edge_balance(stats, gate=gate),
@@ -51,10 +62,7 @@ _SUITES = {
     "L45": lambda stats, ball, gate: verify_descent_sum_lower(stats, gate=gate),
     "k-ratio": lambda stats, ball, gate: verify_descent_ratio(
         stats, descent_ratio_floor(stats.n, stats.m), gate=gate),
-    "P29": lambda stats, ball, gate: verify_projection_collapse(ball, gate=gate),
-    "C210": lambda stats, ball, gate: verify_exit_ascent(ball, gate=gate),
-    "L211": lambda stats, ball, gate: verify_not_both_down(ball, gate=gate),
-    "L24": lambda stats, ball, gate: verify_wall_pair_uniqueness(ball, gate=gate),
+    **_GEOMETRY,
 }
 
 
@@ -141,6 +149,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .automaton import sphere_counts
+
     matrix, depth = _load(args)
     if args.suite is None:
         tokens = list(_SUITES)
@@ -148,16 +158,16 @@ def cmd_verify(args) -> int:
         # a repeated suite runs once, at its first position
         tokens = list(dict.fromkeys(
             tok.strip() for tok in args.suite.split(",") if tok.strip()))
-        if not tokens:
-            raise ValueError(f"no suite selected; choose from {', '.join(_SUITES)}")
         unknown = [tok for tok in tokens if tok not in _SUITES]
-        if unknown:
-            raise ValueError(
-                f"unknown suite {unknown}; choose from {', '.join(_SUITES)}"
-            )
-    _bind(globals(), "ball", "stats", "geometry")
-    ball = build_ball(matrix, depth, cap=args.cap)
-    stats = compute_stats(ball)
+        if unknown or not tokens:
+            what = f"unknown suite {unknown}" if unknown else "no suite selected"
+            raise ValueError(f"{what}; choose from {', '.join(_SUITES)}")
+    _bind(globals(), "stats")
+    c, d = sphere_counts(matrix, depth, cap=args.cap)
+    stats, ball = SphereStats(matrix, tuple(c), tuple(d)), None
+    if any(token in _GEOMETRY for token in tokens):
+        _bind(globals(), "ball", "geometry")
+        ball = build_ball(matrix, depth, cap=args.cap)
     gate = not args.no_hypothesis_gate
 
     reports = []
@@ -271,6 +281,7 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxgrowth",

@@ -44,7 +44,8 @@ class SphereStats(namedtuple("SphereStats", "matrix c d")):
 
 
 def compute_stats(ball) -> SphereStats:
-    """c_i from a Ball's layer sizes, d_i from its descent masks with one bit set."""
+    """c_i from a Ball's layer sizes, d_i from its descent masks with one bit set: the
+    ball-side oracle of automaton.sphere_counts, which stats, series and verify count with."""
     d = tuple(list(map(int.bit_count, ball.descents[r.start:r.stop])).count(1)
               for r in map(ball.layer, range(ball.depth + 1)))
     return SphereStats(ball.matrix, tuple(ball.layer_sizes()), d)

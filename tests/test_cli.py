@@ -600,6 +600,101 @@ def test_verify_gated_failure_exits_five(tmp_path, capsys, monkeypatch):
     assert "FAILS" in err
 
 
+COUNTING = "L32,L33,L34,L35,L45,k-ratio"
+
+
+@pytest.mark.parametrize("data, depth", STATS_SYSTEMS)
+def test_verify_prints_what_the_ball_counts(tmp_path, capsys, data, depth):
+    path = matrix_file(tmp_path, data)
+    need = max(build_ball(load_matrix(path), depth).size, depth + 1)
+    for flags in ([], ["--suite", COUNTING], ["--no-hypothesis-gate"]):
+        argv = ["verify", "--matrix", path, "--depth", str(depth), *flags]
+        got = run_cli(capsys, argv)
+        assert got == verify_by_ball(argv) and got[0] == 0
+        # the cap trips exactly when the ball, or a finite group's depth + 1 rows,
+        # would outgrow it, with its message
+        for cap in (need, need - 1):
+            if cap >= 1:
+                got = run_cli(capsys, argv + ["--cap", str(cap)])
+                assert got == verify_by_ball(argv + ["--cap", str(cap)])
+                assert got[0] == (0 if cap == need else 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(max_rank=5, labels=(2, 3, 4, 5, 6, 7, INF)),
+       st.integers(0, 6), st.integers(1, 500),
+       st.sampled_from([[], ["--suite", COUNTING], ["--no-hypothesis-gate"]]))
+def test_verify_prints_what_the_ball_counts_random(tmp_path_factory, matrix, depth, cap,
+                                                   flags):
+    path = tmp_path_factory.mktemp("verify") / "matrix.json"
+    path.write_text(json.dumps(matrix_to_data(matrix)), encoding="utf-8")
+    argv = ["verify", "--matrix", str(path), "--depth", str(depth), "--cap", str(cap),
+            *flags]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == verify_by_ball(argv)
+
+
+def test_verify_builds_a_ball_for_the_geometry_suites_only(tmp_path, capsys, monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the counting suites built a ball")
+
+    jobs = perfbench_module("workloads").make_jobs("verify", "tiny", 1, tmp_path)
+    monkeypatch.setattr(cli, "build_ball", no_ball)
+    for _, _, argv in jobs:
+        code, payload, _ = run_json(capsys, argv + ["--suite", COUNTING])
+        assert code == 0 and payload["all_hold"] and payload["suites"]
+    built = []
+    monkeypatch.setattr(cli, "build_ball", lambda *args, **kwargs: built.append(args)
+                        or build_ball(*args, **kwargs))
+    for _, _, argv in jobs:
+        assert run_cli(capsys, argv)[0] == 0
+    assert len(built) == len(jobs)
+
+
+@pytest.mark.parametrize("data, depth, checked", [
+    ({"rank": 4, "uniform": 4}, 40,
+     [("L32", 36), ("L33", 35), ("L34", 70), ("L35", 70), ("L45", 40), ("k-ratio", 36)]),
+    ({"rank": 3, "uniform": 4}, 60,
+     [("L32", 56), ("L33", 55), ("L34", 110), ("L35", 110), ("k-ratio", 56)]),
+], ids=["u44", "t444"])
+def test_counting_lemmas_hold_past_the_balls_reach(tmp_path, capsys, monkeypatch, data, depth,
+                                                   checked):
+    # these balls hold 2.7e18 and 8.4e14 elements, which no memory holds; the automaton
+    # counts them in about 0.1 s, and a run that tried to build one fails at once
+    monkeypatch.setattr(cli, "build_ball", lambda *args, **kwargs: pytest.fail("built a ball"))
+    argv = ["verify", "--matrix", matrix_file(tmp_path, data), "--depth", str(depth),
+            "--suite", COUNTING, "--cap", str(10**30)]
+    code, payload, _ = run_json(capsys, argv)
+    assert code == 0 and payload["all_hold"]
+    assert [(entry["lemma"], entry["checked"]) for entry in payload["suites"]] == checked
+
+
+def test_verify_counts_a_finite_groups_rows_against_the_cap(tmp_path, capsys):
+    path = matrix_file(tmp_path, {"m": [[1, 3], [3, 1]]})
+    got = run_cli(capsys, ["verify", "--matrix", path, "--depth", "200", "--cap", "100"])
+    assert got == (4, "", "error: element cap 100 reached by the 201 rows of lengths 0..200\n")
+    # the rows are refused before any is made, so a huge depth exits at once
+    proc = subprocess.run([sys.executable, "-m", "coxgrowth.cli", "verify", "--matrix", path,
+                           "--depth", str(10**9), "--suite", "L32"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("error: element cap 10000000 reached by the 1000000001 rows "
+                           "of lengths 0..1000000000\n")
+
+
+def test_verify_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
+    # the 801 elements fit a cap of 1000, but the terms of the 400 small roots
+    # that `verify` walks, as `stats` does, do not
+    path = matrix_file(tmp_path, {"m": [[1, 400], [400, 1]]})
+    argv = ["verify", "--matrix", path, "--depth", "400"]
+    assert run_cli(capsys, argv + ["--cap", "1000"]) == (
+        4, "", "error: element cap 1000 reached by the terms of the small roots\n")
+    got = run_cli(capsys, argv)
+    assert got == verify_by_ball(argv) and got[0] == 0
+
+
 # -- series -------------------------------------------------------------------
 
 
@@ -717,27 +812,36 @@ def test_series_disagreement_exits_six(tmp_path, capsys, monkeypatch):
     assert "disagree" in err
 
 
-def series_by_ball(argv):
-    """(exit code, stdout, stderr) of `series` when it built the ball to count.
+def counts_by_ball(matrix, depth, cap=10_000_000):
+    """sphere_counts as build_ball and compute_stats gave them, with the ball's cap
+    and then a finite group's depth + 1 rows counted against it."""
+    stats = compute_stats(build_ball(matrix, depth, cap=cap))
+    if err := rows_over_cap(stats.c, cap):
+        raise err
+    return list(stats.c), list(stats.d)
 
-    The ball's counts and cap stand in for the automaton's, as build_ball and
-    compute_stats gave them before `series` walked the small roots.
+
+def counted_by_ball(argv):
+    """(exit code, stdout, stderr) of `series` or `verify` when the ball gave the counts.
+
+    counts_by_ball stands in for automaton.sphere_counts, so the command runs
+    as it did when it built the ball to count.
     """
     calls = []
 
-    def counts_by_ball(matrix, depth, cap=10_000_000):
-        calls.append(depth)
-        stats = compute_stats(build_ball(matrix, depth, cap=cap))
-        if err := rows_over_cap(stats.c, cap):
-            raise err
-        return list(stats.c), list(stats.d)
+    def counts(*args, **kwargs):
+        calls.append(args)
+        return counts_by_ball(*args, **kwargs)
 
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
-        patch.setattr(automaton, "sphere_counts", counts_by_ball)
+        patch.setattr(automaton, "sphere_counts", counts)
         code = cli.main(argv)
-    assert calls, "series no longer counts through automaton.sphere_counts"
+    assert calls, f"{argv[0]} no longer counts through automaton.sphere_counts"
     return code, out.getvalue(), err.getvalue()
+
+
+series_by_ball = verify_by_ball = counted_by_ball
 
 
 @pytest.mark.parametrize("data, depth", STATS_SYSTEMS)

@@ -46,6 +46,24 @@ print(json.dumps([name for name in coxgrowth.__all__
                   if getattr(cli, name) is not getattr(coxgrowth, name)]))
 """
 
+# the top-level parsers that three cli.main calls build
+PARSERS_BUILT = """
+import argparse, contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from coxgrowth import cli
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(sys.argv[2:]) for _ in range(3)]
+print(json.dumps([codes, built.count("coxgrowth")]))
+"""
+
 
 def fresh(script, *args):
     proc = subprocess.run([sys.executable, "-S", "-c", script, SRC, *args],
@@ -95,9 +113,17 @@ def test_counting_commands_load_no_geometry(tmp_path, command):
     assert not package(loaded(tmp_path, command, "--depth", "6")) & {"ball", "geometry", "roots"}
 
 
-def test_counting_suites_load_no_series_or_automaton(tmp_path):
+def test_counting_suites_load_no_ball_geometry_or_series(tmp_path):
+    # they read the automaton's counts, as stats does; only the geometry suites read a ball
     modules = package(loaded(tmp_path, "verify", "--depth", "6", "--suite", "L32"))
-    assert "stats" in modules and not modules & {"series", "automaton"}
+    assert {"stats", "automaton"} <= modules
+    assert not modules & {"ball", "geometry", "roots", "series"}
+
+
+def test_main_builds_one_parser_across_calls(tmp_path):
+    path = tmp_path / "t444.json"
+    path.write_text('{"rank": 3, "uniform": 4}', encoding="utf-8")
+    assert fresh(PARSERS_BUILT, "stats", "--matrix", str(path), "--depth", "3") == [[0, 0, 0], 1]
 
 
 def test_every_export_resolves_on_use():
