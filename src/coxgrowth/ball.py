@@ -221,11 +221,15 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = matrix.rank
-    # rank-2 orders as ints, None when infinite (no finite chain to walk)
-    orders = [
-        [None if matrix.order(s, t) == INF else int(matrix.order(s, t)) for t in range(n)]
-        for s in range(n)
-    ]
+    # per letter s, for each t with m_st finite: the m_st - 1 letters t, s, ...
+    # that walk down from w to the gate of w<s,t> when x = ws tops that residue,
+    # and the m_st - 1 letters of the opposite chain that climb from the gate to xt
+    chains = [[] for _ in range(n)]
+    for s, row in enumerate(matrix.entries):
+        for t, m in enumerate(row):
+            if t != s and m != INF:
+                down = _alternating(t, s, int(m) - 1)
+                chains[s].append((t, down, down if m % 2 else _alternating(s, t, int(m) - 1)))
     parent = [-1]
     letter = [-1]
     lengths = [0]
@@ -241,38 +245,32 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
                     raise ResourceLimitError(
                         f"element cap {cap} reached at length {layer + 1}"
                     )
-                # new element x = w*s; find every other descent t by testing
-                # whether the chain w, wt, wts, ... descends m_st - 1 times
-                downs = [(w, s)]
-                for t in range(n):
-                    if t == s or orders[s][t] is None:
-                        continue
-                    m = orders[s][t]
-                    cur, a, b = w, t, s
-                    for _ in range(m - 1):
+                # new element x = w*s, whose other descents t are those where
+                # the chain w, wt, wts, ... descends m_st - 1 times
+                x = len(lengths)
+                row = [-1] * n
+                row[s] = w
+                edges[w][s] = x
+                mask = 1 << s
+                for t, down, up in chains[s]:
+                    cur = w
+                    for a in down:
                         if not descents[cur] >> a & 1:
                             break
-                        cur, a, b = edges[cur][a], b, a
+                        cur = edges[cur][a]
                     else:
                         # cur is the residue gate; climb the opposite chain to x*t
-                        a, b = (s, t) if m % 2 == 0 else (t, s)
-                        for _ in range(m - 1):
+                        for a in up:
                             cur = edges[cur][a]
-                            a, b = b, a
-                        downs.append((cur, t))
-                x = len(lengths)
+                        row[t] = cur
+                        edges[cur][t] = x
+                        mask |= 1 << t
                 # (w, s) is met first, so w is x's lowest-index lower neighbour;
                 # layers are in ShortLex order, so w's word plus s is x's least
                 # reduced word
                 parent.append(w)
                 letter.append(s)
                 lengths.append(layer + 1)
-                row = [-1] * n
-                mask = 0
-                for v, t in downs:
-                    row[t] = v
-                    edges[v][t] = x
-                    mask |= 1 << t
                 edges.append(row)
                 descents.append(mask)
         offsets.append(len(lengths))

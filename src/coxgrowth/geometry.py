@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import combinations, groupby
 from math import inf as INF
-from operator import neg, sub
 
 from .ball import Ball, _alternating
 from .coxmatrix import classify_subset, require_complete_two_spherical
@@ -157,20 +156,21 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     n = ball.matrix.rank
     bound = 4 * ball.depth
     roots = Roots(ball.matrix._replace(entries=tuple(
-        tuple(INF if m > bound else m for m in row) for row in ball.matrix.entries)))
+        tuple(INF if m > bound else m for m in row) for row in ball.matrix.entries)),
+        ball.lengths[-1])
     images_of = roots.images(ball)
-    walls = {}  # rendered root -> wall id
+    walls = {}  # root key -> wall id
     origins = []  # wall id -> chamber * n + letter of its first residue
     pairs = []  # a << 32 | b for walls a < b, once per residue
     for g, s, t in rank2_complete_residues(ball):
         images = images_of(g)
         m = ball.matrix.order(s, t)
-        prev, cur = list(map(neg, images[t])), images[s]
+        prev, cur = -images[t], images[s]
         chamber, x, y = g, s, t
         ids = []
         for k in range(m):
             if k:
-                prev, cur = cur, list(map(sub, roots.times(m, cur), prev))
+                prev, cur = cur, roots.times(m, cur) - prev
             key = roots.key(cur)
             wall = walls.get(key)
             if wall is None:

@@ -2,14 +2,14 @@
 
 A wall of the Coxeter complex is named exactly by its root up to sign;
 the arithmetic is integer only, so two walls are equal exactly when their
-rendered keys are.  Only L24 loads this module.
+keys are.  Only L24 loads this module.
 """
 from __future__ import annotations
 
+import sys
 from math import inf as INF
-from operator import add, itemgetter, mul, neg, sub
+from operator import itemgetter, mul, neg, sub
 
-from .ball import Ball
 from .coxmatrix import cyclotomic_ring, reflection_rows
 
 
@@ -20,20 +20,59 @@ class Roots:
     zeta^(N/2) = -1 and the arithmetic runs in Z[x]/(x^(N/2) + 1), where
     multiplication by c_st = -2B(alpha_s, alpha_t) = zeta^a + zeta^-a
     (a = N/2m_st) is two shifts that negate what wraps around; c_st is 1
-    for m_st = 3, 0 for 2 and 2 for inf.  A vector is one flat list with
-    coefficient e of coordinate j at e * rank + j, so a shift of the whole
-    vector is one slice.  The reflection s maps alpha_s to -alpha_s and
+    for m_st = 3, 0 for 2 and 2 for inf.  A vector has coefficient e of
+    coordinate j at digit e * rank + j, and is packed into one int as the
+    sum of its digits times 2^(width * index), each digit a signed int of
+    absolute value below 2^(width - 1).  Sums, differences and negations of
+    vectors are then single int operations, and x^a of a whole vector is
+    two splits and shifts.  The reflection s maps alpha_s to -alpha_s and
     alpha_j to alpha_j + c_sj alpha_s, so `images` takes an element's images
     of the simple roots from its parent's.  Only `key` maps a root into
     Z[zeta_N] itself, to its one form in an integer basis.
+
+    The width holds every coefficient L24 forms on a ball whose longest
+    element has length `longest` = L.  A reflection step adds c_sj times
+    one coordinate to another, and c_sj has at most two terms of
+    coefficient +-1 or one of 2, so it at most triples the largest
+    coefficient: an element of length l has images of the simple roots
+    with coefficients at most 3^l.  The walls of a residue g<s,t> follow
+    gamma_(k+1) = c_st gamma_k - gamma_(k-1), which at most triples the
+    largest coefficient again, from gamma_(-1) = -g alpha_t and gamma_0 =
+    g alpha_s; the residue's top chamber has length l(g) + m_st <= L, so
+    each gamma_k, k < m_st, stays within 3^(l(g) + k) <= 3^L.  A width w
+    with 3^L <= 2^(w - 1) - 1 therefore keeps every digit apart from its
+    neighbours.  It is found without forming 3^L: 1585/1000 > log2(3).
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, longest: int):
         n = matrix.rank
         big, two, odd = cyclotomic_ring(matrix)
         self.big = big
         self.rank = n
         self.reflection = reflection_rows(matrix)
+        count = n * big // 2
+        # bytes per digit: the bits of 3^longest, a sign bit and one to spare,
+        # and 1, 2, 4 or 8 bytes where that is enough, which memoryview.cast reads
+        size = ((longest * 1585 + 999) // 1000 + 2 + 7) // 8
+        if size <= 8:
+            size = 1 << (size - 1).bit_length()
+        self.width = 8 * size
+        self._size = size
+        self._count = count
+        # the fields are written little-endian; memoryview.cast reads native order
+        little = sys.byteorder == "little"
+        self._format = {1: "b", 2: "h", 4: "i", 8: "q"}.get(size) if little else None
+        # 2^(width - 1) in every digit, built as bytes: a sum of count shifted
+        # ints costs count^2 digit copies
+        self._bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+        # per label m above 3: x^a moves a digit a * rank places; low-part
+        # masks for a split after a * rank and after count - a * rank digits
+        self._shifts = {}
+        for m in {m for row in self.reflection for _, m in row if 3 < m < INF}:
+            up = big // (2 * int(m)) * n * self.width
+            down = count * self.width - up
+            self._shifts[m] = (up, down, 1 << (up - 1), (1 << up) - 1,
+                               1 << (down - 1), (1 << down) - 1)
         # Z[x]/(x^(N/2) + 1) is Z[y]/(y^h + 1) (2h the power of 2 in N) times
         # Z[x]/(x^q - 1) for each odd prime power q || N: x^e goes to
         # +-y^(e mod h) times digit e mod q on the axis of q (the CRT), with
@@ -41,7 +80,8 @@ class Roots:
         # by one permutation; then its Phi_q = sum of y^(v q/p) over v < p
         # drops the top chunk of q/p digits into the p - 1 below it.  What is
         # left is the integer basis of Z[zeta_N] made of the products of the
-        # axes' power bases.
+        # axes' power bases.  With N a power of 2 there is no odd axis and
+        # every sign is +, so that basis is the digits themselves.
         h = two // 2
         cells = [(e % h, *(e % q for _, q in odd), j)
                  for e in range(big // 2) for j in range(n)]
@@ -54,20 +94,41 @@ class Roots:
             self._stages.append((itemgetter(*order), p, chunk))
             cells = [cells[c] for c in order[:(p - 1) * chunk]]
 
-    def times(self, m, w: list[int]) -> list[int]:
-        """c_st w for the label m = m_st and a whole vector w.  May return w itself."""
-        if m == INF:
-            return list(map(add, w, w))
-        if m == 3:
-            return w
-        if m == 2:
-            return [0] * len(w)
-        # x^a moves each coefficient a * rank places in the vector
-        a = self.big // (2 * int(m)) * self.rank
-        return list(map(add, list(map(neg, w[-a:])) + w[:-a], w[a:] + list(map(neg, w[:a]))))
+    def pack(self, v: list[int]) -> int:
+        """The packed form of a vector of digits, each below 2^(width - 1) in size."""
+        fields = b"".join(a.to_bytes(self._size, "little", signed=True) for a in v)
+        # the top bit of a two's complement field flipped gives the digit plus
+        # 2^(width - 1), with no carry: subtracting the bias leaves the digits
+        return (int.from_bytes(fields, "little") ^ self._bias) - self._bias
 
-    def images(self, ball: Ball):
-        """A function g -> [g alpha_x for each letter x], for g in the ball.
+    def unpack(self, root: int) -> list[int]:
+        """The digits of a packed vector, each below 2^(width - 1) in size."""
+        size = self._size
+        raw = ((root + self._bias) ^ self._bias).to_bytes(self._count * size, "little")
+        if self._format:
+            return memoryview(raw).cast(self._format).tolist()
+        return [int.from_bytes(raw[i:i + size], "little", signed=True)
+                for i in range(0, len(raw), size)]
+
+    def times(self, m, root: int) -> int:
+        """c_st root for the label m = m_st and a packed vector."""
+        if m == INF:
+            return root << 1
+        if m == 3:
+            return root
+        if m == 2:
+            return 0
+        # root = low + high 2^down with |low| < 2^(down - 1), so x^a root =
+        # low 2^up - high, the top digits wrapping round negated; split at up
+        # likewise, root = low' + high' 2^up, and x^-a root = high' - low' 2^down
+        up, down, up_half, up_mask, down_half, down_mask = self._shifts[m]
+        top = root + down_half
+        bottom = root + up_half
+        return ((((top & down_mask) - down_half) << up) - (top >> down)
+                + (bottom >> up) - (((bottom & up_mask) - up_half) << down))
+
+    def images(self, ball):
+        """A function g -> [g alpha_x for each letter x], packed, for g in the ball.
 
         It keeps the images of the prefixes of the last element asked for,
         one list per length: g = p s gives g alpha_s = -p alpha_s and
@@ -76,16 +137,12 @@ class Roots:
         letter after it.  Elements asked for in ShortLex order share long
         prefixes.  The lists returned are shared: do not change them.
         """
-        n, half = self.rank, self.big // 2
-        unit = []
-        for x in range(n):
-            v = [0] * (n * half)
-            v[x] = 1
-            unit.append(v)
+        unit = [1 << x * self.width for x in range(self.rank)]
         chain, stack = [0], [unit]  # the prefixes of the last element, by length
         parent, letter, lengths = ball.parent, ball.letter, ball.lengths
+        times, reflection = self.times, self.reflection
 
-        def at(g: int) -> list[list[int]]:
+        def at(g: int) -> list[int]:
             path, k = [], lengths[g]
             while k >= len(chain) or chain[k] != g:
                 path.append(g)
@@ -93,11 +150,11 @@ class Roots:
             del chain[k + 1:], stack[k + 1:]
             for g in reversed(path):
                 s = letter[g]
-                below = stack[-1]
-                now = list(below)
-                now[s] = list(map(neg, below[s]))
-                for j, m in self.reflection[s]:
-                    now[j] = list(map(add, below[j], self.times(m, below[s])))
+                now = stack[-1][:]
+                root = now[s]
+                now[s] = -root
+                for j, m in reflection[s]:
+                    now[j] += times(m, root)
                 chain.append(g)
                 stack.append(now)
             return stack[-1]
@@ -117,9 +174,12 @@ class Roots:
             v = out
         return v
 
-    def key(self, root: list[int]) -> str:
-        """The root up to sign, rendered with its first nonzero coefficient positive."""
-        flat = self.reduce(root)
+    def key(self, root: int) -> int | str:
+        """The root up to sign: itself or its negation when N is a power of 2,
+        else its reduction rendered with the first nonzero coefficient positive."""
+        if not self._stages:
+            return abs(root)
+        flat = self.reduce(self.unpack(root))
         for a in flat:
             if a:
                 break

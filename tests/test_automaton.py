@@ -242,7 +242,7 @@ def test_golden_ratio_is_exact():
 def test_sparse_keys_match_the_dense_reduction(data):
     # Roots.reduce, the dense reduction L24 uses, is the oracle for _Ring.key
     matrix = data.draw(st.sampled_from([triangle(5, 7, 11), triangle(9, 4, 15), triangle(8, 12, 25)]))
-    ring, roots = _Ring(matrix, INF), Roots(matrix)
+    ring, roots = _Ring(matrix, INF), Roots(matrix, 0)
     half = ring.half
     assert roots.big == 2 * half
 
@@ -277,7 +277,7 @@ def test_sparse_keys_match_the_dense_reduction(data):
 @example(MIXED)
 def test_dense_and_sparse_rings_have_one_size(matrix):
     # labels 2 and 3 need no roots of unity, so N is twice the lcm of those above 3
-    assert Roots(matrix).big == 2 * _Ring(matrix, INF).half
+    assert Roots(matrix, 0).big == 2 * _Ring(matrix, INF).half
 
 
 def two_cos(m):

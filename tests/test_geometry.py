@@ -199,13 +199,13 @@ def test_crossings_walk_the_panels():
     # the k-th wall of a gallery is that of the panel {p_k, p_k s_k}: seen
     # from p_k s_k its root is p_k s_k alpha_{s_k} = -p_k alpha_{s_k}
     ball = get_ball(uniform_matrix(3, 4), 8)
-    roots = Roots(ball.matrix)
+    roots = Roots(ball.matrix, ball.lengths[-1])
     word = (0, 1, 2, 0)
     prefix = 0
     for s in word:
         nxt = ball.edges[prefix][s]
-        near = roots.reduce(fold(roots, ball, prefix, (s,))[0])
-        far = roots.reduce(fold(roots, ball, nxt, (s,))[0])
+        near = roots.reduce(roots.unpack(fold(roots, ball, prefix, (s,))[0]))
+        far = roots.reduce(roots.unpack(fold(roots, ball, nxt, (s,))[0]))
         assert any(near) and far == [-a for a in near]
         prefix = nxt
     assert prefix == ball.index(word)
@@ -217,7 +217,7 @@ def test_minimal_gallery_crosses_each_wall_once():
     h3 = validate_matrix([[1, 3, 2], [3, 1, 5], [2, 5, 1]])
     for matrix, depth in ((uniform_matrix(3, 4), 9), (h3, 15)):
         ball = get_ball(matrix, depth)
-        roots = Roots(matrix)
+        roots = Roots(matrix, ball.lengths[-1])
         for idx in range(ball.size):
             walls = gallery_walls(ball, roots, ball.word(idx))
             assert len(set(walls)) == ball.lengths[idx]
@@ -377,7 +377,7 @@ def reported_failures(ball, roots, report):
 
 def assert_root_walls_match_cut_scan(ball):
     """Root keys agree with _cuts wherever it decides, and L24 counts their pairs."""
-    roots = Roots(ball.matrix)
+    roots = Roots(ball.matrix, ball.lengths[-1])
     keys = reflection_keys(ball, roots)
     residues = complete_residues(ball)
     walls = [chain_walls(ball, roots, res) for res in residues]
@@ -432,7 +432,7 @@ def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
     # N is 2 for I2(2) and I2(3), so their shortcuts are checked where a
     # label of 6 makes N = 12, which holds 2m for both
     rows = [[1, m], [m, 1]] if m not in (2, 3) else [[1, m, 6], [m, 1, 6], [6, 6, 1]]
-    roots = Roots(validate_matrix(rows))
+    roots = Roots(validate_matrix(rows), 1)
     n, half = len(rows), roots.big // 2
     phi = cyclotomic_by_division(roots.big)
     d = len(phi) - 1
@@ -455,7 +455,7 @@ def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
         unit = vector((1,), 0)
         generic = vector((0,) * a + (1,), 0)
         generic = [x + y for x, y in zip(generic, vector((0,) * (roots.big - a) + (1,), 0))]
-        assert roots.reduce(roots.times(m, unit)) == roots.reduce(generic)
+        assert roots.reduce(roots.unpack(roots.times(m, roots.pack(unit)))) == roots.reduce(generic)
 
 
 FINITE_RANK3 = validate_matrix([[1, 3, 2, 4], [3, 1, 3, 4], [2, 3, 1, 4], [4, 4, 4, 1]])
@@ -511,25 +511,25 @@ def dense(root, half):
 
 
 def fold(roots, ball, g, letters):
-    """`sparse_fold`'s roots, laid out as `Roots` lays them out."""
+    """`sparse_fold`'s roots, packed as `Roots` packs them."""
     half = roots.big // 2
-    return [dense(root, half) for root in sparse_fold(ball, half, g, letters)]
+    return [roots.pack(dense(root, half)) for root in sparse_fold(ball, half, g, letters)]
 
 
 def assert_images_match_fold(ball, seed):
     """`Roots.images` equals the fold of every element, asked for in index
     order and then in a shuffled order, so that it pops back to short prefixes."""
-    roots = Roots(ball.matrix)
+    roots = Roots(ball.matrix, ball.lengths[-1])
     images = roots.images(ball)
     half = roots.big // 2
     letters = range(ball.matrix.rank)
     folds = [sparse_fold(ball, half, g, letters) for g in range(ball.size)]
     order = list(range(ball.size))
     for g in order:
-        assert images(g) == [dense(root, half) for root in folds[g]]
+        assert list(map(roots.unpack, images(g))) == [dense(root, half) for root in folds[g]]
     random.Random(seed).shuffle(order)
     for g in order:
-        assert images(g) == [dense(root, half) for root in folds[g]]
+        assert list(map(roots.unpack, images(g))) == [dense(root, half) for root in folds[g]]
 
 
 @pytest.mark.parametrize("matrix,depth", [
@@ -548,6 +548,92 @@ def test_images_match_fold(matrix, depth):
        st.integers(0, 2**32))
 def test_images_match_fold_random(matrix, depth, seed):
     assert_images_match_fold(build_ball(matrix, depth), seed)
+
+
+@pytest.mark.parametrize("longest", [0, 5, 12, 39, 40, 100])
+@pytest.mark.parametrize("matrix", [
+    pytest.param(uniform_matrix(3, 4), id="(4,4,4)"),
+    pytest.param(validate_matrix([[1, 5, 7], [5, 1, INF], [7, INF, 1]]), id="(5,7,inf)"),
+])
+def test_pack_round_trips_at_the_widest_digits(matrix, longest):
+    # widths of 8, 16, 32 and 64 bits are read by memoryview.cast, wider ones
+    # digit by digit; each holds 3^longest
+    roots = Roots(matrix, longest)
+    width = roots.width
+    assert 3 ** longest <= 2 ** (width - 1) - 1
+    edge = 2 ** (width - 1) - 1
+    count = matrix.rank * roots.big // 2
+    rng = random.Random(longest)
+    for v in ([edge] * count, [-edge] * count,
+              [rng.choice((edge, -edge, 0, 1, -1)) for _ in range(count)]):
+        packed = roots.pack(v)
+        assert packed == sum(a << width * i for i, a in enumerate(v))
+        assert roots.unpack(packed) == v
+        assert roots.unpack(-packed) == [-a for a in v]
+
+
+def test_width_follows_the_longest_element_not_the_depth():
+    # I2(5) has 10 elements, the longest of length 5, however deep the ball
+    matrix = uniform_matrix(2, 5)
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots_module, "Roots", lambda *args: made.append(Roots(*args)) or made[-1])
+        report = verify_wall_pair_uniqueness(build_ball(matrix, 10_000))
+    assert report.holds and report.checked == 10
+    assert made[0].width == Roots(matrix, 5).width == 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(max_rank=4, labels=(2, 3, 5, 7, INF)), st.integers(4, 7))
+@example(validate_matrix([[1, 5, 7], [5, 1, INF], [7, INF, 1]]), 9)
+def test_keyed_digits_stay_within_three_to_the_longest(matrix, depth):
+    # the bound the width of `Roots` rests on: every root L24 keys has its
+    # coefficients within 3^L, L the ball's longest length; read with room to spare
+    ball = build_ball(matrix, depth)
+    top = [0]
+
+    class Wide(Roots):
+        def __init__(self, matrix, longest):
+            super().__init__(matrix, longest + 64)
+
+        def key(self, root):
+            top[0] = max(top[0], *map(abs, self.unpack(root)))
+            return super().key(root)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots_module, "Roots", Wide)
+        wide = verify_wall_pair_uniqueness(ball, gate=False)
+    assert top[0] <= 3 ** ball.lengths[-1]
+    assert wide == verify_wall_pair_uniqueness(ball, gate=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_matrices(max_rank=4, labels=(2, 3, 4, 8, INF)), st.integers(4, 8))
+@example(uniform_matrix(4, 4), 7)
+def test_int_keys_split_walls_as_the_reduction_does(matrix, depth):
+    # with N a power of 2 a key is the packed root up to sign; the reduction
+    # with its first nonzero coefficient made positive, the key for every
+    # other N, must split the walls L24 keys in the same way.  L24's roots
+    # are all positive (a gate maps the positive roots of its pair to
+    # positive roots), so each is keyed with its negation as well
+    ball = build_ball(matrix, depth)
+    split = {}
+
+    class Both(Roots):
+        def key(self, root):
+            assert self.big & (self.big - 1) == 0
+            flat = self.reduce(self.unpack(root))
+            sign = 1 if next(a for a in flat if a) > 0 else -1
+            got = super().key(root)
+            assert super().key(-root) == got
+            split.setdefault(got, set()).add(tuple(sign * a for a in flat))
+            return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots_module, "Roots", Both)
+        verify_wall_pair_uniqueness(ball, gate=False)
+    assert all(len(reduced) == 1 for reduced in split.values())
+    assert len(set().union(*split.values())) == len(split)
 
 
 @pytest.mark.parametrize("matrix,depth", [
@@ -599,7 +685,7 @@ def test_wall_pair_uniqueness_diagnostic():
     # a finite rank-3 subsystem: wall pairs collide, and the roots see every
     # collision the reflection scan sees, plus those it cannot decide
     ball = get_ball(FINITE_RANK3, 7)
-    roots = Roots(ball.matrix)
+    roots = Roots(ball.matrix, ball.lengths[-1])
     report = verify_wall_pair_uniqueness(ball, gate=False)
     assert not report.holds and report.skipped == 0
     found = reported_failures(ball, roots, report)
@@ -648,7 +734,7 @@ def test_walls_in_the_bounded_ring_match_the_full_ring(matrix, depth):
     ball = build_ball(matrix, depth)
     bounded = verify_wall_pair_uniqueness(ball, gate=False)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roots_module, "Roots", lambda _: Roots(matrix))
+        patch.setattr(roots_module, "Roots", lambda _, longest: Roots(matrix, longest))
         full = verify_wall_pair_uniqueness(ball, gate=False)
     assert bounded == full
 
