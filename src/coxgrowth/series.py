@@ -6,11 +6,14 @@ subsystems through Steinberg's alternating sum over spherical subsets J of
 1/t.  For an infinite group that is Steinberg's theorem; for a finite one
 S itself is spherical, and Solomon's identity (J. Algebra 4, 1966) makes
 the sum t^N / W(t), so the same route gives the exponent-product
-polynomial.  The sum is assembled per finite type over one common
-denominator, a product of q-integers [k] = 1 + t + ... + t^(k-1), and
-reduced once.  Everything downstream (coefficients, evaluation, root
-isolation) is exact: integer polynomials, with Fractions only for values
-that are fractions.
+polynomial.  The sum needs only the signed number of spherical subsets per
+exponent multiset, and a subset is spherical exactly when each of its
+diagram components is, so those numbers are built from the connected
+spherical subsets (spherical_counts), not by listing every subset.  The
+sum is assembled over one common denominator, a product of q-integers
+[k] = 1 + t + ... + t^(k-1), and reduced once.  Everything downstream
+(coefficients, evaluation, root isolation) is exact: integer polynomials,
+with Fractions only for values that are fractions.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import polys
-from .coxmatrix import CoxeterMatrix, poincare_polynomial, spherical_subsets
+from .coxmatrix import INF, CoxeterMatrix, classify_subset
+from .coxmatrix import poincare_polynomial  # noqa: F401  perfbench's tracer wraps this name
 from .errors import (
     ClassificationError,
     NegativeCoefficientError,
@@ -76,32 +80,128 @@ def taylor_coefficients(f: RationalFunction, count: int) -> list:
     return out
 
 
+def _members(mask: int):
+    """The generators in a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def spherical_counts(matrix: CoxeterMatrix) -> dict:
+    """Signed number of spherical subsets per exponent multiset.
+
+    Maps each sorted exponent tuple e to (-1)^len(e) times the number of
+    spherical J whose W_J has the exponents e; the empty set counts under ().
+    Every J with exponents e has len(e) generators, so the terms of one key
+    share its sign and no count is ever 0.
+
+    A subset is spherical exactly when each of its diagram components is,
+    and then its exponents are theirs together.  So with v = min S, and N(C)
+    every generator whose label with some member of C is not 2 (infinity
+    included), the sum G(S) over the spherical subsets of S splits by the
+    component C that holds v:
+        G(S) = G(S - v) + sum over C of (-1)^|C| [C] x G(S - C - N(C)),
+    where C runs over the connected spherical sets that contain v and x joins
+    the exponents of C to each key.  Those C grow from {v} one finite-label
+    neighbour at a time, since a subset of a spherical set is spherical; each
+    is classified once.  G is memoised on the bitmask S; the masks it needs
+    are found first, and then evaluated in ascending order, which puts every
+    subset before its supersets, so no recursion deepens with the rank.
+    """
+    gens = matrix.generators()
+    near = [sum(1 << u for u in gens if u != v and matrix.order(v, u) != 2) for v in gens]
+    linked = [sum(1 << u for u in gens if u != v and 2 < matrix.order(v, u) < INF)
+              for v in gens]
+    exponents = {}  # connected mask -> exponents of its subsystem, None if infinite
+
+    def connected(v, s):
+        """(exponents of C, C | N(C)) per connected spherical C in s holding v."""
+        out, level = [], [1 << v]
+        while level:
+            grown = set()
+            for c in level:
+                if c not in exponents:
+                    exponents[c] = classify_subset(matrix, _members(c)).exponents
+                if exponents[c] is None:
+                    continue
+                cover = edge = c
+                for u in _members(c):
+                    cover |= near[u]
+                    edge |= linked[u]
+                out.append((exponents[c], cover))
+                grown.update(c | 1 << u for u in _members(edge & s & ~c))
+            level = grown
+        return out
+
+    full = (1 << matrix.rank) - 1
+    terms, todo = {}, [full]
+    while todo:
+        s = todo.pop()
+        if s and s not in terms:
+            v = (s & -s).bit_length() - 1
+            terms[s] = [((), s & (s - 1))] + [
+                (e, s & ~cover) for e, cover in connected(v, s)]
+            todo.extend(rest for _, rest in terms[s])
+    counts = {0: {(): 1}}
+    for s in sorted(terms):
+        total = {}
+        for e, rest in terms[s]:
+            sign = -1 if len(e) % 2 else 1
+            for key, n in counts[rest].items():
+                if e:
+                    key = tuple(sorted(e + key))
+                total[key] = total.get(key, 0) + sign * n
+        counts[s] = total
+    return counts[full]
+
+
+def _over_q_integer(p: tuple, k: int) -> tuple:
+    """p / [k] for a p that [k] divides.
+
+    [k] = (1 - t^k) / (1 - t), so the quotient q has q (1 - t^k) = p (1 - t),
+    that is q_i = p_i - p_(i-1) + q_(i-k).
+    """
+    q = []
+    for i in range(len(p) - k + 1):
+        q.append(p[i] - (p[i - 1] if i else 0) + (q[i - k] if i >= k else 0))
+    return tuple(q)
+
+
 def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
     """Length generating series of the whole system, as a reduced fraction.
 
-    The alternating sum G(t) over spherical subsets is assembled by type:
-    every subset of one finite type has the type's rank as its size, so
-    those terms add up to (-1)^rank * count / W(t).  Each W is a product of
-    q-integers [e + 1] = 1 + t + ... + t^e, so raising every [k] to its
-    largest multiplicity among the types gives one common denominator D,
-    and G = sum(sign * D / W) / D.  The series is 1 / G(1/t), realized by
-    reversing the coefficients of that numerator and denominator (their
-    degrees match because G tends to 1 at infinity, and a common factor
-    cancels from both alike) and reduced once.  For a finite group S is
-    among the subsets, and Solomon's identity makes G(t) = t^N / W(t), so
-    the result is W(t) over 1.
+    The alternating sum G(t) over spherical subsets is assembled per
+    exponent multiset e from spherical_counts: the subsets with exponents e
+    add up to count / W_e(t), where W_e is the product of the q-integers
+    [e_i + 1] = 1 + t + ... + t^(e_i).  Raising every [k] to its largest
+    multiplicity among the multisets gives one common denominator D, and
+    G = sum(count * D / W_e) / D.  Each D / W_e is taken one q-integer at a
+    time, from the quotient already taken for the longest prefix of e.
+    The series is 1 / G(1/t), realized by reversing the coefficients of that
+    numerator and denominator (their degrees match because G tends to 1 at
+    infinity, and a common factor cancels from both alike) and reduced once.
+    For a finite group S is among the subsets, and Solomon's identity makes
+    G(t) = t^N / W(t), so the result is W(t) over 1.
     """
-    counts = Counter(label for _, label in spherical_subsets(matrix))
+    counts = spherical_counts(matrix)
     power = Counter()
-    for label in counts:
-        power |= Counter(e + 1 for e in label.exponents)
+    for e in counts:
+        power |= Counter(x + 1 for x in e)
     den = (1,)
     for k in power.elements():
         den = polys.mul(den, (1,) * k)
-    num = ()
-    for label, count in counts.items():
-        quo = polys.quotient(den, poincare_polynomial(label))  # W is monic
-        num = polys.add(num, polys.scale(quo, (-1) ** len(label.exponents) * count))
+    num = [0] * len(den)
+    quotients = {(): den}  # D / W_p for each prefix p of a multiset
+    for e, count in counts.items():
+        i = len(e)
+        while e[:i] not in quotients:
+            i -= 1
+        for j in range(i, len(e)):
+            quotients[e[:j + 1]] = _over_q_integer(quotients[e[:j]], e[j] + 1)
+        for j, a in enumerate(quotients[e]):
+            num[j] += count * a
+    num = polys.trim(num)
     if polys.degree(num) != polys.degree(den):
         raise ClassificationError(
             "alternating sum should tend to 1 at infinity; degrees differ"

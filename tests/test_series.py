@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from coxgrowth import (
     uniform_matrix,
     validate_matrix,
 )
+from coxgrowth import coxmatrix, series
 
 # frozen reduced forms of the growth series, ascending coefficients
 FROZEN_SERIES = {
@@ -239,9 +241,46 @@ def test_finite_series_is_the_exponent_product(matrix):
 @settings(max_examples=60, deadline=None)
 @given(coxeter_matrices())
 def test_series_matches_subset_by_subset_random(matrix):
-    assume(not classify_subset(matrix, range(matrix.rank)).finite)
     f = rational_growth_series(matrix)
     assert (f.num, f.den) == subset_by_subset(matrix)
+
+
+def counts_by_subset(matrix):
+    """Reference: sum of (-1)^|J| over the listed spherical subsets, per exponent tuple."""
+    counts = Counter()
+    for subset, label in spherical_subsets(matrix):
+        counts[label.exponents] += (-1) ** len(subset)
+    return dict(counts)
+
+
+@pytest.mark.parametrize("matrix", ORACLE_MATRICES + FINITE_TYPES)
+def test_spherical_counts_match_the_subset_list(matrix):
+    assert series.spherical_counts(matrix) == counts_by_subset(matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coxeter_matrices(max_rank=8, labels=(2, 2, 2, 3, 4, 5, 6, INF)))
+def test_spherical_counts_match_the_subset_list_random(matrix):
+    counts = series.spherical_counts(matrix)
+    assert counts == counts_by_subset(matrix)
+    assert all(n and (n < 0) == len(e) % 2 for e, n in counts.items())
+
+
+@pytest.mark.parametrize("matrix", [
+    pytest.param(diagram(16, []), id="A1^16"),
+    pytest.param(path_matrix([3] * 15), id="A16"),
+    pytest.param(path_matrix([4] + [3] * 12), id="B14"),
+])
+def test_series_classifies_connected_sets_only(matrix, monkeypatch):
+    """2^rank subsets are spherical here, beyond the subset list's reach."""
+    whole = RationalFunction(poincare_polynomial(classify_subset(matrix, range(matrix.rank))))
+    calls = []
+    for module in (coxmatrix, series):
+        monkeypatch.setattr(
+            module, "classify_subset", lambda m, s: calls.append(s) or classify_subset(m, s)
+        )
+    assert rational_growth_series(matrix) == whole
+    assert len(calls) <= matrix.rank ** 2
 
 
 @pytest.mark.parametrize(
