@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from math import inf as INF, prod
 
-from .coxmatrix import CoxeterMatrix, cyclotomic_ring, reflection_rows
+from .coxmatrix import CoxeterMatrix, cyclotomic_ring, reflection_rows, truncate_labels
 from .errors import ResourceLimitError
 
 START_BITS = 64
@@ -238,8 +238,7 @@ class SmallRoots:
 
     def __init__(self, matrix: CoxeterMatrix, depth: int, cap: int):
         n = matrix.rank
-        matrix = CoxeterMatrix(tuple(tuple(INF if m > depth else m for m in row)
-                                     for row in matrix.entries))
+        matrix = truncate_labels(matrix, depth)
         self.rank, self.depth = n, depth
         self.ring = _Ring(matrix, cap)
         # a root is a tuple of sparse coordinates, with the tuple of their keys

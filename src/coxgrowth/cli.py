@@ -233,11 +233,10 @@ def cmd_series(args) -> int:
         if not 0 < point < 1:
             raise ValueError(f"evaluation points must lie in (0, 1), got {point}")
     _bind(globals(), "stats", "series")
-    series = rational_growth_series(matrix)
     # the enumerated sizes come from the small roots, a route that shares no code
-    # with the series' sum over spherical subsets; they check the cap before the
-    # expansion, which is quadratic in the depth, can start
+    # with the series' sum over spherical subsets
     c, d = sphere_counts(matrix, depth, cap=args.cap)
+    series = rational_growth_series(matrix)
     coeffs = taylor_coefficients(series, depth)
     stats = SphereStats(matrix, tuple(c), tuple(d))
     agreement = coeffs == c

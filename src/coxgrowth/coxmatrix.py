@@ -219,6 +219,12 @@ def cyclotomic_ring(matrix: CoxeterMatrix) -> tuple[int, int, list[tuple[int, in
     return big, two, odd
 
 
+def truncate_labels(matrix: CoxeterMatrix, bound: int) -> CoxeterMatrix:
+    """The matrix with every label above bound read as inf."""
+    return CoxeterMatrix(tuple(tuple(INF if m > bound else m for m in row)
+                               for row in matrix.entries))
+
+
 def reflection_rows(matrix: CoxeterMatrix) -> list[list[tuple[int, object]]]:
     """Per s, (j, m_sj) for each alpha_j that s moves: j != s and m_sj != 2."""
     return [[(j, m) for j, m in enumerate(row) if j != s and m != 2]

@@ -20,7 +20,7 @@ from itertools import combinations, groupby
 from math import inf as INF
 
 from .ball import Ball, _alternating
-from .coxmatrix import classify_subset, require_complete_two_spherical
+from .coxmatrix import classify_subset, require_complete_two_spherical, truncate_labels
 from .errors import GeneratorOutOfRangeError, HypothesisError
 from .report import Comparison, VerificationReport
 
@@ -154,10 +154,7 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     from .roots import Roots  # only L24 needs the ring; other commands never load it
 
     n = ball.matrix.rank
-    bound = 4 * ball.depth
-    roots = Roots(ball.matrix._replace(entries=tuple(
-        tuple(INF if m > bound else m for m in row) for row in ball.matrix.entries)),
-        ball.lengths[-1])
+    roots = Roots(truncate_labels(ball.matrix, 4 * ball.depth), ball.lengths[-1])
     images_of = roots.images(ball)
     walls = {}  # root key -> wall id
     origins = []  # wall id -> chamber * n + letter of its first residue

@@ -6,11 +6,12 @@ takes and returns ints, except eval_at, which returns the exact value at a
 rational.
 
 Exact quotients are integer long divisions by a divisor that divides: a
-monic one, or a primitive one by Gauss's lemma.  The gcd and the Sturm
-chain run on pseudo-remainders scaled by |lead|^(delta+1) > 0 and made
-primitive, so each member is a positive multiple of its rational
-counterpart.  The sign of a Sturm member at a/b (b > 0) is the sign of the
-homogenised Horner sum sum c_i a^i b^(d-i), an integer.
+monic one, or a primitive one by Gauss's lemma.  One remainder loop,
+`remainders`, serves both the gcd and the Sturm chain: it runs on
+pseudo-remainders scaled by |lead|^(delta+1) > 0 and made primitive, so
+each member is a positive multiple of its rational counterpart.  The sign
+of a Sturm member at a/b (b > 0) is the sign of the homogenised Horner sum
+sum c_i a^i b^(d-i), an integer.
 """
 from __future__ import annotations
 
@@ -30,13 +31,6 @@ def degree(p: tuple) -> int:
     return len(p) - 1
 
 
-def add(p: tuple, q: tuple) -> tuple:
-    n = max(len(p), len(q))
-    return trim(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
 def neg(p: tuple) -> tuple:
     return tuple(-a for a in p)
 
@@ -51,12 +45,6 @@ def mul(p: tuple, q: tuple) -> tuple:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return trim(out)
-
-
-def scale(p: tuple, k) -> tuple:
-    if k == 0:
-        return ()
-    return tuple(a * k for a in p)
 
 
 def horner(p: tuple, a: int, b: int) -> int:
@@ -123,31 +111,25 @@ def primitive(p: tuple) -> tuple:
     return tuple(a // g for a in p)
 
 
+def remainders(p: tuple, q: tuple) -> list[tuple]:
+    """p, q and the negated pseudo-remainders of Euclid's algorithm on them.
+
+    Every member is made primitive and the zero ones are dropped, so the
+    last is gcd(p, q) up to sign.  With q = p' this is the signed remainder
+    sequence of p, a Sturm chain when p is square-free; otherwise dividing
+    each member by the last gives a Sturm chain of p / gcd(p, p') (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, section 2.2).
+    """
+    chain = [primitive(trim(p)), primitive(trim(q))]
+    while chain[-1]:
+        chain.append(neg(primitive(pseudo_remainder(chain[-2], chain[-1]))))
+    return [c for c in chain if c]
+
+
 def gcd_poly(p: tuple, q: tuple) -> tuple:
     """Primitive greatest common divisor with positive leading coefficient."""
-    a, b = primitive(trim(p)), primitive(trim(q))
-    while b:
-        a, b = b, primitive(pseudo_remainder(a, b))
-    return neg(a) if a and a[-1] < 0 else a
-
-
-def square_free_part(p: tuple) -> tuple:
-    """p / gcd(p, p'), returned primitive with positive leading coefficient."""
-    p = trim(p)
-    if degree(p) < 1:
-        return p
-    out = primitive(quotient(p, gcd_poly(p, derivative(p))))
-    return neg(out) if out[-1] < 0 else out
-
-
-def sturm_chain(p: tuple) -> list[tuple]:
-    chain = [trim(p), derivative(p)]
-    while chain[-1]:
-        r = pseudo_remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(neg(primitive(r)))
-    return [c for c in chain if c]
+    g = remainders(p, q)[-1]
+    return neg(g) if g[-1] < 0 else g
 
 
 def sign_variations(chain: list[tuple], a: int, b: int) -> int:

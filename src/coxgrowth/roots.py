@@ -94,13 +94,6 @@ class Roots:
             self._stages.append((itemgetter(*order), p, chunk))
             cells = [cells[c] for c in order[:(p - 1) * chunk]]
 
-    def pack(self, v: list[int]) -> int:
-        """The packed form of a vector of digits, each below 2^(width - 1) in size."""
-        fields = b"".join(a.to_bytes(self._size, "little", signed=True) for a in v)
-        # the top bit of a two's complement field flipped gives the digit plus
-        # 2^(width - 1), with no carry: subtracting the bias leaves the digits
-        return (int.from_bytes(fields, "little") ^ self._bias) - self._bias
-
     def unpack(self, root: int) -> list[int]:
         """The digits of a packed vector, each below 2^(width - 1) in size."""
         size = self._size

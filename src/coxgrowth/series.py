@@ -252,10 +252,12 @@ def finiteness_verdict(f: RationalFunction, point) -> ConvergenceVerdict:
     Nonnegativity is asserted on the first _SAMPLE_DEPTH coefficients.  The
     decision itself is exact: the denominator either has a real root in
     (0, point] or it does not, settled by sign-variation counts of an
-    integer Sturm chain on the square-free part; the reported isolating
-    interval is then narrowed below 2**-64 by bisection, which keeps the
-    count at the end that does not move (the tolerance affects only the
-    report, never the verdict).
+    integer Sturm chain on its square-free part.  That chain is one
+    remainder sequence of the denominator and its derivative, whose last
+    member is their gcd; when the gcd is not constant, every member is
+    divided by it.  The reported isolating interval is then narrowed below
+    2**-64 by bisection, which keeps the count at the end that does not
+    move (the tolerance affects only the report, never the verdict).
     """
     t0 = Fraction(point)
     if not 0 < t0 < 1:
@@ -263,8 +265,10 @@ def finiteness_verdict(f: RationalFunction, point) -> ConvergenceVerdict:
     for k, a in enumerate(taylor_coefficients(f, _SAMPLE_DEPTH)):
         if a < 0:
             raise NegativeCoefficientError(f"coefficient {k} is negative: {a}")
-    g = polys.square_free_part(f.den)
-    chain = polys.sturm_chain(g)
+    chain = polys.remainders(f.den, polys.derivative(f.den))
+    if polys.degree(chain[-1]) > 0:  # exact over Z: the last member is primitive
+        chain = [polys.quotient(c, chain[-1]) for c in chain]
+    g = chain[0]
     justification = (
         "nonnegative coefficients: the smallest positive denominator root "
         "is the radius of convergence, and divergence there propagates to "

@@ -905,6 +905,17 @@ def test_series_checks_the_cap_before_expanding(tmp_path, capsys, monkeypatch):
     assert expanded == []
 
 
+def test_series_checks_the_cap_before_building_the_series(tmp_path):
+    # the I2(10^6) factor makes the series degree about 10^6, far too slow to
+    # build, but the counts exceed a cap of 5 at length 2
+    path = matrix_file(tmp_path, {"m": [[1, 2, 7], [2, 1, 10**6], [7, 10**6, 1]]})
+    proc = subprocess.run([sys.executable, "-m", "coxgrowth.cli", "series", "--matrix", path,
+                           "--depth", "2", "--cap", "5"],
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        4, "", "error: element cap 5 reached at length 2\n")
+
+
 def test_series_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
     # the 801 elements fit a cap of 1000, but the terms of the 400 small roots
     # that `series` walks, as `stats` and `ball` do, do not

@@ -455,7 +455,7 @@ def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
         unit = vector((1,), 0)
         generic = vector((0,) * a + (1,), 0)
         generic = [x + y for x, y in zip(generic, vector((0,) * (roots.big - a) + (1,), 0))]
-        assert roots.reduce(roots.unpack(roots.times(m, roots.pack(unit)))) == roots.reduce(generic)
+        assert roots.reduce(roots.unpack(roots.times(m, pack(roots, unit)))) == roots.reduce(generic)
 
 
 FINITE_RANK3 = validate_matrix([[1, 3, 2, 4], [3, 1, 3, 4], [2, 3, 1, 4], [4, 4, 4, 1]])
@@ -510,10 +510,15 @@ def dense(root, half):
     return v
 
 
+def pack(roots, v):
+    """A vector of digits packed as `Roots` packs it: digit i times 2^(width * i)."""
+    return sum(a << roots.width * i for i, a in enumerate(v))
+
+
 def fold(roots, ball, g, letters):
     """`sparse_fold`'s roots, packed as `Roots` packs them."""
     half = roots.big // 2
-    return [roots.pack(dense(root, half)) for root in sparse_fold(ball, half, g, letters)]
+    return [pack(roots, dense(root, half)) for root in sparse_fold(ball, half, g, letters)]
 
 
 def assert_images_match_fold(ball, seed):
@@ -566,8 +571,7 @@ def test_pack_round_trips_at_the_widest_digits(matrix, longest):
     rng = random.Random(longest)
     for v in ([edge] * count, [-edge] * count,
               [rng.choice((edge, -edge, 0, 1, -1)) for _ in range(count)]):
-        packed = roots.pack(v)
-        assert packed == sum(a << width * i for i, a in enumerate(v))
+        packed = pack(roots, v)
         assert roots.unpack(packed) == v
         assert roots.unpack(-packed) == [-a for a in v]
 

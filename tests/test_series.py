@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, zip_longest
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -130,6 +131,68 @@ def test_common_factors_cancel(p, q, h):
     assert polys.content(f.num + f.den) == 1 and f.den[0] > 0
 
 
+def two_pass_chain(den):
+    """Reference: the verdict's Sturm chain as it was once built, in two passes.
+
+    Euclid's loop gives gcd(den, den'), den over it is the square-free part,
+    and a fresh remainder loop on that part and its derivative is the chain.
+    """
+    a, b = polys.primitive(den), polys.primitive(polys.derivative(den))
+    while b:
+        a, b = b, polys.primitive(polys.pseudo_remainder(a, b))
+    part = polys.primitive(polys.quotient(den, a))
+    chain = [part, polys.derivative(part)]
+    while chain[-1]:
+        chain.append(polys.neg(polys.primitive(polys.pseudo_remainder(chain[-2], chain[-1]))))
+    return [c for c in chain if c]
+
+
+def verdict_chain(den):
+    """The chain `finiteness_verdict` counts roots with, caught as it counts.
+
+    Its check of the coefficients' signs is skipped: these denominators need
+    not give nonnegative ones, and the chain reads the denominator alone.
+    """
+    chains, count = [], polys.sign_variations
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "taylor_coefficients", lambda f, depth: [])
+        patch.setattr(polys, "sign_variations",
+                      lambda chain, a, b: chains.append(chain) or count(chain, a, b))
+        finiteness_verdict(RationalFunction((1,), den), Fraction(1, 2))
+    return chains[0]
+
+
+def rational_roots(p):
+    """The rational roots of an integer polynomial with p(0) != 0: each is +-a / b
+    with a at most |p(0)| and b at most |lead|, by the rational root theorem."""
+    return {Fraction(sign * a, b) for a in range(1, abs(p[0]) + 1)
+            for b in range(1, abs(p[-1]) + 1) for sign in (1, -1)
+            if polys.horner(p, sign * a, b) == 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(integer_polys(max_degree=2, nonzero_at_zero=True), st.integers(1, 3)),
+             min_size=1, max_size=3),
+    st.lists(st.fractions(min_value=-7, max_value=7, max_denominator=50), max_size=6),
+)
+def test_one_loop_chain_counts_roots_as_the_two_pass_route(factors, points):
+    """Repeated non-monic factors, as in `common_factors`: the chain that one
+    remainder loop gives and the two-pass one count the same roots in (a, b]
+    for every pair of points, the factors' own rational roots among them."""
+    den, points = (1,), set(points)
+    for factor, k in factors:
+        for _ in range(k):
+            den = polys.mul(den, factor)
+        points |= rational_roots(factor)
+    one, two = verdict_chain(den), two_pass_chain(den)
+    for a, b in combinations(sorted(points), 2):
+        assert (polys.sign_variations(one, a.numerator, a.denominator)
+                - polys.sign_variations(one, b.numerator, b.denominator)
+                == polys.sign_variations(two, a.numerator, a.denominator)
+                - polys.sign_variations(two, b.numerator, b.denominator))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3)),
@@ -189,11 +252,9 @@ def subset_by_subset(matrix):
     """Reference: Steinberg's sum one spherical subset at a time, reduced after each."""
     acc = RationalFunction(())
     for subset, label in spherical_subsets(matrix):
-        w = poincare_polynomial(label)
-        acc = RationalFunction(
-            polys.add(polys.mul(acc.num, w), polys.scale(acc.den, (-1) ** len(subset))),
-            polys.mul(acc.den, w),
-        )
+        w, sign = poincare_polynomial(label), (-1) ** len(subset)
+        num = [a + sign * b for a, b in zip_longest(polys.mul(acc.num, w), acc.den, fillvalue=0)]
+        acc = RationalFunction(num, polys.mul(acc.den, w))
     f = RationalFunction(tuple(reversed(acc.den)), tuple(reversed(acc.num)))
     return f.num, f.den
 
@@ -369,6 +430,16 @@ def test_partial_sums_monotone_below_value():
 
 MIXED = validate_matrix([[1, 3, 4, INF], [3, 1, 5, 4], [4, 5, 1, 3], [INF, 4, 3, 1]])
 
+
+def universal_power(k):
+    """The direct product of k universal rank-3 groups: ((1 + t) / (1 - 2t))^k."""
+    return validate_matrix([[1 if i == j else INF if i // 3 == j // 3 else 2
+                             for j in range(3 * k)] for i in range(3 * k)])
+
+
+# the pole 1/2 of (1 - 2t)^2 and (1 - 2t)^3 is where bisection from 2/3 lands
+BELOW_HALF = ["13835058055282163711/27670116110564327424", "1/2"]
+
 # exact verdict output, pinned as strings: the bisection must take the same
 # steps whatever arithmetic the Sturm chain is evaluated in
 PINNED_VERDICTS = [
@@ -384,6 +455,10 @@ PINNED_VERDICTS = [
                  ["3354367283921897967/9223372036854775808",
                   "6708734567843795935/18446744073709551616"], id="mixed@1/2"),
     pytest.param(affine_a(9), "1/8", "value", "19173961/5764801", id="A~8@1/8"),
+    pytest.param(universal_power(2), "2/3", "pole_interval", BELOW_HALF, id="U3^2@2/3"),
+    pytest.param(universal_power(2), "1/2", "pole_interval", ["1/2", "1/2"], id="U3^2@1/2"),
+    pytest.param(universal_power(3), "2/3", "pole_interval", BELOW_HALF, id="U3^3@2/3"),
+    pytest.param(universal_power(3), "1/2", "pole_interval", ["1/2", "1/2"], id="U3^3@1/2"),
 ]
 
 
