@@ -24,10 +24,10 @@ found one depth at a time, as the walk reaches them.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from math import inf as INF, prod
+from math import inf as INF
 
 from .coxmatrix import CoxeterMatrix, cyclotomic_ring, reflection_rows, truncate_labels
-from .errors import ResourceLimitError
+from .errors import DEFAULT_CAP, ResourceLimitError
 
 START_BITS = 64
 # Terms the small roots may keep under any cap.  A term costs about 100 B,
@@ -83,12 +83,9 @@ class _Ring:
     Z[x]/(x^(N/2) + 1) that holds only its nonzero terms, so its cost
     follows the terms and not N.  c_sj = -2B(alpha_s, alpha_j) is
     x^a + x^-a, a = N/2m_sj, and 1 for m_sj = 3, 2 for inf.  `key` maps a
-    coordinate into Z[zeta_N] itself, the product over the prime powers
-    q || N of Z[zeta_q]: x^e goes to +-y^(e mod h) (2h the power of 2 in N,
-    y^h = -1) times zeta_q^(e mod q) on each odd axis, and a digit
-    d >= phi(q) is rewritten by Phi_q(zeta_q) = 0 as minus the sum of the
-    digits d - u q/p, 0 < u < p.  x maps to zeta_N = e^(i pi / (N/2)), so a
-    real coordinate is the sum of a cos(pi e / (N/2)) over its terms, which
+    coordinate into Z[zeta_N] itself, term by term through the basis of
+    `cyclotomic_ring`.  x maps to zeta_N = e^(i pi / (N/2)), so a real
+    coordinate is the sum of a cos(pi e / (N/2)) over its terms, which
     `bounds` encloses, and `sign` decides from those enclosures, with `key`
     as the exact zero test.
 
@@ -97,9 +94,8 @@ class _Ring:
     """
 
     def __init__(self, matrix: CoxeterMatrix, cap: int):
-        big, self.two, odd = cyclotomic_ring(matrix)
+        big, _, _, self.basis = cyclotomic_ring(matrix)
         self.half = big // 2
-        self.axes = [(q, q // p, p) for p, q in odd]
         self.cells = {}  # x^e in the basis, by e, as `key` meets it
         self.pi = {}  # enclosures of 2^q pi, by q, as `_cos` meets them
         self.cos = {}  # cosines of x^e, by p and e, as `bounds` meets them
@@ -185,29 +181,16 @@ class _Ring:
         return {e: a for e, a in out.items() if a}
 
     def key(self, x: dict) -> frozenset:
-        """x's coefficients in the product basis of Z[zeta_N], empty exactly when x = 0."""
+        """x's coefficients in the basis of Z[zeta_N], empty exactly when x = 0."""
         out = {}
         for e, a in x.items():
             cells = self.cells.get(e)
             if cells is None:
-                cells = self.cells[e] = self._cells(e)
+                cells = self.cells[e] = self.basis(e)
+                self.spend(len(cells))
             for cell, b in cells:
                 out[cell] = out.get(cell, 0) + a * b
         return frozenset(item for item in out.items() if item[1])
-
-    def _cells(self, e: int) -> list[tuple[int, int]]:
-        """x^e in the product basis, as (cell, coefficient) with the digits in mixed radix."""
-        h = self.two // 2
-        digits = [e % q for q, _, _ in self.axes]
-        self.spend(prod(p - 1 if d >= (p - 1) * chunk else 1
-                        for d, (_, chunk, p) in zip(digits, self.axes)))
-        cells = [(e % h, -1 if e % self.two >= h else 1)]
-        for d, (q, chunk, p) in zip(digits, self.axes):
-            if d < (p - 1) * chunk:
-                cells = [(c * q + d, a) for c, a in cells]
-            else:
-                cells = [(c * q + d - u * chunk, -a) for c, a in cells for u in range(1, p)]
-        return cells
 
 
 class SmallRoots:
@@ -373,7 +356,7 @@ def _layers(auto: ShortLex, depth: int, cap: int):
         yield layer
 
 
-def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
+def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
     """The `ball` export: one string of JSON lines per nonempty length 0..depth.
 
     Each line is json.dumps({"i": i, "w": word, "desc": descents},
@@ -433,7 +416,7 @@ def _lines(auto: ShortLex, depth: int):
             states = index
 
 
-def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000):
+def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
     """(c, d) for lengths 0..depth: c_i elements of length i, d_i those with one right descent.
 
     The counts come from the count walk `_layers`, which raises

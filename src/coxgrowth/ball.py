@@ -17,6 +17,7 @@ from math import inf as INF
 
 from .coxmatrix import CoxeterMatrix
 from .errors import (
+    DEFAULT_CAP,
     DepthExceededError,
     GeneratorOutOfRangeError,
     OracleBudgetError,
@@ -206,7 +207,7 @@ class Ball:
             below, start = strings, self._offsets[i]
 
 
-def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball:
+def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP) -> Ball:
     """Construct every element of length <= depth, layer by layer.
 
     A product w*s not already recorded is a genuinely new element one layer
@@ -221,13 +222,15 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = 10_000_000) -> Ball
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = matrix.rank
-    # per letter s, for each t with m_st finite: the m_st - 1 letters t, s, ...
+    # per letter s, for each t with m_st <= depth: the m_st - 1 letters t, s, ...
     # that walk down from w to the gate of w<s,t> when x = ws tops that residue,
-    # and the m_st - 1 letters of the opposite chain that climb from the gate to xt
+    # and the m_st - 1 letters of the opposite chain that climb from the gate to
+    # xt; x then has length >= m_st, so a larger label never closes a residue
+    # in the ball and is read as inf here
     chains = [[] for _ in range(n)]
     for s, row in enumerate(matrix.entries):
         for t, m in enumerate(row):
-            if t != s and m != INF:
+            if t != s and m <= depth:
                 down = _alternating(t, s, int(m) - 1)
                 chains[s].append((t, down, down if m % 2 else _alternating(s, t, int(m) - 1)))
     parent = [-1]

@@ -30,6 +30,7 @@ from .coxmatrix import (
     spherical_subsets,
 )
 from .errors import (
+    DEFAULT_CAP,
     ClassificationError,
     HypothesisError,
     RangeEmptyError,
@@ -236,7 +237,7 @@ def cmd_series(args) -> int:
     # the enumerated sizes come from the small roots, a route that shares no code
     # with the series' sum over spherical subsets
     c, d = sphere_counts(matrix, depth, cap=args.cap)
-    series = rational_growth_series(matrix)
+    series = rational_growth_series(matrix, cap=args.cap)
     coeffs = taylor_coefficients(series, depth)
     stats = SphereStats(matrix, tuple(c), tuple(d))
     agreement = coeffs == c
@@ -293,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if need_depth:
             p.add_argument("--depth", type=int, default=None,
                            help="ball radius (default 12/10/8 by rank)")
-            p.add_argument("--cap", type=int, default=10_000_000,
-                           help="element cap for enumeration")
+            p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                           help="element cap for enumeration, and for the "
+                                "degree of the series' denominator")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_info = sub.add_parser("info", help="diagram properties and spherical subsets")

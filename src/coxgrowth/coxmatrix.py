@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from itertools import combinations
-from math import inf as INF, lcm
+from math import inf as INF, lcm, prod
 
 from .errors import (
     BadDiagonalError,
@@ -195,17 +195,27 @@ def diagram_properties(matrix: CoxeterMatrix) -> DiagramProperties:
     return DiagramProperties(two_spherical, complete, uniform)
 
 
-def cyclotomic_ring(matrix: CoxeterMatrix) -> tuple[int, int, list[tuple[int, int]]]:
-    """(N, 2^k, odd) for Z[zeta_N], the ring of the geometric representation.
+def cyclotomic_ring(matrix: CoxeterMatrix) -> tuple:
+    """(N, phi(N), k, cells) for Z[zeta_N], the ring of the geometric representation.
 
     N is twice the lcm of the labels above 3 (2 when there are none):
     c_st = -2B(alpha_s, alpha_t) = zeta^a + zeta^-a, a = N/2m_st, and c_st
-    is 0, 1 or 2 for m_st = 2, 3 or inf.  2^k || N, and odd is (p, p^j) for
-    each odd prime power p^j || N, p ascending.
+    is 0, 1 or 2 for m_st = 2, 3 or inf.  Roots live in Z[x]/(x^(N/2) + 1),
+    and cells(e) is the image of x^e under x -> zeta_N, as (cell, +-1)
+    pairs in an integer basis of Z[zeta_N], 0 <= cell < phi(N).  Z[zeta_N]
+    is the product of the Z[zeta_q] over the prime powers q = p^i || N
+    (Washington, Introduction to Cyclotomic Fields, ch. 2), and x^e goes
+    to zeta_q^(e mod q) on each axis q.  Z[zeta_q] has the power basis
+    zeta_q^d, d < phi(q), and Phi_q(zeta_q) = 0 makes a digit d >= phi(q)
+    minus the digits d - u q/p, 0 < u < p.  A cell is the digits in mixed
+    radix phi(q), p ascending.  A digit below phi(q) is met from itself
+    and from one above; on the axis of 2 only one of the two is some x^e,
+    e < N/2, since x^(e + N/2) = -x^e.  So at most 2^k of them share a
+    cell, k the odd prime powers of N, and with N a power of 2 cells(e) is
+    [(e, 1)].
     """
-    big = 2 * lcm(*(int(m) for row in matrix.entries for m in row if 3 < m < INF))
-    two = big & -big
-    rest, odd, p = big // two, [], 3
+    rest = big = 2 * lcm(*(int(m) for row in matrix.entries for m in row if 3 < m < INF))
+    axes, p = [], 2
     while rest > 1:
         if p * p > rest:
             p = rest
@@ -214,9 +224,20 @@ def cyclotomic_ring(matrix: CoxeterMatrix) -> tuple[int, int, list[tuple[int, in
             rest //= p
             q *= p
         if q > 1:
-            odd.append((p, q))
-        p += 2
-    return big, two, odd
+            axes.append((q, q // p, q - q // p))  # q, q/p, phi(q)
+        p += 1
+
+    def cells(e: int) -> list[tuple[int, int]]:
+        out = [(0, 1)]
+        for q, chunk, phi in axes:
+            d = e % q
+            if d < phi:
+                out = [(c * phi + d, a) for c, a in out]
+            else:
+                out = [(c * phi + f, -a) for c, a in out for f in range(d - chunk, -1, -chunk)]
+        return out
+
+    return big, prod(phi for *_, phi in axes), len(axes) - 1, cells
 
 
 def truncate_labels(matrix: CoxeterMatrix, bound: int) -> CoxeterMatrix:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the element cap that
+ResourceLimitError enforces by default."""
+
+# the default of every `cap`: elements, small-root terms and series degree
+DEFAULT_CAP = 10_000_000
 
 
 class MatrixError(ValueError):

@@ -7,8 +7,10 @@ keys are.  Only L24 loads this module.
 from __future__ import annotations
 
 import sys
+from array import array
+from itertools import compress
 from math import inf as INF
-from operator import itemgetter, mul, neg, sub
+from operator import neg
 
 from .coxmatrix import cyclotomic_ring, reflection_rows
 
@@ -42,18 +44,22 @@ class Roots:
     each gamma_k, k < m_st, stays within 3^(l(g) + k) <= 3^L.  A width w
     with 3^L <= 2^(w - 1) - 1 therefore keeps every digit apart from its
     neighbours.  It is found without forming 3^L: 1585/1000 > log2(3).
+    A cell of `key` sums at most 2^k digits (`cyclotomic_ring`, k the odd
+    prime powers of N), so w has k bits more, and a key packs its cells in
+    fields of the same width.
     """
 
     def __init__(self, matrix, longest: int):
         n = matrix.rank
-        big, two, odd = cyclotomic_ring(matrix)
+        big, phi, odd, self._cells = cyclotomic_ring(matrix)
         self.big = big
         self.rank = n
         self.reflection = reflection_rows(matrix)
         count = n * big // 2
         # bytes per digit: the bits of 3^longest, a sign bit and one to spare,
-        # and 1, 2, 4 or 8 bytes where that is enough, which memoryview.cast reads
-        size = ((longest * 1585 + 999) // 1000 + 2 + 7) // 8
+        # one per odd prime power of N for `key`, and 1, 2, 4 or 8 bytes where
+        # that is enough, which memoryview.cast and array read
+        size = ((longest * 1585 + 999) // 1000 + 2 + odd + 7) // 8
         if size <= 8:
             size = 1 << (size - 1).bit_length()
         self.width = 8 * size
@@ -73,26 +79,9 @@ class Roots:
             down = count * self.width - up
             self._shifts[m] = (up, down, 1 << (up - 1), (1 << up) - 1,
                                1 << (down - 1), (1 << down) - 1)
-        # Z[x]/(x^(N/2) + 1) is Z[y]/(y^h + 1) (2h the power of 2 in N) times
-        # Z[x]/(x^q - 1) for each odd prime power q || N: x^e goes to
-        # +-y^(e mod h) times digit e mod q on the axis of q (the CRT), with
-        # - when e mod 2h >= h.  Each odd axis in turn is brought outermost
-        # by one permutation; then its Phi_q = sum of y^(v q/p) over v < p
-        # drops the top chunk of q/p digits into the p - 1 below it.  What is
-        # left is the integer basis of Z[zeta_N] made of the products of the
-        # axes' power bases.  With N a power of 2 there is no odd axis and
-        # every sign is +, so that basis is the digits themselves.
-        h = two // 2
-        cells = [(e % h, *(e % q for _, q in odd), j)
-                 for e in range(big // 2) for j in range(n)]
-        signs = [-1 if e % two >= h else 1 for e in range(big // 2) for _ in range(n)]
-        self._signs = signs if -1 in signs else None
-        self._stages = []
-        for axis, (p, q) in enumerate(odd, 1):
-            order = sorted(range(len(cells)), key=lambda c: (cells[c][axis], cells[c]))
-            chunk = len(cells) // p
-            self._stages.append((itemgetter(*order), p, chunk))
-            cells = [cells[c] for c in order[:(p - 1) * chunk]]
+        # with N a power of 2 the digits are the cells, and `key` needs none of this
+        self._reduced = n * phi if odd else None
+        self._rows = {}  # per digit, its + and - cells in the key, as `key` meets it
 
     def unpack(self, root: int) -> list[int]:
         """The digits of a packed vector, each below 2^(width - 1) in size."""
@@ -154,26 +143,30 @@ class Roots:
 
         return at
 
-    def reduce(self, v: list[int]) -> list[int]:
-        """The coefficients of v's image in Z[zeta_N]^rank, in the product basis."""
-        if self._signs:
-            v = list(map(mul, v, self._signs))
-        for perm, p, chunk in self._stages:
-            v = perm(v)
-            top = v[(p - 1) * chunk:]
-            out = []
-            for start in range(0, (p - 1) * chunk, chunk):
-                out += map(sub, v[start:start + chunk], top)
-            v = out
-        return v
-
-    def key(self, root: int) -> int | str:
-        """The root up to sign: itself or its negation when N is a power of 2,
-        else its reduction rendered with the first nonzero coefficient positive."""
-        if not self._stages:
+    def key(self, root: int) -> int:
+        """The root up to sign, as one int: its rank * phi(N) coefficients in the
+        basis of `cyclotomic_ring`, the first nonzero made positive, packed in
+        fields of the width.  With N a power of 2 they are its digits."""
+        if self._reduced is None:
             return abs(root)
-        flat = self.reduce(self.unpack(root))
-        for a in flat:
-            if a:
-                break
-        return str(flat) if a > 0 else str(list(map(neg, flat)))
+        v = self.unpack(root)
+        flat, n, rows = [0] * self._reduced, self.rank, self._rows
+        for i in compress(range(len(v)), v):
+            row = rows.get(i)
+            if row is None:
+                e, j = divmod(i, n)
+                cells = self._cells(e)
+                row = rows[i] = (tuple(c * n + j for c, sign in cells if sign > 0),
+                                 tuple(c * n + j for c, sign in cells if sign < 0))
+            a = v[i]
+            for t in row[0]:
+                flat[t] += a
+            for t in row[1]:
+                flat[t] -= a
+        if next(filter(None, flat), 0) < 0:
+            flat = list(map(neg, flat))
+        if self._format:
+            raw = array(self._format, flat).tobytes()
+        else:
+            raw = b"".join(a.to_bytes(self._size, "little", signed=True) for a in flat)
+        return int.from_bytes(raw, "little")

@@ -24,9 +24,11 @@ from . import polys
 from .coxmatrix import INF, CoxeterMatrix, classify_subset
 from .coxmatrix import poincare_polynomial  # noqa: F401  perfbench's tracer wraps this name
 from .errors import (
+    DEFAULT_CAP,
     ClassificationError,
     NegativeCoefficientError,
     RangeEmptyError,
+    ResourceLimitError,
     SingularAtZeroError,
 )
 from .stats import SphereStats, descent_ratio_floor
@@ -168,7 +170,7 @@ def _over_q_integer(p: tuple, k: int) -> tuple:
     return tuple(q)
 
 
-def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
+def rational_growth_series(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> RationalFunction:
     """Length generating series of the whole system, as a reduced fraction.
 
     The alternating sum G(t) over spherical subsets is assembled per
@@ -183,11 +185,20 @@ def rational_growth_series(matrix: CoxeterMatrix) -> RationalFunction:
     infinity, and a common factor cancels from both alike) and reduced once.
     For a finite group S is among the subsets, and Solomon's identity makes
     G(t) = t^N / W(t), so the result is W(t) over 1.
+
+    The assembly costs at least the degree of D, the sum of (k - 1) times
+    the power of [k], and a label m makes it at least m - 1.  That degree
+    counts against cap: ResourceLimitError is raised before any polynomial
+    is made when it passes cap.
     """
     counts = spherical_counts(matrix)
     power = Counter()
     for e in counts:
         power |= Counter(x + 1 for x in e)
+    degree = sum((k - 1) * j for k, j in power.items())
+    if degree > cap:
+        raise ResourceLimitError(
+            f"element cap {cap} reached by the series' common denominator of degree {degree}")
     den = (1,)
     for k in power.elements():
         den = polys.mul(den, (1,) * k)

@@ -14,10 +14,24 @@ from coxgrowth import (
     uniform_matrix,
     validate_matrix,
 )
+from coxgrowth import polys
 
 ACCEPTANCE_LINES = []
 
 _CACHE = {}
+
+
+def cyclotomic_by_division(n):
+    """Phi_n as x^n - 1 over Phi_k for every proper divisor k, exact over Z (Phi_k is monic)."""
+    phi = {}
+    for k in range(1, n + 1):
+        if n % k == 0:
+            p = (-1,) + (0,) * (k - 1) + (1,)
+            for j, q in phi.items():
+                if k % j == 0:
+                    p = polys.quotient(p, q)
+            phi[k] = p
+    return phi[n]
 
 
 def get_ball(matrix, depth):

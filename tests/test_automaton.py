@@ -4,8 +4,8 @@ The ball gives every element's word and descents, written by json.dumps as
 the lines of the `ball` export, and its sphere and descent counts;
 Steinberg's series gives c_i to any depth; and the parabolic quotients give
 d_i as D(t) = sum over s of (W(t) / W_{S-s}(t) - 1), a route that shares no
-code with the automaton or the ball.  The dense roots of L24 are the oracle
-for the sparse ring of the small roots.
+code with the automaton or the ball.  Division by the cyclotomic polynomial
+is the oracle for the keys of the sparse ring of the small roots.
 """
 import json
 import math
@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     SCAN_BALLS,
     coxeter_matrices,
+    cyclotomic_by_division,
     export_by_ball,
     get_ball,
     perfbench_matrices,
@@ -43,7 +44,6 @@ from coxgrowth.automaton import (
     sphere_counts,
 )
 from coxgrowth.errors import ResourceLimitError
-from coxgrowth.roots import Roots
 
 
 def small_roots(matrix, depth):
@@ -240,44 +240,49 @@ def test_golden_ratio_is_exact():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_keys_match_the_dense_reduction(data):
-    # Roots.reduce, the dense reduction L24 uses, is the oracle for _Ring.key
+    # x is 0 in Z[zeta_N] exactly when Phi_N divides it as a polynomial of
+    # degree < N/2, which is the oracle for _Ring.key
     matrix = data.draw(st.sampled_from([triangle(5, 7, 11), triangle(9, 4, 15), triangle(8, 12, 25)]))
-    ring, roots = _Ring(matrix, INF), Roots(matrix, 0)
+    ring = _Ring(matrix, INF)
     half = ring.half
-    assert roots.big == 2 * half
+    phi = cyclotomic_by_division(2 * half)
 
-    def dense(x):
-        v = [0] * (3 * half)
-        for e, a in x.items():
-            v[3 * e] += a
-        return roots.reduce(v)
+    def divides(x):
+        try:
+            polys.quotient(polys.trim([x.get(e, 0) for e in range(half)]), phi)
+        except ArithmeticError:
+            return False
+        return True
 
-    def element():
+    def terms():
         x = {}
         for _ in range(data.draw(st.integers(0, 6))):
             e = data.draw(st.integers(0, half - 1))
             x[e] = x.get(e, 0) + data.draw(st.integers(-3, 3))
-        # plus multiples of zeta^e (1 + zeta^(N/p) + ... + zeta^((p-1) N/p)), which are 0
-        for _ in range(data.draw(st.integers(0, 3))):
-            p = data.draw(st.sampled_from([p for p in (3, 5, 7, 11) if half % p == 0]))
+        return x
+
+    def zero():
+        # multiples of zeta^e (1 + zeta^(N/p) + ... + zeta^((p-1) N/p)), which are 0
+        x = {}
+        for _ in range(data.draw(st.integers(1, 3))):
+            p = data.draw(st.sampled_from([p for p in (2, 3, 5, 7, 11) if 2 * half % p == 0]))
             e, k = data.draw(st.integers(0, half - 1)), data.draw(st.integers(-2, 2))
             for v in range(p):
                 f = (e + v * (2 * half // p)) % (2 * half)  # x^(N/2) = -1
                 x[f % half] = x.get(f % half, 0) + (-k if f >= half else k)
         return x
 
-    x, y = element(), element()
-    assert (not ring.key(x)) == (not any(dense(x)))
-    assert (ring.key(x) == ring.key(y)) == (dense(x) == dense(y))
-    assert (not ring.key(combine((1, x), (-1, y)))) == (ring.key(x) == ring.key(y))
-
-
-@settings(max_examples=50, deadline=None)
-@given(coxeter_matrices(max_rank=3, labels=(*range(2, 13), INF)))
-@example(MIXED)
-def test_dense_and_sparse_rings_have_one_size(matrix):
-    # labels 2 and 3 need no roots of unity, so N is twice the lcm of those above 3
-    assert Roots(matrix, 0).big == 2 * _Ring(matrix, INF).half
+    z = zero()
+    assert divides(z) and not ring.key(z)
+    x = combine((1, terms()), (1, zero()))
+    if data.draw(st.booleans()):
+        y = combine((1, x), (1, zero()))  # equal to x, though not term by term
+    else:
+        y = combine((1, terms()), (1, zero()))
+    difference = combine((1, x), (-1, y))
+    assert (not ring.key(x)) == divides(x)
+    assert (ring.key(x) == ring.key(y)) == divides(difference)
+    assert (not ring.key(difference)) == (ring.key(x) == ring.key(y))
 
 
 def two_cos(m):

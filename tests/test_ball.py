@@ -4,6 +4,7 @@ The frozen tables below were produced by exhaustive Tits-rewriting
 (oracle_reduce over all words up to the stated length) before the ball
 builder existed; the ball must reproduce them.
 """
+import time
 import tracemalloc
 from itertools import product
 
@@ -22,6 +23,7 @@ from coxgrowth import (
     oracle_reduce,
     path_matrix,
     uniform_matrix,
+    validate_matrix,
 )
 
 # sphere sizes from pure word-rewriting enumeration
@@ -324,3 +326,17 @@ def test_ball_memory_per_element():
 def test_ball_rejects_negative_depth():
     with pytest.raises(ValueError):
         build_ball(uniform_matrix(3, 4), -1)
+
+
+@pytest.mark.parametrize("label,depth", [(10**8, 3), (10**20 - 1, 6), (7, 6)])
+def test_labels_above_the_depth_build_as_inf(label, depth):
+    # a residue of label m closes at length m, so a label above the depth makes
+    # no chain table: I2(10^8) at depth 3 took 2 s, and a label of 10^20 never
+    # returned.  The ball is that of the matrix with the label made inf
+    matrix = validate_matrix([[1, label, 4], [label, 1, 4], [4, 4, 1]])
+    start = time.perf_counter()
+    ball = build_ball(matrix, depth)
+    assert time.perf_counter() - start < 5
+    inf = build_ball(validate_matrix([[1, INF, 4], [INF, 1, 4], [4, 4, 1]]), depth)
+    assert (ball.parent, ball.letter, ball.lengths, ball.edges, ball.descents) == (
+        inf.parent, inf.letter, inf.lengths, inf.edges, inf.descents)

@@ -916,6 +916,36 @@ def test_series_checks_the_cap_before_building_the_series(tmp_path):
         4, "", "error: element cap 5 reached at length 2\n")
 
 
+@pytest.mark.parametrize("data,flags,message", [
+    pytest.param({"m": [[1, 10**20 - 1], [10**20 - 1, 1]]}, ["--depth", "3"],
+                 f"element cap 10000000 reached by the series' common denominator of degree {10**20 - 1}",
+                 id="I2(10^20 - 1)"),
+    pytest.param({"m": [[1, 4_300_000_000], [4_300_000_000, 1]]}, ["--depth", "3"],
+                 "element cap 10000000 reached by the series' common denominator of degree 4300000000",
+                 id="I2(4.3e9)"),
+    pytest.param({"m": [[1, 2, 7], [2, 1, 10**6], [7, 10**6, 1]]}, ["--depth", "2", "--cap", "10000"],
+                 "element cap 10000 reached by the series' common denominator of degree 1000007",
+                 id="(2,7,10^6)"),
+])
+def test_series_charges_the_denominator_degree_against_the_cap(tmp_path, data, flags, message):
+    # the counts fit the cap, but the series' common denominator does not: I2(10^20 - 1)
+    # raised OverflowError and I2(4.3e9) MemoryError, and the (2, 7, 10^6) triangle
+    # ran past 20 s under a cap of 10^4
+    path = matrix_file(tmp_path, data)
+    proc = subprocess.run([sys.executable, "-m", "coxgrowth.cli", "series", "--matrix", path,
+                           *flags], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"error: {message}\n")
+
+
+def test_verify_builds_a_ball_past_a_huge_label(tmp_path):
+    # build_ball reads a label above the depth as inf: one of 10^20 - 1 hung it
+    path = matrix_file(tmp_path, {"m": [[1, 10**20 - 1, 4], [10**20 - 1, 1, 4], [4, 4, 1]]})
+    proc = subprocess.run([sys.executable, "-m", "coxgrowth.cli", "verify", "--matrix", path,
+                           "--depth", "6", "--no-hypothesis-gate"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["all_hold"]
+
+
 def test_series_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
     # the 801 elements fit a cap of 1000, but the terms of the 400 small roots
     # that `series` walks, as `stats` and `ball` do, do not

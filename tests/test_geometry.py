@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coxeter_matrices, get_ball, perfbench_matrices
+from conftest import coxeter_matrices, cyclotomic_by_division, get_ball, perfbench_matrices
 from coxgrowth import (
     INF,
     DiagramNotCompleteError,
@@ -29,8 +29,9 @@ from coxgrowth import (
     verify_projection_collapse,
     verify_wall_pair_uniqueness,
 )
-from coxgrowth import polys, roots as roots_module
+from coxgrowth import roots as roots_module
 from coxgrowth.ball import _alternating
+from coxgrowth.coxmatrix import cyclotomic_ring
 from coxgrowth.geometry import _word_str
 from coxgrowth.report import Comparison, VerificationReport
 from coxgrowth.roots import Roots
@@ -198,17 +199,18 @@ def gallery_walls(ball, roots, word):
 def test_crossings_walk_the_panels():
     # the k-th wall of a gallery is that of the panel {p_k, p_k s_k}: seen
     # from p_k s_k its root is p_k s_k alpha_{s_k} = -p_k alpha_{s_k}
-    ball = get_ball(uniform_matrix(3, 4), 8)
-    roots = Roots(ball.matrix, ball.lengths[-1])
-    word = (0, 1, 2, 0)
-    prefix = 0
-    for s in word:
-        nxt = ball.edges[prefix][s]
-        near = roots.reduce(roots.unpack(fold(roots, ball, prefix, (s,))[0]))
-        far = roots.reduce(roots.unpack(fold(roots, ball, nxt, (s,))[0]))
-        assert any(near) and far == [-a for a in near]
-        prefix = nxt
-    assert prefix == ball.index(word)
+    for matrix in (uniform_matrix(3, 4), validate_matrix([[1, 5, 6], [5, 1, 7], [6, 7, 1]])):
+        ball = get_ball(matrix, 8)
+        roots = Roots(ball.matrix, ball.lengths[-1])
+        word = (0, 1, 2, 0)
+        prefix = 0
+        for s in word:
+            nxt = ball.edges[prefix][s]
+            near = reduce(matrix, roots.unpack(fold(roots, ball, prefix, (s,))[0]))
+            far = reduce(matrix, roots.unpack(fold(roots, ball, nxt, (s,))[0]))
+            assert any(near) and far == [-a for a in near]
+            prefix = nxt
+        assert prefix == ball.index(word)
 
 
 def test_minimal_gallery_crosses_each_wall_once():
@@ -393,17 +395,18 @@ def assert_root_walls_match_cut_scan(ball):
     return len(decided), len(keys) * len(residues)
 
 
-def cyclotomic_by_division(n):
-    """Phi_n as x^n - 1 over Phi_k for every proper divisor k, exact over Z (Phi_k is monic)."""
-    phi = {}
-    for k in range(1, n + 1):
-        if n % k == 0:
-            p = (-1,) + (0,) * (k - 1) + (1,)
-            for j, q in phi.items():
-                if k % j == 0:
-                    p = polys.quotient(p, q)
-            phi[k] = p
-    return phi[n]
+def reduce(matrix, v):
+    """A vector laid out as `Roots` lays it out, in Z[zeta_N]^rank: rank * phi(N)
+    coefficients, cell c of coordinate j at c * rank + j, through `cyclotomic_ring`."""
+    _, phi, _, cells = cyclotomic_ring(matrix)
+    n = matrix.rank
+    out = [0] * (n * phi)
+    for i, a in enumerate(v):
+        if a:
+            e, j = divmod(i, n)
+            for cell, sign in cells(e):
+                out[cell * n + j] += sign * a
+    return out
 
 
 def exact_det(rows):
@@ -426,16 +429,19 @@ def exact_det(rows):
 
 @pytest.mark.parametrize("m", [INF, 2, 3, 4, 5, 6, 8, 9, 12, 15, 35, 105])
 def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
-    # reduce kills every multiple of Phi_N and is unimodular on the powers
-    # x^e e_j (e < phi(N)), so it is the coordinate map of Z[zeta_N]^rank in
-    # an integer basis: two roots get the same key exactly when they are equal.
+    # the map of `cyclotomic_ring`, which L24 and the small roots share, kills
+    # every multiple of Phi_N and is unimodular on the powers x^e e_j
+    # (e < phi(N)), so it is the coordinate map of Z[zeta_N]^rank in an
+    # integer basis: two roots get the same key exactly when they are equal.
     # N is 2 for I2(2) and I2(3), so their shortcuts are checked where a
     # label of 6 makes N = 12, which holds 2m for both
     rows = [[1, m], [m, 1]] if m not in (2, 3) else [[1, m, 6], [m, 1, 6], [6, 6, 1]]
-    roots = Roots(validate_matrix(rows), 1)
+    matrix = validate_matrix(rows)
+    roots = Roots(matrix, 1)
     n, half = len(rows), roots.big // 2
     phi = cyclotomic_by_division(roots.big)
     d = len(phi) - 1
+    assert cyclotomic_ring(matrix)[1] == d
 
     def vector(poly, j):
         # a polynomial in coordinate j, with x^half = -1
@@ -445,8 +451,8 @@ def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
         return v
 
     for e in range(half):
-        assert not any(roots.reduce(vector((0,) * e + phi, 1)))
-    basis = [roots.reduce(vector((0,) * e + (1,), j)) for e in range(d) for j in range(n)]
+        assert not any(reduce(matrix, vector((0,) * e + phi, 1)))
+    basis = [reduce(matrix, vector((0,) * e + (1,), j)) for e in range(d) for j in range(n)]
     assert len(basis[0]) == n * d
     assert abs(exact_det(basis)) == 1
     if m != INF:
@@ -455,7 +461,7 @@ def test_root_reduction_is_a_basis_of_the_cyclotomic_integers(m):
         unit = vector((1,), 0)
         generic = vector((0,) * a + (1,), 0)
         generic = [x + y for x, y in zip(generic, vector((0,) * (roots.big - a) + (1,), 0))]
-        assert roots.reduce(roots.unpack(roots.times(m, pack(roots, unit)))) == roots.reduce(generic)
+        assert reduce(matrix, roots.unpack(roots.times(m, pack(roots, unit)))) == reduce(matrix, generic)
 
 
 FINITE_RANK3 = validate_matrix([[1, 3, 2, 4], [3, 1, 3, 4], [2, 3, 1, 4], [4, 4, 4, 1]])
@@ -612,21 +618,26 @@ def test_keyed_digits_stay_within_three_to_the_longest(matrix, depth):
 
 
 @settings(max_examples=40, deadline=None)
-@given(coxeter_matrices(max_rank=4, labels=(2, 3, 4, 8, INF)), st.integers(4, 8))
+@given(coxeter_matrices(max_rank=4, labels=(2, 3, 4, 5, 6, 8, INF)), st.integers(4, 7))
 @example(uniform_matrix(4, 4), 7)
+@example(validate_matrix([[1, 5, 6], [5, 1, 4], [6, 4, 1]]), 7)
 def test_int_keys_split_walls_as_the_reduction_does(matrix, depth):
-    # with N a power of 2 a key is the packed root up to sign; the reduction
-    # with its first nonzero coefficient made positive, the key for every
-    # other N, must split the walls L24 keys in the same way.  L24's roots
-    # are all positive (a gate maps the positive roots of its pair to
-    # positive roots), so each is keyed with its negation as well
+    # a key is one int: the packed root up to sign when N is a power of 2,
+    # else its packed reduction.  It must split the walls L24
+    # keys as the reduction through `cyclotomic_ring` does, with its first
+    # nonzero coefficient made positive.  L24's roots are all positive (a
+    # gate maps the positive roots of its pair to positive roots), so each
+    # is keyed with its negation as well
     ball = build_ball(matrix, depth)
     split = {}
 
     class Both(Roots):
+        def __init__(self, matrix, longest):
+            super().__init__(matrix, longest)
+            self.matrix = matrix
+
         def key(self, root):
-            assert self.big & (self.big - 1) == 0
-            flat = self.reduce(self.unpack(root))
+            flat = reduce(self.matrix, self.unpack(root))
             sign = 1 if next(a for a in flat if a) > 0 else -1
             got = super().key(root)
             assert super().key(-root) == got
@@ -638,6 +649,58 @@ def test_int_keys_split_walls_as_the_reduction_does(matrix, depth):
         verify_wall_pair_uniqueness(ball, gate=False)
     assert all(len(reduced) == 1 for reduced in split.values())
     assert len(set().union(*split.values())) == len(split)
+
+
+@pytest.mark.parametrize("longest", [3, 18, 39, 44])
+@pytest.mark.parametrize("labels", [(5, 7, 11), (9, 4, 15), (6, 10, 15), (12, 8, 25)], ids=str)
+def test_keys_stay_distinct_at_the_widest_reduced_coefficient(labels, longest):
+    # a cell gathers at most 2^k digits, k the odd prime powers of N (3 for
+    # (5,7,11), 2 for the others), so with each at 3^L, the widest digit L24
+    # forms, the cell's coefficient reaches 2^k 3^L.  Its field must hold it
+    # apart from its neighbours.  At these lengths the k bits take the field
+    # past 1, 4 and 8 bytes (3 and 18 only for k = 3), and to 10 bytes at 44
+    matrix = validate_matrix([[1, labels[0], labels[1]], [labels[0], 1, labels[2]],
+                              [labels[1], labels[2], 1]])
+    roots = Roots(matrix, longest)
+    big, _, k, cells = cyclotomic_ring(matrix)
+    n, half, widest = 3, big // 2, 3 ** longest
+    into = {}
+    for e in range(half):
+        for cell, sign in cells(e):
+            into.setdefault(cell, []).append((e, sign))
+    assert max(map(len, into.values())) == 2 ** k
+    full = [cell for cell, found in into.items() if len(found) == 2 ** k]
+    variants = []
+    for cell, j in ((full[0], 1), (full[-1], 1)):
+        v = [0] * (n * half)
+        for e, sign in into[cell]:
+            v[e * n + j] = sign * widest
+        assert reduce(matrix, v)[cell * n + j] == 2 ** k * widest
+        variants.append(v)
+        for e, sign in into[cell][:2]:  # one digit less, or one neighbour more
+            for i, step in ((e * n + j, -sign), (e * n + j - 1, 1), (e * n + j + 1, -1)):
+                w = v[:]
+                w[i] += step
+                variants.append(w)
+    keys = [roots.key(pack(roots, v)) for v in variants]
+    assert keys == [roots.key(-pack(roots, v)) for v in variants]
+    reduced = {tuple(reduce(matrix, v)) for v in variants}
+    assert len(set(keys)) == len(reduced) == len(variants)
+
+
+@pytest.mark.parametrize("labels,depth,checked", [
+    pytest.param((5, 7, 11), 12, 1_991, id="(5,7,11)"),
+    pytest.param((7, 9, 11), 12, 1_070, id="(7,9,11)"),
+    pytest.param((11, 13, 17), 12, 110, id="(11,13,17)"),
+    pytest.param((2, 3, 6), 45, 4_455, id="(2,3,6)"),
+])
+def test_wall_pair_counts_on_multi_prime_rings(labels, depth, checked):
+    # N = 770, 1386, 4862 and 12; at depth 45 the digits of (2,3,6) are wider
+    # than 8 bytes and the key takes the to_bytes path
+    a, b, c = labels
+    ball = get_ball(validate_matrix([[1, a, b], [a, 1, c], [b, c, 1]]), depth)
+    report = verify_wall_pair_uniqueness(ball, gate=False)
+    assert report.holds and (report.checked, report.skipped) == (checked, 0)
 
 
 @pytest.mark.parametrize("matrix,depth", [

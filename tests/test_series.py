@@ -11,6 +11,7 @@ from coxgrowth import (
     INF,
     NegativeCoefficientError,
     RationalFunction,
+    ResourceLimitError,
     SingularAtZeroError,
     SphereStats,
     classify_subset,
@@ -221,6 +222,16 @@ def test_verdict_isolates_smallest_pole(factors, point):
 
 
 # -- growth series ----------------------------------------------------------
+
+
+def test_series_charges_its_denominator_degree_against_the_cap():
+    # A~8's common denominator has degree 46; a label m makes it at least m - 1
+    matrix = affine_a(9)
+    assert rational_growth_series(matrix, cap=46) == rational_growth_series(matrix)
+    with pytest.raises(ResourceLimitError, match="common denominator of degree 46$"):
+        rational_growth_series(matrix, cap=45)
+    with pytest.raises(ResourceLimitError, match=f"degree {10**20 - 1}$"):
+        rational_growth_series(uniform_matrix(2, 10**20 - 1))
 
 
 def test_series_dihedral_is_polynomial():
