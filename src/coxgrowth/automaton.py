@@ -325,15 +325,15 @@ def _layers(auto: ShortLex, depth: int, cap: int):
     """The count walk: for each length 1..depth, how many elements reach each state.
 
     A layer maps states to counts, so it never holds more states than
-    elements.  The walk keeps the successors of the last layer's states, so
-    a state that recurs from one length to the next is stepped once while
-    it recurs, and it holds the states of two lengths.  The walk stops
-    before the first empty length, where a finite group's ball ends.
-    Raises ResourceLimitError, as build_ball does, at the first length
-    whose running total of elements exceeds cap.  A layer is counted
-    before the roots it needs are found, so the cap stops the walk there;
-    the roots found by then raise it only if their terms pass
-    max(cap, FREE_TERMS).
+    elements.  Each layer comes with the successors of the states of the
+    layer before it.  The walk keeps those, so a state that recurs from one
+    length to the next is stepped once while it recurs, and it holds the
+    states of two lengths.  The walk stops before the first empty length,
+    where a finite group's ball ends.  Raises ResourceLimitError, as
+    build_ball does, at the first length whose running total of elements
+    exceeds cap.  A layer is counted before the roots it needs are found,
+    so the cap stops the walk there; the roots found by then raise it only
+    if their terms pass max(cap, FREE_TERMS).
     """
     n = auto.rank
     layer, total, steps = {0: 1}, 1, {}
@@ -353,7 +353,7 @@ def _layers(auto: ShortLex, depth: int, cap: int):
         for state, count in below.items():
             for _, new in steps[state]:
                 layer[new] = layer.get(new, 0) + count
-        yield layer
+        yield layer, steps
 
 
 def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
@@ -366,54 +366,164 @@ def export_lines(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
 
     The count walk of sphere_counts, `_layers`, runs before the generator
     is returned, so the cap raises ResourceLimitError, with sphere_counts'
-    message at the same length, before any line is asked for.  The lines
-    are then read from the same automaton.
-
-    A layer holds its words, its distinct states, and for each word the
-    index of its state.  The children's lines of an element differ from
-    one element to another of the same state only in its word, so each
-    distinct state gets one template per length: its children's lines,
-    split where the parent's word goes.  A layer's text is then one
-    `str.join` per parent, and the next layer's words one more.
+    message at the same length, before any line is asked for.  The walk
+    also leaves what `_anchors` needs to cut the lengths into chunks: each
+    length's count and, where its states recur (it has fewer distinct
+    states than elements), their successors.  A length whose states do not
+    recur keeps nothing, so a finite group's walk holds what it holds for
+    sphere_counts.  `_lines` then reads the lines from the same automaton,
+    a chunk at a time.
     """
     auto = ShortLex(matrix, depth, cap)
-    # the last length that holds an element: depth, or a finite group's longest element
-    last = sum(1 for _ in _layers(auto, depth, cap))
-    return _lines(auto, last)
+    counts, steps, recurs = [1], [], False
+    for layer, below in _layers(auto, depth, cap):
+        steps.append(below if recurs else None)
+        counts.append(sum(layer.values()))
+        recurs = len(layer) < counts[-1]
+    return _lines(auto, _anchors(counts, steps))
 
 
-def _lines(auto: ShortLex, depth: int):
+def _anchors(counts: list[int], steps: list) -> list[tuple[int, int]]:
+    """Lengths 1..last cut into chunks (anchor, top), in order.
+
+    counts[i] is the count of length i, and steps[i] the successors of its
+    states where they recur, else None.  `_lines` writes the lengths
+    anchor + 1..top of a chunk from the anchor's words, with one template
+    per distinct state of the anchor, so the templates of top hold a line
+    per path from a distinct state of the anchor to top.  Working back
+    from the last length, a chunk holds at least its top, and its anchor
+    moves one length back while that length's states recur and the paths
+    from them to top are no more than its elements.  A length whose states
+    do not recur shares nothing as an anchor: its templates would hold a
+    line per element of each length they write, as a walk parent by
+    parent does.
+
+    The paths are counted one length further back per step, each step
+    from the one before: with p(q) the paths from a state q to top, p(q)
+    is the sum of p over q's successors, and p is 1 on the states of top.
+    A chunk's steps read each of its lengths once, and the step that
+    fails is read again as the next chunk's first, so the choice is
+    linear in the depth.
+    """
+    chunks, top = [], len(counts) - 1
+    while top:
+        anchor = top - 1
+        if steps[anchor] is not None:
+            # per state of the anchor: its paths to top
+            paths = {state: len(successors) for state, successors in steps[anchor].items()}
+            # length 0 never recurs, so the anchor stays above it
+            while steps[anchor - 1] is not None:
+                below = anchor - 1
+                paths = {state: sum(paths[new] for _, new in successors)
+                         for state, successors in steps[below].items()}
+                if sum(paths.values()) > counts[below]:
+                    break
+                anchor = below
+        chunks.append((anchor, top))
+        top = anchor
+    chunks.reverse()
+    return chunks
+
+
+# In a chunk's templates _MARK stands where the anchor's word goes, and
+# _BOUND closes the descendants of one distinct state of the anchor; the
+# JSON lines, of digits and keys, hold neither.
+_MARK, _BOUND = "\0", "\1"
+
+
+def _lines(auto: ShortLex, chunks: list[tuple[int, int]]):
+    """The lines of length 0 and of each length of the chunks, from the chunks' anchors.
+
+    A length holds its distinct states, and the next length's are numbered
+    as found.  Per distinct state of the length before, its children's
+    lines are split where the parent's word goes.  In a chunk's first
+    length those are the templates, one per distinct state of the anchor,
+    and the length's text is one `str.join` per element of the anchor, as
+    it is for every length of a one-length chunk.
+
+    Deeper in a chunk, a path stands for one descendant of a distinct
+    state of the anchor: it keeps its word's tail past the anchor's word,
+    after a _MARK, and the index of its state.  The paths run in the order
+    of their anchor states, each state's closed by a path of a _BOUND.
+    One `str.join` over the paths writes every template at once, with a
+    _MARK where the anchor's word goes, one more writes the next length's
+    tails, and the length's text is again one `str.join` per element of
+    the anchor.  Words are made, and split, only at a chunk's top, for the
+    next chunk's anchor.
+
+    The lines are those a walk parent by parent writes: an element's
+    descendants at a length, in its template's order, are the children of
+    its descendants one length shorter, each in letter order, which is the
+    ball's order; and the lines of two elements of the anchor with the same
+    state differ only in their words.
+    """
     yield '{"desc": [], "i": 0, "w": ""}\n'
-    # a layer: the words, the distinct states, and each word's index into them
+    # the anchor: its words, each word's index into its distinct states, and those states
     words, ids, states, steps = [""], [0], [0], {}
-    for length in range(1, depth + 1):
-        index = {}  # the next layer's distinct states, numbered as found
-        # per state: its children's lines split where the word goes, their last
-        # letters, and their indices
-        pieces, letters, children = [], [], []
-        # as in `_layers`, a state of the last layer keeps its successors
-        steps = {state: steps[state] if state in steps else auto.successors(state)
-                 for state in states}
-        for successors in steps.values():
-            line, letter, kids = [""], [""], []
-            for s, new in successors:
-                line[-1] += '{"desc": [%s], "i": %d, "w": "' % (
-                    ", ".join(map(str, auto.descents(new))), length)
-                line.append('%d"}\n' % s)
-                letter.append("%d\n" % s)
-                kids.append(index.setdefault(new, len(index)))
-            pieces.append(line)
-            letters.append(letter)
-            children.append(kids)
-        # word.join(pieces) puts the parent's word in each child's line
-        text = "".join(map(str.join, words, map(pieces.__getitem__, ids)))
-        yield text
-        del text  # before the next layer's words are made
-        if length < depth:
-            words = "".join(map(str.join, words, map(letters.__getitem__, ids))).split("\n")
-            words.pop()
-            ids = list(chain.from_iterable(map(children.__getitem__, ids)))
+    # the start of a line, up to its length, by its descents: at most one
+    # per spherical subset, since an element's descents generate a finite group
+    simple, heads = auto.simple, {}
+    for anchor, top in chunks:
+        deep = top > anchor + 1
+        for length in range(anchor + 1, top + 1):
+            index = {}  # this length's distinct states, numbered as found
+            # per state of the length before: its children's lines split where
+            # its word goes, their last letters, and their indices
+            pieces, letters, children = [], [], []
+            # as in `_layers`, a state of the last length keeps its successors
+            steps = {state: steps[state] if state in steps else auto.successors(state)
+                     for state in states}
+            middle = '%d, "w": "' % length
+            for successors in steps.values():
+                line, letter, kids = [""], [""], []
+                for s, new in successors:
+                    head = heads.get(new & simple)
+                    if head is None:
+                        head = heads[new & simple] = '{"desc": [%s], "i": ' % (
+                            ", ".join(map(str, auto.descents(new))))
+                    line[-1] += head + middle
+                    line.append('%d"}\n' % s)
+                    letter.append("%d\n" % s)
+                    kids.append(index.setdefault(new, len(index)))
+                pieces.append(line)
+                letters.append(letter)
+                children.append(kids)
+            if deep:
+                # a bound's path stays a bound: index -1 at every length
+                pieces.append([_BOUND])
+                letters.append([_BOUND + "\n"])
+                children.append([-1])
+                if length == anchor + 1:
+                    # a path per distinct state of the anchor, each then a bound's
+                    tails = [_MARK, _BOUND] * len(states)
+                    ends = [end for j in range(len(states)) for end in (j, -1)]
+                else:
+                    # tail.join(pieces) puts a mark and the tail in each line
+                    marked = "".join(map(str.join, tails, map(pieces.__getitem__, ends)))
+                    pieces = [template.split(_MARK) for template in marked.split(_BOUND)]
+                    del marked
+            # word.join(pieces) puts the anchor's word in each line
+            text = "".join(map(str.join, words, map(pieces.__getitem__, ids)))
+            yield text
+            del text  # before the next anchor's words are made
+            if deep:
+                # the paths one length on: their marked tails, and their states
+                marked = "".join(map(str.join, tails, map(letters.__getitem__, ends)))
+                ends = list(chain.from_iterable(map(children.__getitem__, ends)))
+                if length < top:
+                    tails = marked.split("\n")
+                    tails.pop()
             states = index
+        if top == chunks[-1][1]:
+            return
+        if deep:
+            # per distinct state of the anchor: its paths' tails, and their states
+            letters = [template.split(_MARK) for template in marked.split(_BOUND + "\n")]
+            rest = iter(ends)
+            children = [list(iter(rest.__next__, -1)) for _ in letters]
+        words = "".join(map(str.join, words, map(letters.__getitem__, ids))).split("\n")
+        words.pop()
+        ids = list(chain.from_iterable(map(children.__getitem__, ids)))
 
 
 def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
@@ -427,7 +537,7 @@ def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
     """
     auto = ShortLex(matrix, depth, cap)
     c, d = [1], [0]
-    for layer in _layers(auto, depth, cap):
+    for layer, _ in _layers(auto, depth, cap):
         c.append(sum(layer.values()))
         d.append(sum(count for state, count in layer.items()
                      if (state & auto.simple).bit_count() == 1))

@@ -9,6 +9,7 @@ is the oracle for the keys of the sparse ring of the small roots.
 """
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -34,12 +35,15 @@ from coxgrowth import (
     validate_matrix,
 )
 from coxgrowth import polys
+from coxgrowth import automaton
 from coxgrowth.automaton import (
     FREE_TERMS,
     START_BITS,
     ShortLex,
     SmallRoots,
     _Ring,
+    _anchors,
+    _layers,
     export_lines,
     sphere_counts,
 )
@@ -117,6 +121,12 @@ def test_walk_matches_ball_random(matrix):
     pytest.param(path_matrix([3, 3, 3]), 11, 4, id="A4"),
     pytest.param(validate_matrix([[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 2, 2],
                                   [2, 2, 2, 1, 5], [2, 2, 2, 5, 1]]), 11, 5, id="A3xI2(5)"),
+    pytest.param(uniform_matrix(2, 7), 10, 2, id="I2(7)"),
+    # chunks of several lengths: (4,4,4) and A~2 write lengths from anchors
+    # up to seven and thirty lengths back
+    pytest.param(uniform_matrix(3, 4), 16, 2, id="(4,4,4)"),
+    pytest.param(uniform_matrix(3, 3), 40, 2, id="A~2"),
+    pytest.param(uniform_matrix(2, INF), 300, 1, id="I2(inf)"),
 ])
 def test_export_lines_are_what_json_dumps_writes(matrix, depth, most):
     # as lists, so that a failure is reported without diffing two long strings
@@ -419,6 +429,110 @@ def test_the_lines_walk_steps_a_recurring_state_once(monkeypatch):
     calls = count_successors(monkeypatch)
     list(export_lines(uniform_matrix(4, 4), 9))
     assert len(calls) <= 2 * 66
+
+
+def walk_and_chunks(monkeypatch, matrix, depth):
+    """The lengths' counts and recurring successors that export_lines gives `_anchors`, and its chunks."""
+    seen = []
+
+    def spy(counts, steps):
+        seen.extend((counts, steps, _anchors(counts, steps)))
+        return seen[-1]
+
+    monkeypatch.setattr(automaton, "_anchors", spy)
+    export_lines(matrix, depth)
+    return seen
+
+
+CHUNKED_SYSTEMS = [
+    pytest.param(uniform_matrix(3, 4), 19, id="(4,4,4)"),
+    pytest.param(uniform_matrix(4, 4), 10, id="uniform(4,4)"),
+    pytest.param(MIXED, 10, id="mixed"),
+    pytest.param(uniform_matrix(3, 3), 60, id="A~2"),
+    pytest.param(uniform_matrix(4, 3), 9, id="uniform(4,3)"),
+    pytest.param(path_matrix([5, 3]), 20, id="H3"),
+    pytest.param(uniform_matrix(2, INF), 50, id="I2(inf)"),
+]
+
+
+@pytest.mark.parametrize("matrix, depth", CHUNKED_SYSTEMS)
+def test_no_chunk_holds_more_template_lines_than_its_anchor_has_elements(monkeypatch, matrix, depth):
+    # paths from the anchor's distinct states to top, counted forward from
+    # the states of a separate count walk, are the lines of top's templates
+    counts, _, chunks = walk_and_chunks(monkeypatch, matrix, depth)
+    auto = ShortLex(matrix, depth, cap=INF)
+    layers = [{0: 1}] + [layer for layer, _ in _layers(auto, depth, INF)]
+    assert [sum(layer.values()) for layer in layers] == counts
+
+    def recurs(i):
+        return len(layers[i]) < counts[i]
+
+    def paths(anchor, top):
+        walk = dict.fromkeys(layers[anchor], 1)
+        for _ in range(anchor, top):
+            step = {}
+            for state, count in walk.items():
+                for _, new in auto.successors(state):
+                    step[new] = step.get(new, 0) + count
+            walk = step
+        return sum(walk.values())
+
+    # the chunks cover lengths 1..last in order, each from the top before it
+    assert [anchor for anchor, _ in chunks] == [0] + [top for _, top in chunks[:-1]]
+    assert chunks[-1][1] == len(counts) - 1
+    assert all(anchor < top for anchor, top in chunks)
+    for anchor, top in chunks:
+        if top > anchor + 1:
+            assert recurs(anchor) and paths(anchor, top) <= counts[anchor]
+        # and each reaches back as far as the rule lets it
+        below = anchor - 1
+        assert not (below >= 0 and recurs(anchor) and recurs(below)
+                    and paths(below, top) <= counts[below])
+
+
+def test_444_is_written_from_three_anchors_of_several_lengths(monkeypatch):
+    _, _, chunks = walk_and_chunks(monkeypatch, uniform_matrix(3, 4), 19)
+    assert [chunk for chunk in chunks if chunk[1] > chunk[0] + 1] == [(7, 9), (9, 12), (12, 19)]
+
+
+class _CountingSteps(dict):
+    """A length's successors that count, into `read`, the states a caller walks."""
+
+    def __init__(self, steps, read):
+        super().__init__(steps)
+        self.read = read
+
+    def items(self):
+        self.read.append(len(self))
+        return super().items()
+
+
+def test_the_anchor_choice_is_linear_in_the_depth(monkeypatch):
+    # A~2 at depth 400 has 8,669 distinct states over its lengths and a chunk
+    # of 235 lengths; a search that counted the paths again from every
+    # candidate anchor walked 736,726 states here
+    counts, steps, chunks = walk_and_chunks(monkeypatch, uniform_matrix(3, 3), 400)
+    assert max(top - anchor for anchor, top in chunks) > 50
+    read = []
+    counting = [None if below is None else _CountingSteps(below, read) for below in steps]
+    assert _anchors(counts, counting) == chunks
+    assert sum(read) <= 2 * sum(len(below) for below in steps if below is not None)
+
+
+def test_the_lines_need_no_recursion():
+    # every walk is a loop: I2(inf) to depth 5,000 is written under a
+    # recursion limit of 50 frames past the caller's
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        lines = "".join(export_lines(uniform_matrix(2, INF), 5000)).splitlines()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(lines) == 10_001
+    assert lines[-1] == '{"desc": [0], "i": 5000, "w": "%s"}' % ("10" * 2500)
 
 
 def test_a_bit_of_an_unvisited_root_raises():
