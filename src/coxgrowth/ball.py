@@ -10,11 +10,16 @@ and are never merged:
   cross-check on short words.
 * build_ball -- breadth-first construction of all elements up to a length
   bound, resolving products through already-built layers only.
+
+walk_ball fills the same arrays, without edges, from the ShortLex
+automaton's count walk; build_ball is its oracle in the tests.
 """
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import inf as INF
 
+from .automaton import ShortLex, _layers
 from .coxmatrix import CoxeterMatrix
 from .errors import (
     DEFAULT_CAP,
@@ -95,9 +100,14 @@ class Ball:
     parent's word plus that letter, rebuilt from the chain when asked for.
     `descents[idx]` is the element's right-descent mask, bit s for a
     descent s.
+
+    A ball from walk_ball has no edges until `with_edges` asks for them;
+    it keeps instead each element's state in `states`, of the ShortLex
+    automaton `automaton`.  A ball from build_ball has both None.
     """
 
-    def __init__(self, matrix, depth, parent, letter, lengths, edges, offsets, descents):
+    def __init__(self, matrix, depth, parent, letter, lengths, edges, offsets, descents,
+                 states=None, automaton=None):
         self.matrix = matrix
         self.depth = depth
         self.parent = parent
@@ -105,6 +115,8 @@ class Ball:
         self.lengths = lengths
         self.edges = edges
         self.descents = descents
+        self.states = states
+        self.automaton = automaton
         self._offsets = offsets
 
     # -- lookup ---------------------------------------------------------
@@ -143,6 +155,17 @@ class Ball:
         if got is None or self.word(got) != word:
             raise ValueError(f"{word} is not the canonical word of a ball element")
         return got
+
+    def with_edges(self) -> Ball:
+        """This ball, its edges first taken from build_ball's if it has none.
+
+        build_ball makes the walk's elements in the walk's order, so its
+        edges index this ball; the walk passed the cap with these elements,
+        and so does the build.
+        """
+        if self.edges is None:
+            self.edges = build_ball(self.matrix, self.depth, cap=self.size).edges
+        return self
 
     # -- multiplication --------------------------------------------------
 
@@ -278,3 +301,38 @@ def build_ball(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP) -> Bal
                 descents.append(mask)
         offsets.append(len(lengths))
     return Ball(matrix, depth, parent, letter, lengths, edges, offsets, descents)
+
+
+def walk_ball(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP) -> Ball:
+    """The ball's elements, with no edges, from the automaton's count walk.
+
+    The walk `_layers` gives each length with the successors of the states
+    of the length before, and raises ResourceLimitError, with its message,
+    where build_ball does.  Each element of a length has its state's
+    successors as children, in letter order, which is ShortLex order: the
+    order of build_ball, whose parents and letters these are too.  So a
+    length's arrays come from the states of the length before, one list
+    per distinct state, joined with `chain` and `repeat`.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    auto = ShortLex(matrix, depth, cap)
+    parent, letter, lengths, offsets, descents, states = [-1], [-1], [0], [0, 1], [0], [0]
+    masks = {}  # descent mask by state, as the walk meets them
+    for length, (layer, steps) in enumerate(_layers(auto, depth, cap), 1):
+        start, stop = offsets[-2], offsets[-1]
+        below = states[start:stop]
+        letters = {state: [s for s, _ in successors] for state, successors in steps.items()}
+        children = {state: [new for _, new in successors] for state, successors in steps.items()}
+        masks.update({state: sum(1 << s for s in auto.descents(state))
+                      for state in layer.keys() - masks.keys()})
+        parent.extend(chain.from_iterable(
+            map(repeat, range(start, stop), map(len, map(letters.__getitem__, below)))))
+        letter.extend(chain.from_iterable(map(letters.__getitem__, below)))
+        states.extend(chain.from_iterable(map(children.__getitem__, below)))
+        descents.extend(map(masks.__getitem__, states[stop:]))
+        lengths.extend(repeat(length, len(states) - stop))
+        offsets.append(len(states))
+    # past a finite group's longest element the lengths are empty
+    offsets.extend(repeat(len(states), depth + 2 - len(offsets)))
+    return Ball(matrix, depth, parent, letter, lengths, None, offsets, descents, states, auto)

@@ -9,7 +9,8 @@ failed on its validity range, 6 series coefficients disagree with the
 enumerated sphere sizes.
 
 stats, series and verify count with automaton.sphere_counts under one cap rule,
-which verify meets before it builds a ball for its geometry suites alone.
+which verify meets before it walks the automaton again for its geometry suites
+alone; those build a ball only to name a failure.
 verify and series bind the modules only they run with the package's `_bind`,
 and every package export resolves as cli.<name> before that; a name set on cli
 first, by a tracer or by monkeypatch, is the one the command calls.  main
@@ -47,8 +48,8 @@ EXIT_VERIFY = 5
 EXIT_COEFF = 6
 
 # each suite as runner(stats, ball, gate), in the order they run, the geometry suites
-# (which alone read a ball) last; the lambdas look their names up at call time, so a
-# timer rebound onto those names sees the calls
+# (which alone read a ball, the walk's) last; the lambdas look their names up at call
+# time, so a timer rebound onto those names sees the calls
 _GEOMETRY = {
     "P29": lambda stats, ball, gate: verify_projection_collapse(ball, gate=gate),
     "C210": lambda stats, ball, gate: verify_exit_ascent(ball, gate=gate),
@@ -167,8 +168,10 @@ def cmd_verify(args) -> int:
     c, d = sphere_counts(matrix, depth, cap=args.cap)
     stats, ball = SphereStats(matrix, tuple(c), tuple(d)), None
     if any(token in _GEOMETRY for token in tokens):
-        _bind(globals(), "ball", "geometry")
-        ball = build_ball(matrix, depth, cap=args.cap)
+        from .ball import walk_ball
+
+        _bind(globals(), "geometry")
+        ball = walk_ball(matrix, depth, cap=args.cap)
     gate = not args.no_hypothesis_gate
 
     reports = []

@@ -1,15 +1,20 @@
 """Chamber-level geometry over a finite ball: residues, reflections, walls.
 
 Chambers are ball elements, named by ball index in every argument and
-result; s-adjacency is right multiplication.  Products are folded through
-stored edges, so every computation is exact.  Walls are named exactly by
-their roots over Z[zeta_N] (see `roots`), so the wall scan L24 decides
-every complete residue.  P29, C210, L211 and the rank-2 residues of L24
-read each element's right-descent mask, which the ball records as it
-makes the element, final from then on.  A rank-2 residue is its gate and
-pair, found with no walk; edges are walked only where a mask cannot
-decide: C210's words, L24's walls along a residue, and P29's gates at
-two descents.  Only C210 is still ball-scoped: a case whose chambers
+result; s-adjacency is right multiplication.  Every computation is
+exact.  Walls are named exactly by their roots over Z[zeta_N] (see
+`roots`), so the wall scan L24 decides every complete residue from the
+ball's parents, letters and descent masks.  The rank-2 residues of L24
+are their gates and pairs, found with no walk.
+
+The scans take a ball from walk_ball, which has no edges, or one from
+build_ball.  On the walk's ball P29, C210 and L211 decide per D-set, the
+small roots that an element makes negative, which its automaton state
+holds, and count each D-set once per element that has it; edges are
+built, with build_ball, only to name a failure, or where P29 cannot
+decide.  Then, as on a built ball, each reads the right-descent masks
+and walks edges where a mask cannot decide: C210's words and P29's gates
+at two descents.  Only C210 is still ball-scoped: a case whose chambers
 would leave the ball is counted as skipped rather than guessed, and its
 report carries both a checked and a skipped count.
 """
@@ -86,6 +91,71 @@ def _pairs(ball: Ball):
             for s, t in combinations(range(ball.matrix.rank), 2)]
 
 
+class _DSets:
+    """The D-sets of a ball from walk_ball, stepped through ascents.
+
+    The even bits of an element's automaton state are D(w), the small roots
+    that w makes negative, and w's descents are the simple roots among
+    them.  For an ascent s, D(ws) = ({alpha_s} u s D(w)) n E (Brink-Howlett,
+    Math. Ann. 296, 1993; Bjorner-Brenti ch. 4), and the automaton's images
+    of the bits under s give s D(w) n E.  Those images are known for the
+    roots of depth up to the longest length walked, so D(w) steps from any
+    w below the rim.  Steps and masks are memoised.
+    """
+
+    def __init__(self, ball: Ball):
+        auto = ball.automaton
+        self.descents = auto.descents
+        self.images = [images for *_, images in auto.letters]
+        self.act = auto.roots.act
+        self.even = (1 << 2 * len(auto.roots.vectors)) // 3  # bit 2i of every root i
+        self.steps, self.masks = {}, {}
+
+    def count(self, states) -> Counter:
+        """How many of the states have each D-set."""
+        out = Counter()
+        for state, count in Counter(states).items():
+            out[state & self.even] += count
+        return out
+
+    def step(self, d: int, s: int) -> int:
+        """D(ws) from D(w) = d, for an ascent s of w."""
+        got = self.steps.get((d, s))
+        if got is None:
+            images, got, rest = self.images[s], 1 << 2 * s, d
+            while rest:
+                low = rest & -rest
+                got |= images[low.bit_length() - 1]
+                rest ^= low
+            self.steps[d, s] = got
+        return got
+
+    def mask(self, d: int) -> int:
+        """The descent mask of w, from D(w) = d."""
+        got = self.masks.get(d)
+        if got is None:
+            got = self.masks[d] = sum(1 << s for s in self.descents(d))
+        return got
+
+    def dihedral(self, s: int, t: int, m) -> int | None:
+        """The bits of the positive roots of <s,t>, or None unless all m are known.
+
+        They are the closure of alpha_s and alpha_t under s and t.  A label
+        m above the walk's depth is inf to the small roots, which then hold
+        only alpha_s and alpha_t of <s,t>, and an inf label has infinitely
+        many roots; either way fewer than m are found.
+        """
+        found, todo = {s, t}, [s, t]
+        while todo:
+            i = todo.pop()
+            for x in (s, t):
+                j = self.act[x][i]
+                if j >= 0 and j not in found:
+                    found.add(j)
+                    todo.append(j)
+        return sum(1 << 2 * i for i in found) if len(found) == m else None
+
+
 def rank2_complete_residues(ball: Ball) -> list[tuple[int, int, int]]:
     """Every spherical rank-2 residue that fits inside the ball, as (gate, s, t).
 
@@ -111,11 +181,13 @@ def _word_str(ball: Ball, idx: int) -> str:
     return "".join(map(str, ball.word(idx))) or "e"
 
 
-def _reflection_word(ball: Ball, wall: int) -> str:
-    """The word p x p^-1 of the wall coded chamber * rank + letter."""
-    chamber, x = divmod(wall, ball.matrix.rank)
-    w = ball.word(chamber)
-    return "".join(map(str, w + (x,) + w[::-1]))
+def _reflection_word(ball: Ball, residues, origin: int) -> str:
+    """The word p x p^-1 of the wall coded r * depth + k: the wall between
+    p = g(st...)_k and px in the r-th residue g<s,t>."""
+    r, k = divmod(origin, ball.depth)
+    g, s, t = residues[r]
+    w = ball.word(ball.with_edges().fold_right(g, _alternating(s, t, k)))
+    return "".join(map(str, w + ((s, t)[k % 2],) + w[::-1]))
 
 
 def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationReport:
@@ -153,17 +225,16 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
                 )
     from .roots import Roots  # only L24 needs the ring; other commands never load it
 
-    n = ball.matrix.rank
     roots = Roots(truncate_labels(ball.matrix, 4 * ball.depth), ball.lengths[-1])
     images_of = roots.images(ball)
+    residues = rank2_complete_residues(ball)
     walls = {}  # root key -> wall id
-    origins = []  # wall id -> chamber * n + letter of its first residue
+    origins = []  # wall id -> r * depth + k for the k-th wall of its first residue, the r-th
     pairs = []  # a << 32 | b for walls a < b, once per residue
-    for g, s, t in rank2_complete_residues(ball):
+    for r, (g, s, t) in enumerate(residues):
         images = images_of(g)
         m = ball.matrix.order(s, t)
         prev, cur = -images[t], images[s]
-        chamber, x, y = g, s, t
         ids = []
         for k in range(m):
             if k:
@@ -172,9 +243,8 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
             wall = walls.get(key)
             if wall is None:
                 wall = walls[key] = len(origins)
-                origins.append(chamber * n + x)
+                origins.append(r * ball.depth + k)
             ids.append(wall)
-            chamber, x, y = ball.edges[chamber][x], y, x
         assert len(set(ids)) == m, "a residue's walls must be distinct"
         for a, b in combinations(sorted(ids), 2):
             pairs.append(a << 32 | b)
@@ -186,14 +256,9 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
         checked += 1
         count = sum(1 for _ in run)
         if count > 1:
-            alpha, beta = origins[pair >> 32], origins[pair & 0xFFFFFFFF]
-            checks.append(
-                Comparison(
-                    {"alpha": _reflection_word(ball, alpha),
-                     "beta": _reflection_word(ball, beta)},
-                    count, 1, "<=", False,
-                )
-            )
+            alpha, beta = (_reflection_word(ball, residues, origins[wall])
+                           for wall in (pair >> 32, pair & 0xFFFFFFFF))
+            checks.append(Comparison({"alpha": alpha, "beta": beta}, count, 1, "<=", False))
     return VerificationReport("L24", 0, ball.depth, tuple(checks), checked, 0)
 
 
@@ -220,6 +285,12 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
     below w exactly when t is a descent of w.  So a pair {t, u} with one
     descent of w is checked and holds, one with none is not checked, and
     one with two is checked and fails when its two gates differ in length.
+
+    On the walk's ball the gate of w<s,t> has length
+    length(w) - |D(w) n Phi+_st|.  That holds only while m_st <= depth:
+    the small roots are those of the matrix with every label above the
+    depth made inf, whose Phi+_st has no root in E but alpha_s and alpha_t.
+    There, and for m_st = inf, the gates are walked on the built ball.
     """
     if gate:
         require_complete_two_spherical(ball.matrix)
@@ -228,6 +299,9 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
     # (n - k) ascents s, each with k * (n - 1 - k) pairs {t, u} holding one descent
     checked = sum(c * (n - k) * k * (n - 1 - k)
                   for k, c in Counter(map(int.bit_count, below_rim)).items())
+    if ball.edges is None and _gates_level(ball):
+        return VerificationReport("P29", 0, ball.depth, (), checked)
+    ball.with_edges()  # to name the failures, or where the D-sets cannot decide
     checks = []
     for w, mask in enumerate(below_rim):
         if mask & (mask - 1):  # two descents or more
@@ -246,6 +320,80 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
     return VerificationReport("P29", 0, ball.depth, tuple(checks), checked)
 
 
+def _gates_level(ball: Ball) -> bool:
+    """Whether P29 holds, decided per D-set below the rim of a walk's ball.
+
+    The gate of w<s,t> is w shortened by the roots of <s,t> that w makes
+    negative, |D(w) n Phi+_st| of them, for Phi+_st lies in E when m_st is
+    finite.  So P29 holds when, per ascent s, every descent t gives one
+    count.  False when it fails, and where a label above the depth, read as
+    inf by the small roots, or an inf one leaves the count unknown.
+    """
+    d_sets, roots = _DSets(ball), {}
+    n = ball.matrix.rank
+    for d in d_sets.count(ball.states[:ball.layer(ball.depth).start]):
+        mask = d_sets.mask(d)
+        if not mask & (mask - 1):
+            continue
+        downs = [t for t in range(n) if mask >> t & 1]
+        for s in range(n):
+            if mask >> s & 1:
+                continue
+            sizes = set()
+            for t in downs:
+                if (s, t) not in roots:
+                    roots[s, t] = d_sets.dihedral(s, t, ball.matrix.order(s, t))
+                if roots[s, t] is None:
+                    return False
+                sizes.add((d & roots[s, t]).bit_count())
+            if len(sizes) > 1:
+                return False
+    return True
+
+
+def _exit_plan(ball: Ball, pairs, i: int):
+    """C210's work at the gates of length i, per pair {s, t}: its bits, those of
+    every other letter, the inner words whose exits stay inside, and the
+    instances inside and past the rim."""
+    n = ball.matrix.rank
+    room = ball.depth - i - 1  # the longest w' whose exits stay inside
+    plan = []
+    for s, t, bits, third, m in pairs:
+        # the longest word of <s, t> is checked once, from s
+        words = [_alternating(s, t, min(m, room)), _alternating(t, s, min(m - 1, room))]
+        inside = sum(max(0, len(word) - 1) for word in words) * (n - 2)
+        plan.append((bits, third, [word for word in words if len(word) > 1],
+                     inside, (2 * m - 3) * (n - 2) - inside))
+    return plan
+
+
+def _exit_counts(ball: Ball, plans) -> tuple[int, int] | None:
+    """C210's (checked, skipped) on a walk's ball, per length and D-set, or
+    None when an instance fails."""
+    d_sets = _DSets(ball)
+    checked = skipped = 0
+    passed = set()  # (D(w), word) whose instances hold
+    for i, plan in enumerate(plans):
+        layer = ball.layer(i)
+        for d, count in d_sets.count(ball.states[layer.start:layer.stop]).items():
+            mask = d_sets.mask(d)
+            for bits, third, words, inside, outside in plan:
+                if mask & bits:
+                    continue
+                checked += count * inside
+                skipped += count * outside
+                for word in words:
+                    if (d, word) in passed:
+                        continue
+                    mid = d_sets.step(d, word[0])
+                    for a in word[1:]:
+                        mid = d_sets.step(mid, a)
+                        if d_sets.mask(mid) & third:
+                            return None
+                    passed.add((d, word))
+    return checked, skipped
+
+
 def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
     """Leaving a rank-2 residue above its gate ascends.
 
@@ -259,18 +407,15 @@ def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
     if gate:
         require_complete_two_spherical(ball.matrix)
     n = ball.matrix.rank
-    edges, descents = ball.edges, ball.descents
     pairs = [pair for pair in _pairs(ball) if pair[-1] != INF]
+    plans = [_exit_plan(ball, pairs, i) for i in range(ball.depth)]
+    if ball.edges is None:
+        counts = _exit_counts(ball, plans)
+        if counts is not None:
+            return VerificationReport("C210", 0, ball.depth, (), *counts)
+    edges, descents = ball.with_edges().edges, ball.descents  # to name the failures
     checks, checked, skipped = [], 0, 0
-    for i in range(ball.depth):
-        room = ball.depth - i - 1  # the longest w' whose exits stay inside
-        plan = []
-        for s, t, bits, third, m in pairs:
-            # the longest word of <s, t> is checked once, from s
-            words = [_alternating(s, t, min(m, room)), _alternating(t, s, min(m - 1, room))]
-            inside = sum(max(0, len(word) - 1) for word in words) * (n - 2)
-            plan.append((bits, third, [word for word in words if len(word) > 1],
-                         inside, (2 * m - 3) * (n - 2) - inside))
+    for i, plan in enumerate(plans):
         for w in ball.layer(i):
             for bits, third, words, inside, outside in plan:
                 if descents[w] & bits:
@@ -308,8 +453,13 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
                     f"pair ({s},{t}) has order {ball.matrix.order(s, t)} < 4"
                 )
     n = ball.matrix.rank
-    descents = ball.descents
     pairs = _pairs(ball)
+    if ball.edges is None:
+        checked = _not_both_down_checked(ball, pairs)
+        if checked is not None:
+            return VerificationReport("L211", 0, ball.depth, (), checked)
+        ball.with_edges()  # to name the failures
+    descents = ball.descents
     checks, checked = [], 0
     for w in range(ball.layer(ball.depth).start):
         lw, row = ball.lengths[w], ball.edges[w]
@@ -323,3 +473,20 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
                                          (lw, lw), lw + 2, "in", False)
                               for r in range(n) if both >> r & 1)
     return VerificationReport("L211", 0, ball.depth, tuple(checks), checked)
+
+
+def _not_both_down_checked(ball: Ball, pairs) -> int | None:
+    """L211's checked count on a walk's ball, per D-set below the rim, or None
+    when an instance fails: the masks of ws and wt are those of D(ws), D(wt)."""
+    d_sets = _DSets(ball)
+    n = ball.matrix.rank
+    checked = 0
+    for d, count in d_sets.count(ball.states[:ball.layer(ball.depth).start]).items():
+        mask = d_sets.mask(d)
+        for s, t, bits, third, _ in pairs:
+            if mask & bits:
+                continue
+            checked += count * (n - 2)
+            if d_sets.mask(d_sets.step(d, s)) & d_sets.mask(d_sets.step(d, t)) & third:
+                return None
+    return checked

@@ -28,6 +28,7 @@ from coxgrowth import (
     taylor_coefficients,
     uniform_matrix,
 )
+from coxgrowth import ball as ball_module
 from coxgrowth.automaton import sphere_counts
 from coxgrowth.stats import verify_descent_ratio
 
@@ -645,12 +646,31 @@ def test_verify_builds_a_ball_for_the_geometry_suites_only(tmp_path, capsys, mon
     for _, _, argv in jobs:
         code, payload, _ = run_json(capsys, argv + ["--suite", COUNTING])
         assert code == 0 and payload["all_hold"] and payload["suites"]
+    # the geometry suites decide on the automaton walk: a passing run builds no
+    # ball, by either name, and a run that fails, or that P29 cannot decide,
+    # builds one for all its suites
     built = []
-    monkeypatch.setattr(cli, "build_ball", lambda *args, **kwargs: built.append(args)
-                        or build_ball(*args, **kwargs))
-    for _, _, argv in jobs:
-        assert run_cli(capsys, argv)[0] == 0
-    assert len(built) == len(jobs)
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build_ball(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ball", counted)
+    monkeypatch.setattr(ball_module, "build_ball", counted)
+    for size in ("full", "tiny"):
+        for _, _, argv in perfbench_module("workloads").make_jobs("verify", size, 1, tmp_path):
+            code, payload, _ = run_json(capsys, argv)
+            assert code == 0 and payload["all_hold"] and not built
+    for data, flags, failing in (
+            ({"m": [[1, 2, 4], [2, 1, 4], [4, 4, 1]]}, ["--no-hypothesis-gate"],
+             ["P29", "C210", "L211"]),
+            ({"m": [[1, 4, 4], [4, 1, 11], [4, 11, 1]]}, ["--suite", "P29"], [])):
+        argv = ["verify", "--matrix", matrix_file(tmp_path, data), "--depth", "6", *flags]
+        code, payload, _ = run_json(capsys, argv)
+        assert code == 0 and len(built) == 1
+        assert [entry["lemma"] for entry in payload["suites"]
+                if entry["verdict"] == "fails"] == failing
+        built.clear()
 
 
 @pytest.mark.parametrize("data, depth, checked", [

@@ -30,7 +30,7 @@ from coxgrowth import (
     verify_wall_pair_uniqueness,
 )
 from coxgrowth import roots as roots_module
-from coxgrowth.ball import _alternating
+from coxgrowth.ball import _alternating, walk_ball
 from coxgrowth.coxmatrix import cyclotomic_ring
 from coxgrowth.geometry import _word_str
 from coxgrowth.report import Comparison, VerificationReport
@@ -989,10 +989,98 @@ def test_scans_with_gate_distances_past_one_byte(rows, depth, failures):
                               "L211": (3_504, 0), "L24": (4_104, 0)}, id="t444"),
 ])
 def test_benchmark_verify_counts(name, depth, counts):
-    # the full verify jobs of the benchmark, whose checker reads verdicts only
-    ball = get_ball(perfbench_matrices()[name], depth)
-    got = {report.name: (report.checked, report.skipped)
-           for scan in (verify_projection_collapse, verify_exit_ascent,
-                        verify_not_both_down, verify_wall_pair_uniqueness)
-           for report in [scan(ball)]}
-    assert got == counts
+    # the full verify jobs of the benchmark, whose checker reads verdicts only, on the
+    # built ball and on the walk's, which must decide them without edges
+    matrix = perfbench_matrices()[name]
+    for ball in (get_ball(matrix, depth), walk_ball(matrix, depth)):
+        got = {report.name: (report.checked, report.skipped)
+               for scan in GEOMETRY_SCANS for report in [scan(ball)]}
+        assert got == counts
+    assert ball.edges is None
+
+
+# -- the walk's ball against the built one -------------------------------------
+
+
+GEOMETRY_SCANS = (verify_projection_collapse, verify_exit_ascent,
+                  verify_not_both_down, verify_wall_pair_uniqueness)
+
+
+def assert_walk_matches_build(matrix, depth, gate=True):
+    """walk_ball holds build_ball's arrays, and each geometry scan reports on it
+    what it reports on the built ball, or refuses the same hypothesis.  Returns
+    the walk's ball and the verdicts."""
+    walked, built = walk_ball(matrix, depth), build_ball(matrix, depth)
+    for name in ("parent", "letter", "lengths", "descents", "_offsets"):
+        assert getattr(walked, name) == getattr(built, name), name
+    verdicts = []
+    for scan in GEOMETRY_SCANS:
+        try:
+            want = scan(built, gate=gate).to_dict()
+        except HypothesisError:
+            with pytest.raises(HypothesisError):
+                scan(walked, gate=gate)
+            continue
+        assert scan(walked, gate=gate).to_dict() == want
+        verdicts.append((want["lemma"], want["verdict"]))
+    return walked, verdicts
+
+
+@pytest.mark.parametrize("rows,depth,failing,built", [
+    pytest.param([[1, 2, 4], [2, 1, 4], [4, 4, 1]], 6, ["P29", "C210", "L211"], True,
+                 id="(2,4,4)"),
+    pytest.param([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 6, ["L211"], True, id="A~2"),
+    pytest.param([[1, 3, 2], [3, 1, 3], [2, 3, 1]], 8, ["P29", "C210", "L211", "L24"], True,
+                 id="A3"),
+    # P29 meets a label above the depth, which the small roots read as inf
+    pytest.param([[1, 4, 4], [4, 1, 11], [4, 11, 1]], 6, [], True, id="(4,4,11)@6"),
+    pytest.param([[1, 4, 4], [4, 1, 11], [4, 11, 1]], 12, [], False, id="(4,4,11)@12"),
+])
+def test_walk_matches_build_where_it_falls_back(rows, depth, failing, built):
+    # a ball is built, once, only to name a failure or where P29 cannot decide
+    walked, verdicts = assert_walk_matches_build(validate_matrix(rows), depth, gate=False)
+    assert [name for name, verdict in verdicts if verdict == "fails"] == failing
+    assert (walked.edges is not None) == built
+
+
+def test_walk_names_every_wall_pair_failure():
+    # A3: all 15 wall pairs of L24 fail, each named by its two reflection words
+    ball = walk_ball(validate_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]]), 8)
+    report = verify_wall_pair_uniqueness(ball, gate=False)
+    assert report.checked == len(report.failures) == 15
+
+
+@pytest.mark.parametrize("name,depth", [("u44", 8), ("t444", 13), ("u44", 5), ("t444", 8)])
+def test_walk_matches_build_on_the_benchmark_jobs(name, depth):
+    walked, verdicts = assert_walk_matches_build(perfbench_matrices()[name], depth)
+    assert all(verdict == "holds" for _, verdict in verdicts) and len(verdicts) == 4
+    assert walked.edges is None
+
+
+def test_walk_matches_build_random():
+    # seeded draws: rank 2..5, labels that the small roots read as inf past the
+    # depth, depths 0..9, the hypothesis gates on and off
+    rng = random.Random(35)
+    labels = (2, 3, 4, 5, 6, 7, 9, 13, INF)
+    deepest = {2: 9, 3: 9, 4: 7, 5: 5}
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        rows = [[1] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = rng.choice(labels)
+        assert_walk_matches_build(validate_matrix(rows), rng.randint(0, deepest[n]),
+                                  gate=rng.random() < 0.5)
+
+
+def test_walk_ball_memory():
+    # u44 at depth 10, 80,441 elements: the walk's arrays keep about 55 B per
+    # element, and build_ball's, with their edges, about 170 B
+    matrix = uniform_matrix(4, 4)
+    tracemalloc.start()
+    try:
+        ball = walk_ball(matrix, 10)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ball.size == 80_441 and ball.edges is None
+    assert kept <= 100 * ball.size
