@@ -102,12 +102,13 @@ class Ball:
     descent s.
 
     A ball from walk_ball has no edges until `with_edges` asks for them;
-    it keeps instead each element's state in `states`, of the ShortLex
-    automaton `automaton`.  A ball from build_ball has both None.
+    it keeps instead, in `spheres[i]`, the distinct states of length i of
+    its ShortLex `automaton` and, in a parallel list, how many elements
+    have each.  A ball from build_ball has both None.
     """
 
     def __init__(self, matrix, depth, parent, letter, lengths, edges, offsets, descents,
-                 states=None, automaton=None):
+                 spheres=None, automaton=None):
         self.matrix = matrix
         self.depth = depth
         self.parent = parent
@@ -115,7 +116,7 @@ class Ball:
         self.lengths = lengths
         self.edges = edges
         self.descents = descents
-        self.states = states
+        self.spheres = spheres
         self.automaton = automaton
         self._offsets = offsets
 
@@ -312,27 +313,29 @@ def walk_ball(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP) -> Ball
     successors as children, in letter order, which is ShortLex order: the
     order of build_ball, whose parents and letters these are too.  So a
     length's arrays come from the states of the length before, one list
-    per distinct state, joined with `chain` and `repeat`.
+    per distinct state, joined with `chain` and `repeat`.  States are kept per
+    element for one length at a time; the ball keeps their counts per length.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     auto = ShortLex(matrix, depth, cap)
-    parent, letter, lengths, offsets, descents, states = [-1], [-1], [0], [0, 1], [0], [0]
+    parent, letter, lengths, offsets, descents = [-1], [-1], [0], [0, 1], [0]
+    below, spheres = [0], [([0], [1])]  # the states of the last length, one per element
     masks = {}  # descent mask by state, as the walk meets them
     for length, (layer, steps) in enumerate(_layers(auto, depth, cap), 1):
-        start, stop = offsets[-2], offsets[-1]
-        below = states[start:stop]
         letters = {state: [s for s, _ in successors] for state, successors in steps.items()}
         children = {state: [new for _, new in successors] for state, successors in steps.items()}
         masks.update({state: sum(1 << s for s in auto.descents(state))
                       for state in layer.keys() - masks.keys()})
         parent.extend(chain.from_iterable(
-            map(repeat, range(start, stop), map(len, map(letters.__getitem__, below)))))
+            map(repeat, range(*offsets[-2:]), map(len, map(letters.__getitem__, below)))))
         letter.extend(chain.from_iterable(map(letters.__getitem__, below)))
-        states.extend(chain.from_iterable(map(children.__getitem__, below)))
-        descents.extend(map(masks.__getitem__, states[stop:]))
-        lengths.extend(repeat(length, len(states) - stop))
-        offsets.append(len(states))
+        below = list(chain.from_iterable(map(children.__getitem__, below)))
+        descents.extend(map(masks.__getitem__, below))
+        lengths.extend(repeat(length, len(below)))
+        offsets.append(len(lengths))
+        spheres.append((list(layer), list(layer.values())))
     # past a finite group's longest element the lengths are empty
-    offsets.extend(repeat(len(states), depth + 2 - len(offsets)))
-    return Ball(matrix, depth, parent, letter, lengths, None, offsets, descents, states, auto)
+    offsets.extend(repeat(len(lengths), depth + 2 - len(offsets)))
+    spheres.extend(([], []) for _ in range(depth + 1 - len(spheres)))
+    return Ball(matrix, depth, parent, letter, lengths, None, offsets, descents, spheres, auto)

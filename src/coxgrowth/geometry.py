@@ -10,11 +10,12 @@ are their gates and pairs, found with no walk.
 The scans take a ball from walk_ball, which has no edges, or one from
 build_ball.  On the walk's ball P29, C210 and L211 decide per D-set, the
 small roots that an element makes negative, which its automaton state
-holds, and count each D-set once per element that has it; edges are
-built, with build_ball, only to name a failure, or where P29 cannot
-decide.  Then, as on a built ball, each reads the right-descent masks
-and walks edges where a mask cannot decide: C210's words and P29's gates
-at two descents.  Only C210 is still ball-scoped: a case whose chambers
+holds, weighted by the walk's count of elements per length and state,
+so a passing run reads no per-element array; edges are built, with
+build_ball, only to name a failure, or where P29 cannot decide.  Then,
+as on a built ball, each reads the right-descent masks and walks edges
+where a mask cannot decide: C210's words and P29's gates at two
+descents.  Only C210 is still ball-scoped: a case whose chambers
 would leave the ball is counted as skipped rather than guessed, and its
 report carries both a checked and a skipped count.
 """
@@ -111,12 +112,14 @@ class _DSets:
         self.even = (1 << 2 * len(auto.roots.vectors)) // 3  # bit 2i of every root i
         self.steps, self.masks = {}, {}
 
-    def count(self, states) -> Counter:
-        """How many of the states have each D-set."""
-        out = Counter()
-        for state, count in Counter(states).items():
-            out[state & self.even] += count
-        return out
+    def weights(self, spheres):
+        """(D-set, elements) per D-set of the walk's spheres, from their counts per state."""
+        out = {}
+        for states, counts in spheres:
+            for state, count in zip(states, counts):
+                d = state & self.even
+                out[d] = out.get(d, 0) + count
+        return out.items()
 
     def step(self, d: int, s: int) -> int:
         """D(ws) from D(w) = d, for an ascent s of w."""
@@ -295,13 +298,13 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
     if gate:
         require_complete_two_spherical(ball.matrix)
     n = ball.matrix.rank
+    if ball.edges is None and (checked := _gates_level(ball)) is not None:
+        return VerificationReport("P29", 0, ball.depth, (), checked)
+    ball.with_edges()  # to name the failures, or where the D-sets cannot decide
     below_rim = ball.descents[:ball.layer(ball.depth).start]  # every ascent is inside
     # (n - k) ascents s, each with k * (n - 1 - k) pairs {t, u} holding one descent
     checked = sum(c * (n - k) * k * (n - 1 - k)
                   for k, c in Counter(map(int.bit_count, below_rim)).items())
-    if ball.edges is None and _gates_level(ball):
-        return VerificationReport("P29", 0, ball.depth, (), checked)
-    ball.with_edges()  # to name the failures, or where the D-sets cannot decide
     checks = []
     for w, mask in enumerate(below_rim):
         if mask & (mask - 1):  # two descents or more
@@ -320,35 +323,35 @@ def verify_projection_collapse(ball: Ball, gate: bool = True) -> VerificationRep
     return VerificationReport("P29", 0, ball.depth, tuple(checks), checked)
 
 
-def _gates_level(ball: Ball) -> bool:
-    """Whether P29 holds, decided per D-set below the rim of a walk's ball.
+def _gates_level(ball: Ball) -> int | None:
+    """P29's checked count on a walk's ball, per D-set below the rim, or None
+    when it does not hold there.
 
     The gate of w<s,t> is w shortened by the roots of <s,t> that w makes
     negative, |D(w) n Phi+_st| of them, for Phi+_st lies in E when m_st is
     finite.  So P29 holds when, per ascent s, every descent t gives one
-    count.  False when it fails, and where a label above the depth, read as
+    count.  None when it fails, and where a label above the depth, read as
     inf by the small roots, or an inf one leaves the count unknown.
     """
-    d_sets, roots = _DSets(ball), {}
-    n = ball.matrix.rank
-    for d in d_sets.count(ball.states[:ball.layer(ball.depth).start]):
+    d_sets, n = _DSets(ball), ball.matrix.rank
+    roots = {(s, t): d_sets.dihedral(s, t, ball.matrix.order(s, t))
+             for s in range(n) for t in range(n) if s != t}
+    checked = 0
+    for d, count in d_sets.weights(ball.spheres[:ball.depth]):
         mask = d_sets.mask(d)
+        k = mask.bit_count()
+        checked += count * (n - k) * k * (n - 1 - k)
         if not mask & (mask - 1):
             continue
         downs = [t for t in range(n) if mask >> t & 1]
         for s in range(n):
             if mask >> s & 1:
                 continue
-            sizes = set()
-            for t in downs:
-                if (s, t) not in roots:
-                    roots[s, t] = d_sets.dihedral(s, t, ball.matrix.order(s, t))
-                if roots[s, t] is None:
-                    return False
-                sizes.add((d & roots[s, t]).bit_count())
-            if len(sizes) > 1:
-                return False
-    return True
+            sizes = {None if roots[s, t] is None else (d & roots[s, t]).bit_count()
+                     for t in downs}
+            if None in sizes or len(sizes) > 1:
+                return None
+    return checked
 
 
 def _exit_plan(ball: Ball, pairs, i: int):
@@ -373,9 +376,8 @@ def _exit_counts(ball: Ball, plans) -> tuple[int, int] | None:
     d_sets = _DSets(ball)
     checked = skipped = 0
     passed = set()  # (D(w), word) whose instances hold
-    for i, plan in enumerate(plans):
-        layer = ball.layer(i)
-        for d, count in d_sets.count(ball.states[layer.start:layer.stop]).items():
+    for plan, sphere in zip(plans, ball.spheres):
+        for d, count in d_sets.weights([sphere]):
             mask = d_sets.mask(d)
             for bits, third, words, inside, outside in plan:
                 if mask & bits:
@@ -409,10 +411,8 @@ def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
     n = ball.matrix.rank
     pairs = [pair for pair in _pairs(ball) if pair[-1] != INF]
     plans = [_exit_plan(ball, pairs, i) for i in range(ball.depth)]
-    if ball.edges is None:
-        counts = _exit_counts(ball, plans)
-        if counts is not None:
-            return VerificationReport("C210", 0, ball.depth, (), *counts)
+    if ball.edges is None and (counts := _exit_counts(ball, plans)) is not None:
+        return VerificationReport("C210", 0, ball.depth, (), *counts)
     edges, descents = ball.with_edges().edges, ball.descents  # to name the failures
     checks, checked, skipped = [], 0, 0
     for i, plan in enumerate(plans):
@@ -454,12 +454,9 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
                 )
     n = ball.matrix.rank
     pairs = _pairs(ball)
-    if ball.edges is None:
-        checked = _not_both_down_checked(ball, pairs)
-        if checked is not None:
-            return VerificationReport("L211", 0, ball.depth, (), checked)
-        ball.with_edges()  # to name the failures
-    descents = ball.descents
+    if ball.edges is None and (checked := _not_both_down_checked(ball, pairs)) is not None:
+        return VerificationReport("L211", 0, ball.depth, (), checked)
+    descents = ball.with_edges().descents  # to name the failures
     checks, checked = [], 0
     for w in range(ball.layer(ball.depth).start):
         lw, row = ball.lengths[w], ball.edges[w]
@@ -478,10 +475,9 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
 def _not_both_down_checked(ball: Ball, pairs) -> int | None:
     """L211's checked count on a walk's ball, per D-set below the rim, or None
     when an instance fails: the masks of ws and wt are those of D(ws), D(wt)."""
-    d_sets = _DSets(ball)
-    n = ball.matrix.rank
+    d_sets, n = _DSets(ball), ball.matrix.rank
     checked = 0
-    for d, count in d_sets.count(ball.states[:ball.layer(ball.depth).start]).items():
+    for d, count in d_sets.weights(ball.spheres[:ball.depth]):
         mask = d_sets.mask(d)
         for s, t, bits, third, _ in pairs:
             if mask & bits:

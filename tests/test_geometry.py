@@ -17,6 +17,7 @@ from coxgrowth import (
     GeneratorOutOfRangeError,
     HypothesisError,
     build_ball,
+    compute_stats,
     oracle_reduce,
     path_matrix,
     rank2_complete_residues,
@@ -982,11 +983,17 @@ def test_scans_with_gate_distances_past_one_byte(rows, depth, failures):
     assert len(p29.failures) == failures
 
 
+# (checked, skipped) per suite on the full verify jobs of the benchmark
+VERIFY_COUNTS = {
+    ("u44", 8): {"P29": (21_048, 0), "C210": (7_332, 96_348),
+                 "L211": (20_736, 0), "L24": (2_736, 0)},
+    ("t444", 13): {"P29": (7_002, 0), "C210": (4_122, 13_398),
+                   "L211": (3_504, 0), "L24": (4_104, 0)},
+}
+
+
 @pytest.mark.parametrize("name,depth,counts", [
-    pytest.param("u44", 8, {"P29": (21_048, 0), "C210": (7_332, 96_348),
-                            "L211": (20_736, 0), "L24": (2_736, 0)}, id="u44"),
-    pytest.param("t444", 13, {"P29": (7_002, 0), "C210": (4_122, 13_398),
-                              "L211": (3_504, 0), "L24": (4_104, 0)}, id="t444"),
+    pytest.param(name, depth, counts, id=name) for (name, depth), counts in VERIFY_COUNTS.items()
 ])
 def test_benchmark_verify_counts(name, depth, counts):
     # the full verify jobs of the benchmark, whose checker reads verdicts only, on the
@@ -999,6 +1006,25 @@ def test_benchmark_verify_counts(name, depth, counts):
     assert ball.edges is None
 
 
+class Unread:
+    """A sequence that refuses every read: an index, a slice, or iteration."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read at {key!r}")
+
+
+@pytest.mark.parametrize("name,depth", VERIFY_COUNTS, ids=[name for name, _ in VERIFY_COUNTS])
+def test_walk_routes_read_no_element(name, depth):
+    # a passing run of P29, C210 and L211 decides from the walk's counts per
+    # length and state, and reads none of the per-element arrays
+    ball = walk_ball(perfbench_matrices()[name], depth)
+    ball.descents = ball.parent = ball.letter = ball.lengths = Unread()
+    for scan in (verify_projection_collapse, verify_exit_ascent, verify_not_both_down):
+        report = scan(ball)
+        assert (report.checked, report.skipped) == VERIFY_COUNTS[name, depth][report.name]
+    assert ball.edges is None
+
+
 # -- the walk's ball against the built one -------------------------------------
 
 
@@ -1007,12 +1033,21 @@ GEOMETRY_SCANS = (verify_projection_collapse, verify_exit_ascent,
 
 
 def assert_walk_matches_build(matrix, depth, gate=True):
-    """walk_ball holds build_ball's arrays, and each geometry scan reports on it
-    what it reports on the built ball, or refuses the same hypothesis.  Returns
-    the walk's ball and the verdicts."""
+    """walk_ball holds build_ball's arrays and counts its spheres as the built
+    ball does, and each geometry scan reports on it what it reports on the
+    built ball, or refuses the same hypothesis.  Returns the walk's ball and
+    the verdicts."""
     walked, built = walk_ball(matrix, depth), build_ball(matrix, depth)
     for name in ("parent", "letter", "lengths", "descents", "_offsets"):
         assert getattr(walked, name) == getattr(built, name), name
+    # per length, the states' counts sum to c_i, and those of one descent to d_i
+    stats = compute_stats(built)
+    assert len(walked.spheres) == depth + 1
+    for i, (states, counts) in enumerate(walked.spheres):
+        assert len(set(states)) == len(states) == len(counts) and 0 not in counts
+        assert sum(counts) == stats.c[i]
+        assert sum(count for state, count in zip(states, counts)
+                   if len(walked.automaton.descents(state)) == 1) == stats.d[i]
     verdicts = []
     for scan in GEOMETRY_SCANS:
         try:
@@ -1073,14 +1108,19 @@ def test_walk_matches_build_random():
 
 
 def test_walk_ball_memory():
-    # u44 at depth 10, 80,441 elements: the walk's arrays keep about 55 B per
-    # element, and build_ball's, with their edges, about 170 B
-    matrix = uniform_matrix(4, 4)
-    tracemalloc.start()
-    try:
-        ball = walk_ball(matrix, 10)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert ball.size == 80_441 and ball.edges is None
-    assert kept <= 100 * ball.size
+    for matrix, depth, size, per_element in [
+        # u44: the walk's arrays and counts per state keep 45.0 B per element,
+        # and build_ball's arrays, with their edges, about 170 B
+        (uniform_matrix(4, 4), 10, 80_441, 47),
+        # A7, the whole group: its states never recur, so each length keeps one
+        # state and one count per element, 126.2 B per element in all
+        (path_matrix([3] * 6), 40, 40_320, 126.8),
+    ]:
+        tracemalloc.start()
+        try:
+            ball = walk_ball(matrix, depth)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ball.size == size and ball.edges is None
+        assert kept <= per_element * ball.size
