@@ -526,20 +526,18 @@ def _lines(auto: ShortLex, chunks: list[tuple[int, int]]):
         ids = list(chain.from_iterable(map(children.__getitem__, ids)))
 
 
-def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
-    """(c, d) for lengths 0..depth: c_i elements of length i, d_i those with one right descent.
+def _tally(auto: ShortLex, spheres, depth: int, cap: int):
+    """(c, d) for lengths 0..depth from the walk's lengths 1.., each as (states, counts).
 
-    The counts come from the count walk `_layers`, which raises
-    ResourceLimitError when the elements or the small roots' terms pass the cap.
+    The lengths are read as the walk makes them, so its cap trips first.
     Past a finite group's longest element the rows are zeros, one per
     length, and they count against the cap too: when depth + 1 rows pass
     it, ResourceLimitError is raised before any is made.
     """
-    auto = ShortLex(matrix, depth, cap)
     c, d = [1], [0]
-    for layer, _ in _layers(auto, depth, cap):
-        c.append(sum(layer.values()))
-        d.append(sum(count for state, count in layer.items()
+    for states, counts in spheres:
+        c.append(sum(counts))
+        d.append(sum(count for state, count in zip(states, counts)
                      if (state & auto.simple).bit_count() == 1))
     if len(c) <= depth:
         if depth + 1 > cap:
@@ -548,3 +546,14 @@ def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
         c.extend(repeat(0, depth + 1 - len(c)))
         d.extend(repeat(0, depth + 1 - len(d)))
     return c, d
+
+
+def sphere_counts(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP):
+    """(c, d) for lengths 0..depth: c_i elements of length i, d_i those with one right descent.
+
+    The walk `_layers` and `_tally` raise ResourceLimitError where the
+    elements, the small roots' terms or a finite group's rows pass the cap.
+    """
+    auto = ShortLex(matrix, depth, cap)
+    layers = ((layer.keys(), layer.values()) for layer, _ in _layers(auto, depth, cap))
+    return _tally(auto, layers, depth, cap)

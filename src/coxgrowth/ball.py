@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from math import inf as INF
 
-from .automaton import ShortLex, _layers
+from .automaton import ShortLex, _layers, _tally
 from .coxmatrix import CoxeterMatrix
 from .errors import (
     DEFAULT_CAP,
@@ -104,7 +104,8 @@ class Ball:
     A ball from walk_ball has no edges until `with_edges` asks for them;
     it keeps instead, in `spheres[i]`, the distinct states of length i of
     its ShortLex `automaton` and, in a parallel list, how many elements
-    have each.  A ball from build_ball has both None.
+    have each, and in `counts` the (c, d) of `sphere_counts`.  A ball from
+    build_ball has all three None.
     """
 
     def __init__(self, matrix, depth, parent, letter, lengths, edges, offsets, descents,
@@ -118,6 +119,7 @@ class Ball:
         self.descents = descents
         self.spheres = spheres
         self.automaton = automaton
+        self.counts = None
         self._offsets = offsets
 
     # -- lookup ---------------------------------------------------------
@@ -314,28 +316,36 @@ def walk_ball(matrix: CoxeterMatrix, depth: int, cap: int = DEFAULT_CAP) -> Ball
     order of build_ball, whose parents and letters these are too.  So a
     length's arrays come from the states of the length before, one list
     per distinct state, joined with `chain` and `repeat`.  States are kept per
-    element for one length at a time; the ball keeps their counts per length.
+    element for one length at a time; the ball keeps per length their counts, and c and d.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     auto = ShortLex(matrix, depth, cap)
     parent, letter, lengths, offsets, descents = [-1], [-1], [0], [0, 1], [0]
-    below, spheres = [0], [([0], [1])]  # the states of the last length, one per element
-    masks = {}  # descent mask by state, as the walk meets them
-    for length, (layer, steps) in enumerate(_layers(auto, depth, cap), 1):
-        letters = {state: [s for s, _ in successors] for state, successors in steps.items()}
-        children = {state: [new for _, new in successors] for state, successors in steps.items()}
-        masks.update({state: sum(1 << s for s in auto.descents(state))
-                      for state in layer.keys() - masks.keys()})
-        parent.extend(chain.from_iterable(
-            map(repeat, range(*offsets[-2:]), map(len, map(letters.__getitem__, below)))))
-        letter.extend(chain.from_iterable(map(letters.__getitem__, below)))
-        below = list(chain.from_iterable(map(children.__getitem__, below)))
-        descents.extend(map(masks.__getitem__, below))
-        lengths.extend(repeat(length, len(below)))
-        offsets.append(len(lengths))
-        spheres.append((list(layer), list(layer.values())))
-    # past a finite group's longest element the lengths are empty
+    spheres = [([0], [1])]
+
+    def lay_out():  # each length's arrays in turn, then its states and their counts
+        below, masks = [0], {}  # the last length's state per element; masks by state
+        for length, (layer, steps) in enumerate(_layers(auto, depth, cap), 1):
+            letters = {state: [s for s, _ in successors] for state, successors in steps.items()}
+            children = {state: [new for _, new in successors]
+                        for state, successors in steps.items()}
+            masks.update({state: sum(1 << s for s in auto.descents(state))
+                          for state in layer.keys() - masks.keys()})
+            parent.extend(chain.from_iterable(
+                map(repeat, range(*offsets[-2:]), map(len, map(letters.__getitem__, below)))))
+            letter.extend(chain.from_iterable(map(letters.__getitem__, below)))
+            below = list(chain.from_iterable(map(children.__getitem__, below)))
+            descents.extend(map(masks.__getitem__, below))
+            lengths.extend(repeat(length, len(below)))
+            offsets.append(len(lengths))
+            spheres.append((list(layer), list(layer.values())))
+            yield spheres[-1]
+
+    # a finite group's rows of zeros meet the cap here, before its empty lengths are made
+    counts = _tally(auto, lay_out(), depth, cap)
     offsets.extend(repeat(len(lengths), depth + 2 - len(offsets)))
     spheres.extend(([], []) for _ in range(depth + 1 - len(spheres)))
-    return Ball(matrix, depth, parent, letter, lengths, None, offsets, descents, spheres, auto)
+    ball = Ball(matrix, depth, parent, letter, lengths, None, offsets, descents, spheres, auto)
+    ball.counts = counts
+    return ball

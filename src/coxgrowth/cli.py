@@ -8,9 +8,9 @@ matrix or flag value, 4 element cap exceeded, 5 a verification suite
 failed on its validity range, 6 series coefficients disagree with the
 enumerated sphere sizes.
 
-stats, series and verify count with automaton.sphere_counts under one cap rule,
-which verify meets before it walks the automaton again for its geometry suites
-alone; those build a ball only to name a failure.
+stats, series and verify count under automaton.sphere_counts' cap rule; a verify
+with a geometry suite reads its counts off its one automaton walk, ball.walk_ball,
+and only P29 and L24 build a ball, to name a failure or where P29 cannot decide.
 verify and series bind the modules only they run with the package's `_bind`,
 and every package export resolves as cli.<name> before that; a name set on cli
 first, by a tracer or by monkeypatch, is the one the command calls.  main
@@ -165,13 +165,15 @@ def cmd_verify(args) -> int:
             what = f"unknown suite {unknown}" if unknown else "no suite selected"
             raise ValueError(f"{what}; choose from {', '.join(_SUITES)}")
     _bind(globals(), "stats")
-    c, d = sphere_counts(matrix, depth, cap=args.cap)
-    stats, ball = SphereStats(matrix, tuple(c), tuple(d)), None
     if any(token in _GEOMETRY for token in tokens):
         from .ball import walk_ball
 
         _bind(globals(), "geometry")
         ball = walk_ball(matrix, depth, cap=args.cap)
+        c, d = ball.counts
+    else:
+        ball, (c, d) = None, sphere_counts(matrix, depth, cap=args.cap)
+    stats = SphereStats(matrix, tuple(c), tuple(d))
     gate = not args.no_hypothesis_gate
 
     reports = []

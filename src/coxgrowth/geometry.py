@@ -7,17 +7,17 @@ exact.  Walls are named exactly by their roots over Z[zeta_N] (see
 ball's parents, letters and descent masks.  The rank-2 residues of L24
 are their gates and pairs, found with no walk.
 
-The scans take a ball from walk_ball, which has no edges, or one from
-build_ball.  On the walk's ball P29, C210 and L211 decide per D-set, the
-small roots that an element makes negative, which its automaton state
-holds, weighted by the walk's count of elements per length and state,
-so a passing run reads no per-element array; edges are built, with
-build_ball, only to name a failure, or where P29 cannot decide.  Then,
-as on a built ball, each reads the right-descent masks and walks edges
-where a mask cannot decide: C210's words and P29's gates at two
-descents.  Only C210 is still ball-scoped: a case whose chambers
-would leave the ball is counted as skipped rather than guessed, and its
-report carries both a checked and a skipped count.
+P29 and L24 take a ball from walk_ball, which has no edges, or one from
+build_ball; C210 and L211 take one from walk_ball.  On the walk's ball
+P29, C210 and L211 decide per D-set, the small roots that an element
+makes negative, which its automaton state holds, weighted by the walk's
+count of elements per length and state, so a passing run reads no
+per-element array.  C210 and L211 name their failures from the D-sets
+too; edges are built, with build_ball, only for P29 where it fails or
+cannot decide, and for the words of L24's failing walls.  Only C210 is
+still ball-scoped: a case whose chambers would leave the ball is counted
+as skipped rather than guessed, and its report carries both a checked
+and a skipped count.
 """
 from __future__ import annotations
 
@@ -106,6 +106,8 @@ class _DSets:
 
     def __init__(self, ball: Ball):
         auto = ball.automaton
+        if auto is None:
+            raise ValueError("a ball from build_ball keeps no D-sets; take one from walk_ball")
         self.descents = auto.descents
         self.images = [images for *_, images in auto.letters]
         self.act = auto.roots.act
@@ -120,6 +122,13 @@ class _DSets:
                 d = state & self.even
                 out[d] = out.get(d, 0) + count
         return out.items()
+
+    def below_rim(self, ball: Ball) -> list[int]:
+        """D(x) for each element x below the rim, in index order, from D(parent[x])."""
+        stop, out = ball.layer(ball.depth).start, [0]
+        for p, s in zip(ball.parent[1:stop], ball.letter[1:stop]):
+            out.append(self.step(out[p], s))
+        return out
 
     def step(self, d: int, s: int) -> int:
         """D(ws) from D(w) = d, for an ascent s of w."""
@@ -370,30 +379,14 @@ def _exit_plan(ball: Ball, pairs, i: int):
     return plan
 
 
-def _exit_counts(ball: Ball, plans) -> tuple[int, int] | None:
-    """C210's (checked, skipped) on a walk's ball, per length and D-set, or
-    None when an instance fails."""
-    d_sets = _DSets(ball)
-    checked = skipped = 0
-    passed = set()  # (D(w), word) whose instances hold
-    for plan, sphere in zip(plans, ball.spheres):
-        for d, count in d_sets.weights([sphere]):
-            mask = d_sets.mask(d)
-            for bits, third, words, inside, outside in plan:
-                if mask & bits:
-                    continue
-                checked += count * inside
-                skipped += count * outside
-                for word in words:
-                    if (d, word) in passed:
-                        continue
-                    mid = d_sets.step(d, word[0])
-                    for a in word[1:]:
-                        mid = d_sets.step(mid, a)
-                        if d_sets.mask(mid) & third:
-                            return None
-                    passed.add((d, word))
-    return checked, skipped
+def _exit_failures(d_sets: _DSets, d: int, word, third: int):
+    """(k, the third letters that descend from w w'_k) for each k that fails,
+    w' = word, from D(w) = d: each letter of w' ascends from w w'_(k-1)."""
+    mid = d_sets.step(d, word[0])
+    for k, a in enumerate(word[1:], 2):
+        mid = d_sets.step(mid, a)
+        if bad := d_sets.mask(mid) & third:
+            yield k, bad
 
 
 def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
@@ -411,27 +404,28 @@ def verify_exit_ascent(ball: Ball, gate: bool = True) -> VerificationReport:
     n = ball.matrix.rank
     pairs = [pair for pair in _pairs(ball) if pair[-1] != INF]
     plans = [_exit_plan(ball, pairs, i) for i in range(ball.depth)]
-    if ball.edges is None and (counts := _exit_counts(ball, plans)) is not None:
-        return VerificationReport("C210", 0, ball.depth, (), *counts)
-    edges, descents = ball.with_edges().edges, ball.descents  # to name the failures
-    checks, checked, skipped = [], 0, 0
-    for i, plan in enumerate(plans):
-        for w in ball.layer(i):
+    d_sets = _DSets(ball)
+    found = {}  # (D(w), w') -> its failures, as _exit_failures gives them
+    checked = skipped = 0
+    for plan, sphere in zip(plans, ball.spheres):
+        for d, count in d_sets.weights([sphere]):
+            mask = d_sets.mask(d)
             for bits, third, words, inside, outside in plan:
-                if descents[w] & bits:
+                if mask & bits:
                     continue
-                checked += inside
-                skipped += outside
+                checked += count * inside
+                skipped += count * outside
                 for word in words:
-                    mid = edges[w][word[0]]
-                    for k in range(2, len(word) + 1):
-                        mid = edges[mid][word[k - 1]]
-                        bad = descents[mid] & third
-                        if bad:
-                            checks.extend(Comparison(
-                                {"w": _word_str(ball, w), "inner": "".join(map(str, word[:k])),
-                                 "r": r}, i + k - 1, i + k + 1, "==", False)
-                                for r in range(n) if bad >> r & 1)
+                    if (d, word) not in found:
+                        found[d, word] = tuple(_exit_failures(d_sets, d, word, third))
+    checks = []
+    for w, d in enumerate(d_sets.below_rim(ball) if any(found.values()) else ()):
+        i, mask = ball.lengths[w], d_sets.mask(d)
+        checks.extend(Comparison(
+            {"w": _word_str(ball, w), "inner": "".join(map(str, word[:k])), "r": r},
+            i + k - 1, i + k + 1, "==", False)
+            for bits, _, words, _, _ in plans[i] if not mask & bits
+            for word in words for k, bad in found[d, word] for r in range(n) if bad >> r & 1)
     return VerificationReport("C210", 0, ball.depth, tuple(checks), checked, skipped)
 
 
@@ -442,9 +436,8 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
     whenever both ws and wt ascend.  Needs every pairwise order >= 4; run
     with gate=False to hunt counterexamples on systems with triple edges.
     A letter r passes when it ascends from ws or wt and fails when it
-    descends from both.  The ball records a mask when it makes the element,
-    and no later element adds a downward edge, so the masks of ws and wt
-    decide every r, at the rim too, and nothing is skipped.
+    descends from both, so nothing is skipped.  Decided per D-set of w
+    below the rim: the masks of ws and wt are those of D(ws) and D(wt).
     """
     if gate:
         for s, t in combinations(range(ball.matrix.rank), 2):
@@ -452,37 +445,18 @@ def verify_not_both_down(ball: Ball, gate: bool = True) -> VerificationReport:
                 raise HypothesisError(
                     f"pair ({s},{t}) has order {ball.matrix.order(s, t)} < 4"
                 )
-    n = ball.matrix.rank
-    pairs = _pairs(ball)
-    if ball.edges is None and (checked := _not_both_down_checked(ball, pairs)) is not None:
-        return VerificationReport("L211", 0, ball.depth, (), checked)
-    descents = ball.with_edges().descents  # to name the failures
-    checks, checked = [], 0
-    for w in range(ball.layer(ball.depth).start):
-        lw, row = ball.lengths[w], ball.edges[w]
-        for s, t, bits, third, _ in pairs:
-            if descents[w] & bits:
-                continue
-            checked += n - 2
-            both = descents[row[s]] & descents[row[t]] & third
-            if both:
-                checks.extend(Comparison({"w": _word_str(ball, w), "s": s, "t": t, "r": r},
-                                         (lw, lw), lw + 2, "in", False)
-                              for r in range(n) if both >> r & 1)
-    return VerificationReport("L211", 0, ball.depth, tuple(checks), checked)
-
-
-def _not_both_down_checked(ball: Ball, pairs) -> int | None:
-    """L211's checked count on a walk's ball, per D-set below the rim, or None
-    when an instance fails: the masks of ws and wt are those of D(ws), D(wt)."""
-    d_sets, n = _DSets(ball), ball.matrix.rank
-    checked = 0
+    n, pairs, d_sets = ball.matrix.rank, _pairs(ball), _DSets(ball)
+    found, checked = {}, 0  # D(w) -> (s, t, the letters descending from ws and wt) per failure
     for d, count in d_sets.weights(ball.spheres[:ball.depth]):
         mask = d_sets.mask(d)
-        for s, t, bits, third, _ in pairs:
-            if mask & bits:
-                continue
-            checked += count * (n - 2)
-            if d_sets.mask(d_sets.step(d, s)) & d_sets.mask(d_sets.step(d, t)) & third:
-                return None
-    return checked
+        ups = [(s, t, third) for s, t, bits, third, _ in pairs if not mask & bits]
+        checked += count * (n - 2) * len(ups)
+        found[d] = tuple((s, t, both) for s, t, third in ups if (
+            both := d_sets.mask(d_sets.step(d, s)) & d_sets.mask(d_sets.step(d, t)) & third))
+    checks = []
+    for w, d in enumerate(d_sets.below_rim(ball) if any(found.values()) else ()):
+        lw = ball.lengths[w]
+        checks.extend(Comparison({"w": _word_str(ball, w), "s": s, "t": t, "r": r},
+                                 (lw, lw), lw + 2, "in", False)
+                      for s, t, both in found[d] for r in range(n) if both >> r & 1)
+    return VerificationReport("L211", 0, ball.depth, tuple(checks), checked)

@@ -37,6 +37,7 @@ from coxgrowth import (
     verify_up_edge_balance,
     verify_wall_pair_uniqueness,
 )
+from coxgrowth.ball import walk_ball
 
 SYSTEMS = [
     ("I2(4)", validate_matrix([[1, 4], [4, 1]])),
@@ -266,32 +267,33 @@ def test_criterion_7_geometry_suite(criterion):
     problems = []
     skipped = 0
 
-    ball8 = get_ball(uniform_matrix(3, 4), 8)
-    for token, verifier in (
-        ("P29", verify_projection_collapse),
-        ("C210", verify_exit_ascent),
-        ("L211", verify_not_both_down),
-        ("L24", verify_wall_pair_uniqueness),
+    # C210 and L211 take the walk's ball alone
+    ball8, walk8 = get_ball(uniform_matrix(3, 4), 8), walk_ball(uniform_matrix(3, 4), 8)
+    for token, verifier, ball in (
+        ("P29", verify_projection_collapse, ball8),
+        ("C210", verify_exit_ascent, walk8),
+        ("L211", verify_not_both_down, walk8),
+        ("L24", verify_wall_pair_uniqueness, ball8),
     ):
-        report = verifier(ball8)
+        report = verifier(ball)
         skipped += report.skipped
         if not report.holds or report.failures:
             problems.append(f"{token}@(4,4,4): {len(report.failures)} violations")
 
-    ball6 = get_ball(uniform_matrix(4, 3), 6)
-    for token, verifier in (
-        ("P29", verify_projection_collapse),
-        ("C210", verify_exit_ascent),
-        ("L24", verify_wall_pair_uniqueness),
+    ball6, walk6 = get_ball(uniform_matrix(4, 3), 6), walk_ball(uniform_matrix(4, 3), 6)
+    for token, verifier, ball in (
+        ("P29", verify_projection_collapse, ball6),
+        ("C210", verify_exit_ascent, walk6),
+        ("L24", verify_wall_pair_uniqueness, ball6),
     ):
-        report = verifier(ball6)
+        report = verifier(ball)
         skipped += report.skipped
         if not report.holds or report.failures:
             problems.append(f"{token}@rank-4: {len(report.failures)} violations")
     with pytest.raises(HypothesisError):
-        verify_not_both_down(ball6)  # label 3 is outside the hypothesis
+        verify_not_both_down(walk6)  # label 3 is outside the hypothesis
 
-    diagnostic = verify_not_both_down(get_ball(uniform_matrix(3, 3), 8), gate=False)
+    diagnostic = verify_not_both_down(walk_ball(uniform_matrix(3, 3), 8), gate=False)
     if diagnostic.holds or len(diagnostic.failures) < 1:
         problems.append("diagnostic scan missed the affine counterexample")
 

@@ -647,8 +647,9 @@ def test_verify_builds_a_ball_for_the_geometry_suites_only(tmp_path, capsys, mon
         code, payload, _ = run_json(capsys, argv + ["--suite", COUNTING])
         assert code == 0 and payload["all_hold"] and payload["suites"]
     # the geometry suites decide on the automaton walk: a passing run builds no
-    # ball, by either name, and a run that fails, or that P29 cannot decide,
-    # builds one for all its suites
+    # ball, by either name, C210 and L211 name their failures from the walk's
+    # D-sets, and a run that fails P29, or that P29 cannot decide, builds one
+    # for all its suites
     built = []
 
     def counted(*args, **kwargs):
@@ -661,16 +662,31 @@ def test_verify_builds_a_ball_for_the_geometry_suites_only(tmp_path, capsys, mon
         for _, _, argv in perfbench_module("workloads").make_jobs("verify", size, 1, tmp_path):
             code, payload, _ = run_json(capsys, argv)
             assert code == 0 and payload["all_hold"] and not built
-    for data, flags, failing in (
-            ({"m": [[1, 2, 4], [2, 1, 4], [4, 4, 1]]}, ["--no-hypothesis-gate"],
-             ["P29", "C210", "L211"]),
-            ({"m": [[1, 4, 4], [4, 1, 11], [4, 11, 1]]}, ["--suite", "P29"], [])):
+    m244 = {"m": [[1, 2, 4], [2, 1, 4], [4, 4, 1]]}
+    for data, flags, failing, builds in (
+            (m244, ["--no-hypothesis-gate"], ["P29", "C210", "L211"], 1),
+            (m244, ["--suite", "C210,L211", "--no-hypothesis-gate"], ["C210", "L211"], 0),
+            ({"m": [[1, 4, 4], [4, 1, 11], [4, 11, 1]]}, ["--suite", "P29"], [], 1)):
         argv = ["verify", "--matrix", matrix_file(tmp_path, data), "--depth", "6", *flags]
         code, payload, _ = run_json(capsys, argv)
-        assert code == 0 and len(built) == 1
+        assert code == 0 and len(built) == builds
         assert [entry["lemma"] for entry in payload["suites"]
                 if entry["verdict"] == "fails"] == failing
         built.clear()
+
+
+def test_verify_walks_the_automaton_once(tmp_path, capsys, monkeypatch):
+    # the counts and, for the geometry suites, the ball come from one walk
+    made = []
+    init = automaton.ShortLex.__init__
+    monkeypatch.setattr(automaton.ShortLex, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    for size in ("full", "tiny"):
+        for _, _, argv in perfbench_module("workloads").make_jobs("verify", size, 1, tmp_path):
+            for flags in ([], ["--suite", COUNTING]):
+                code, payload, _ = run_json(capsys, argv + flags)
+                assert code == 0 and payload["all_hold"] and len(made) == 1
+                made.clear()
 
 
 @pytest.mark.parametrize("data, depth, checked", [
@@ -695,13 +711,15 @@ def test_verify_counts_a_finite_groups_rows_against_the_cap(tmp_path, capsys):
     path = matrix_file(tmp_path, {"m": [[1, 3], [3, 1]]})
     got = run_cli(capsys, ["verify", "--matrix", path, "--depth", "200", "--cap", "100"])
     assert got == (4, "", "error: element cap 100 reached by the 201 rows of lengths 0..200\n")
-    # the rows are refused before any is made, so a huge depth exits at once
-    proc = subprocess.run([sys.executable, "-m", "coxgrowth.cli", "verify", "--matrix", path,
-                           "--depth", str(10**9), "--suite", "L32"],
-                          capture_output=True, text=True, timeout=10)
-    assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr == ("error: element cap 10000000 reached by the 1000000001 rows "
-                           "of lengths 0..1000000000\n")
+    # the rows are refused before any is made, so a huge depth exits at once, also
+    # where the geometry suites walk the ball: before it lays out its empty lengths
+    for suites in (["--suite", "L32"], []):
+        proc = subprocess.run([sys.executable, "-m", "coxgrowth.cli", "verify", "--matrix", path,
+                               "--depth", str(10**9), *suites],
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("error: element cap 10000000 reached by the 1000000001 rows "
+                               "of lengths 0..1000000000\n")
 
 
 def test_verify_stops_on_the_terms_of_the_small_roots(tmp_path, capsys):
@@ -844,20 +862,28 @@ def counts_by_ball(matrix, depth, cap=10_000_000):
 def counted_by_ball(argv):
     """(exit code, stdout, stderr) of `series` or `verify` when the ball gave the counts.
 
-    counts_by_ball stands in for automaton.sphere_counts, so the command runs
-    as it did when it built the ball to count.
+    counts_by_ball stands in for automaton._tally, which turns the walk's
+    lengths into the counts on both routes, sphere_counts and walk_ball, so
+    the command runs as it did when it built the ball to count.  The walk's
+    lengths are still read, after the ball has counted, since walk_ball lays
+    out its arrays as they are read.
     """
+    matrix = load_matrix(argv[argv.index("--matrix") + 1])
     calls = []
 
-    def counts(*args, **kwargs):
-        calls.append(args)
-        return counts_by_ball(*args, **kwargs)
+    def counts(auto, spheres, depth, cap):
+        calls.append(depth)
+        got = counts_by_ball(matrix, depth, cap)
+        for _ in spheres:
+            pass
+        return got
 
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
-        patch.setattr(automaton, "sphere_counts", counts)
+        patch.setattr(automaton, "_tally", counts)
+        patch.setattr(ball_module, "_tally", counts)
         code = cli.main(argv)
-    assert calls, f"{argv[0]} no longer counts through automaton.sphere_counts"
+    assert len(calls) == 1, f"{argv[0]} counted {len(calls)} times through automaton._tally"
     return code, out.getvalue(), err.getvalue()
 
 

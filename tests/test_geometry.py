@@ -247,10 +247,17 @@ def test_projection_collapse_gate():
 
 
 def test_exit_ascent_scans():
-    report = verify_exit_ascent(get_ball(uniform_matrix(3, 4), 8))
+    report = verify_exit_ascent(walk_ball(uniform_matrix(3, 4), 8))
     assert report.holds and report.checked > 0 and report.skipped > 0
-    report = verify_exit_ascent(get_ball(uniform_matrix(4, 3), 6))
+    report = verify_exit_ascent(walk_ball(uniform_matrix(4, 3), 6))
     assert report.holds
+
+
+def test_exit_ascent_and_not_both_down_refuse_a_built_ball():
+    ball = get_ball(uniform_matrix(3, 4), 8)
+    for scan in (verify_exit_ascent, verify_not_both_down):
+        with pytest.raises(ValueError, match="walk_ball"):
+            scan(ball)
 
 
 def test_exit_ascent_base_example():
@@ -261,22 +268,22 @@ def test_exit_ascent_base_example():
 
 
 def test_not_both_down_holds_with_label_four():
-    report = verify_not_both_down(get_ball(uniform_matrix(3, 4), 8))
+    report = verify_not_both_down(walk_ball(uniform_matrix(3, 4), 8))
     assert report.holds and report.checked > 0
 
 
 def test_not_both_down_holds_with_label_five():
-    report = verify_not_both_down(get_ball(uniform_matrix(3, 5), 8))
+    report = verify_not_both_down(walk_ball(uniform_matrix(3, 5), 8))
     assert report.holds and report.checked > 0
 
 
 def test_not_both_down_gate():
     with pytest.raises(HypothesisError):
-        verify_not_both_down(get_ball(uniform_matrix(3, 3), 6))
+        verify_not_both_down(walk_ball(uniform_matrix(3, 3), 6))
 
 
 def test_not_both_down_affine_counterexample():
-    report = verify_not_both_down(get_ball(uniform_matrix(3, 3), 8), gate=False)
+    report = verify_not_both_down(walk_ball(uniform_matrix(3, 3), 8), gate=False)
     assert not report.holds
     assert len(report.failures) >= 1
     # a violation pins a chamber where both continuations drop
@@ -813,7 +820,7 @@ def test_wall_pair_uniqueness_gate():
 
 
 def test_scan_reports_serialize_with_skips():
-    report = verify_exit_ascent(get_ball(uniform_matrix(3, 4), 8))
+    report = verify_exit_ascent(walk_ball(uniform_matrix(3, 4), 8))
     data = report.to_dict()
     assert data["lemma"] == "C210"
     assert data["verdict"] == "holds"
@@ -929,17 +936,22 @@ def residues_by_bfs(ball):
 SCANS = [(verify_projection_collapse, p29_by_edges),
          (verify_exit_ascent, c210_by_edges),
          (verify_not_both_down, l211_by_edges)]
+# the scans that take the walk's ball alone, each with its edge walk
+WALK_ONLY = {verify_exit_ascent: c210_by_edges, verify_not_both_down: l211_by_edges}
 
 
 def assert_scans_match_edge_walks(ball):
-    """Each mask-driven scan reports what its edge walk reports, failures in order,
-    and the rank-2 triples are the (gate, s, t) of the residues `residue` walks,
+    """Each scan reports what its edge walk on the built ball reports, failures
+    in order, C210 and L211 on the walk's ball of the same matrix and depth, and
+    the rank-2 triples are the (gate, s, t) of the residues `residue` walks,
     each of them complete with 2m members."""
+    walk = walk_ball(ball.matrix, ball.depth)
     reports = []
     for scan, oracle in SCANS:
-        report = scan(ball, gate=False)
+        report = scan(walk if scan in WALK_ONLY else ball, gate=False)
         assert report.to_dict() == oracle(ball).to_dict()
         reports.append(report)
+    assert walk.edges is None
     walked = residues_by_bfs(ball)
     for res in walked:
         assert res.complete and len(res.members) == 2 * ball.matrix.order(*res.gens)
@@ -997,13 +1009,16 @@ VERIFY_COUNTS = {
 ])
 def test_benchmark_verify_counts(name, depth, counts):
     # the full verify jobs of the benchmark, whose checker reads verdicts only, on the
-    # built ball and on the walk's, which must decide them without edges
+    # built ball and on the walk's, which must decide them without edges; C210 and
+    # L211 take the walk's ball alone
     matrix = perfbench_matrices()[name]
-    for ball in (get_ball(matrix, depth), walk_ball(matrix, depth)):
+    walked = walk_ball(matrix, depth)
+    for ball in (get_ball(matrix, depth), walked):
         got = {report.name: (report.checked, report.skipped)
-               for scan in GEOMETRY_SCANS for report in [scan(ball)]}
+               for scan in GEOMETRY_SCANS
+               for report in [scan(walked if scan in WALK_ONLY else ball)]}
         assert got == counts
-    assert ball.edges is None
+    assert walked.edges is None
 
 
 class Unread:
@@ -1035,8 +1050,9 @@ GEOMETRY_SCANS = (verify_projection_collapse, verify_exit_ascent,
 def assert_walk_matches_build(matrix, depth, gate=True):
     """walk_ball holds build_ball's arrays and counts its spheres as the built
     ball does, and each geometry scan reports on it what it reports on the
-    built ball, or refuses the same hypothesis.  Returns the walk's ball and
-    the verdicts."""
+    built ball, or refuses the same hypothesis.  C210 and L211 refuse the built
+    ball and report on the walk's what their edge walks report on the built
+    one.  Returns the walk's ball and the verdicts."""
     walked, built = walk_ball(matrix, depth), build_ball(matrix, depth)
     for name in ("parent", "letter", "lengths", "descents", "_offsets"):
         assert getattr(walked, name) == getattr(built, name), name
@@ -1048,6 +1064,7 @@ def assert_walk_matches_build(matrix, depth, gate=True):
         assert sum(counts) == stats.c[i]
         assert sum(count for state, count in zip(states, counts)
                    if len(walked.automaton.descents(state)) == 1) == stats.d[i]
+    assert walked.counts == (list(stats.c), list(stats.d))
     verdicts = []
     for scan in GEOMETRY_SCANS:
         try:
@@ -1056,6 +1073,9 @@ def assert_walk_matches_build(matrix, depth, gate=True):
             with pytest.raises(HypothesisError):
                 scan(walked, gate=gate)
             continue
+        except ValueError as err:
+            assert scan in WALK_ONLY and "walk_ball" in str(err)
+            want = WALK_ONLY[scan](built).to_dict()
         assert scan(walked, gate=gate).to_dict() == want
         verdicts.append((want["lemma"], want["verdict"]))
     return walked, verdicts
@@ -1064,7 +1084,7 @@ def assert_walk_matches_build(matrix, depth, gate=True):
 @pytest.mark.parametrize("rows,depth,failing,built", [
     pytest.param([[1, 2, 4], [2, 1, 4], [4, 4, 1]], 6, ["P29", "C210", "L211"], True,
                  id="(2,4,4)"),
-    pytest.param([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 6, ["L211"], True, id="A~2"),
+    pytest.param([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 6, ["L211"], False, id="A~2"),
     pytest.param([[1, 3, 2], [3, 1, 3], [2, 3, 1]], 8, ["P29", "C210", "L211", "L24"], True,
                  id="A3"),
     # P29 meets a label above the depth, which the small roots read as inf
@@ -1072,7 +1092,8 @@ def assert_walk_matches_build(matrix, depth, gate=True):
     pytest.param([[1, 4, 4], [4, 1, 11], [4, 11, 1]], 12, [], False, id="(4,4,11)@12"),
 ])
 def test_walk_matches_build_where_it_falls_back(rows, depth, failing, built):
-    # a ball is built, once, only to name a failure or where P29 cannot decide
+    # a ball is built, once, only to name a P29 or L24 failure or where P29
+    # cannot decide; C210 and L211 name theirs from the walk's D-sets
     walked, verdicts = assert_walk_matches_build(validate_matrix(rows), depth, gate=False)
     assert [name for name, verdict in verdicts if verdict == "fails"] == failing
     assert (walked.edges is not None) == built
@@ -1124,3 +1145,18 @@ def test_walk_ball_memory():
             tracemalloc.stop()
         assert ball.size == size and ball.edges is None
         assert kept <= per_element * ball.size
+
+
+def test_failing_not_both_down_names_its_failures_in_little_memory():
+    # u43 at depth 8 is outside L211's hypothesis: 264 failures among 3,653
+    # elements, named from the walk's D-sets at a 31.9 B per element peak;
+    # building the ball's edges to name them peaks at 166
+    ball = walk_ball(uniform_matrix(4, 3), 8)
+    tracemalloc.start()
+    try:
+        report = verify_not_both_down(ball, gate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ball.size == 3_653 and len(report.failures) == 264 and ball.edges is None
+    assert peak <= 60 * ball.size
