@@ -5,7 +5,10 @@ result; s-adjacency is right multiplication.  Every computation is
 exact.  Walls are named exactly by their roots over Z[zeta_N] (see
 `roots`), so the wall scan L24 decides every complete residue from the
 ball's parents, letters and descent masks.  The rank-2 residues of L24
-are their gates and pairs, found with no walk.
+are their gates and pairs, found with no walk.  L24 counts each residue
+g<s,t> under its plane, span(g alpha_s, g alpha_t), whose positive roots
+are the residue's walls; it gives walls ids and pairs them only to name
+the failures of a plane that two residues share.
 
 P29 and L24 take a ball from walk_ball, which has no edges, or one from
 build_ball; C210 and L211 take one from walk_ball.  On the walk's ball
@@ -22,7 +25,7 @@ and a skipped count.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import combinations, groupby
+from itertools import combinations
 from math import inf as INF
 
 from .ball import Ball, _alternating
@@ -202,20 +205,85 @@ def _reflection_word(ball: Ball, residues, origin: int) -> str:
     return "".join(map(str, w + ((s, t)[k % 2],) + w[::-1]))
 
 
+def _residue_walls(ball: Ball, roots, residues):
+    """Per residue g<s,t>, the keys of its m walls g gamma_0, ..., g gamma_(m-1)."""
+    images_of, order, key, times = roots.images(ball), ball.matrix.order, roots.key, roots.times
+    for g, s, t in residues:
+        images = images_of(g)
+        m = order(s, t)
+        prev, cur = -images[t], images[s]
+        keys = [key(cur)]
+        for _ in range(m - 1):
+            prev, cur = cur, times(m, cur) - prev
+            keys.append(key(cur))
+        if len(set(keys)) < m:
+            raise ArithmeticError("a residue's walls must be distinct")
+        yield keys
+
+
+def _plane(keys) -> tuple[int, int]:
+    """A residue's plane: the keys of g alpha_s and g alpha_t, the smaller first."""
+    a, b = keys[0], keys[-1]
+    return (a, b) if a < b else (b, a)
+
+
+def _shared_wall_pairs(ball: Ball, roots, residues, planes) -> tuple[Comparison, ...]:
+    """A failure per wall pair of each plane that j > 1 residues have, with lhs j.
+
+    The walls get dense ids in first-sight order over the residues, and the
+    pairs come in the order of their ids.
+    """
+    walls = {}  # root key -> wall id
+    origins = []  # wall id -> r * depth + k for the k-th wall of its first residue, the r-th
+    shared = {}  # plane -> (j, its sorted wall ids), for the planes of j > 1 residues
+    for r, keys in enumerate(_residue_walls(ball, roots, residues)):
+        ids = []
+        for k, key in enumerate(keys):
+            wall = walls.get(key)
+            if wall is None:
+                wall = walls[key] = len(origins)
+                origins.append(r * ball.depth + k)
+            ids.append(wall)
+        plane = _plane(keys)
+        if planes[plane] > 1 and plane not in shared:
+            shared[plane] = (planes[plane], sorted(ids))
+    del walls  # the keys are not needed to name pairs; free them first
+    pairs = sorted((a, b, count) for count, ids in shared.values()
+                   for a, b in combinations(ids, 2))
+    return tuple(Comparison({"alpha": _reflection_word(ball, residues, origins[a]),
+                             "beta": _reflection_word(ball, residues, origins[b])},
+                            count, 1, "<=", False)
+                 for a, b, count in pairs)
+
+
 def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationReport:
     """Two distinct walls share at most one complete rank-2 residue.
 
     Each wall is named by its root over Z[zeta_N] up to sign, so every
     complete residue is decided and nothing is skipped.  The walls of
     g<s,t> are g gamma_k for the m positive roots gamma_0 = alpha_s,
-    gamma_1 = s alpha_t, gamma_2 = st alpha_s, ... of <s,t>, and g gamma_k
-    is the wall between the chamber g(st...)_k and its next neighbour.  The
-    gamma_k lie pi/m apart, so gamma_{k+1} = c_st gamma_k - gamma_{k-1} with
-    gamma_{-1} = -alpha_t, so only g alpha_s and g alpha_t are needed.  The
-    (g, s, t) triples come in ShortLex gate order, and `Roots.images` steps
-    each new gate's images from the prefix it shares with the gate before.
-    `checked` counts the distinct wall pairs seen; a failure names each wall
-    by a reflection word.  Needs every rank-3 subsystem infinite.
+    gamma_1 = s alpha_t, gamma_2 = st alpha_s, ..., gamma_(m-1) = alpha_t
+    of <s,t>, and g gamma_k is the wall between the chamber g(st...)_k and
+    its next neighbour.  The gamma_k lie pi/m apart, so gamma_{k+1} = c_st
+    gamma_k - gamma_{k-1} with gamma_{-1} = -alpha_t, so only g alpha_s and
+    g alpha_t are needed.  The (g, s, t) triples come in ShortLex gate
+    order, and `Roots.images` steps each new gate's images from the prefix
+    it shares with the gate before.
+
+    The residue is decided by its plane P = span(g alpha_s, g alpha_t).
+    The roots of W in span(alpha_s, alpha_t) are those of <s,t> (Humphreys,
+    Reflection Groups and Coxeter Groups, 5.5), so those in P are g Phi_st;
+    g has no descent in {s, t}, so it maps the positive roots of <s,t> to
+    positive roots, with simple roots g alpha_s and g alpha_t.  The walls
+    of the residue are thus the positive roots in P, and two distinct walls
+    lie in a common residue exactly when its plane is the one they span.
+    A plane's simple roots are unique, so every residue is counted under
+    its plane keyed by the unordered pair of the keys of g alpha_s and
+    g alpha_t, the first and last of its walls; `checked`, the distinct wall
+    pairs that share a residue, is the sum of C(m, 2) over the distinct
+    planes, and each pair of a plane that j > 1 residues have fails with
+    lhs j.  Only then are the walls given ids and named, each by a
+    reflection word.  Needs every rank-3 subsystem infinite.
 
     The roots are those of the matrix with every label above 4 depth made
     inf, as `SmallRoots` does with labels above depth; the rank-3 gate
@@ -238,40 +306,19 @@ def verify_wall_pair_uniqueness(ball: Ball, gate: bool = True) -> VerificationRe
     from .roots import Roots  # only L24 needs the ring; other commands never load it
 
     roots = Roots(truncate_labels(ball.matrix, 4 * ball.depth), ball.lengths[-1])
-    images_of = roots.images(ball)
     residues = rank2_complete_residues(ball)
-    walls = {}  # root key -> wall id
-    origins = []  # wall id -> r * depth + k for the k-th wall of its first residue, the r-th
-    pairs = []  # a << 32 | b for walls a < b, once per residue
-    for r, (g, s, t) in enumerate(residues):
-        images = images_of(g)
-        m = ball.matrix.order(s, t)
-        prev, cur = -images[t], images[s]
-        ids = []
-        for k in range(m):
-            if k:
-                prev, cur = cur, roots.times(m, cur) - prev
-            key = roots.key(cur)
-            wall = walls.get(key)
-            if wall is None:
-                wall = walls[key] = len(origins)
-                origins.append(r * ball.depth + k)
-            ids.append(wall)
-        assert len(set(ids)) == m, "a residue's walls must be distinct"
-        for a, b in combinations(sorted(ids), 2):
-            pairs.append(a << 32 | b)
-    del walls  # the roots are not needed to count pairs; free them first
-    pairs.sort()
-    checks = []
+    planes = {}  # plane -> how many residues have it
     checked = 0
-    for pair, run in groupby(pairs):
-        checked += 1
-        count = sum(1 for _ in run)
-        if count > 1:
-            alpha, beta = (_reflection_word(ball, residues, origins[wall])
-                           for wall in (pair >> 32, pair & 0xFFFFFFFF))
-            checks.append(Comparison({"alpha": alpha, "beta": beta}, count, 1, "<=", False))
-    return VerificationReport("L24", 0, ball.depth, tuple(checks), checked, 0)
+    for keys in _residue_walls(ball, roots, residues):
+        plane = _plane(keys)
+        seen = planes.get(plane, 0)
+        planes[plane] = seen + 1
+        if not seen:
+            checked += len(keys) * (len(keys) - 1) // 2
+    checks = ()
+    if len(planes) < len(residues):
+        checks = _shared_wall_pairs(ball, roots, residues, planes)
+    return VerificationReport("L24", 0, ball.depth, checks, checked, 0)
 
 
 def _gate_of(ball: Ball, start: int, s: int, t: int) -> int:

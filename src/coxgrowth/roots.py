@@ -54,7 +54,15 @@ class Roots:
         big, phi, odd, self._cells = cyclotomic_ring(matrix)
         self.big = big
         self.rank = n
-        self.reflection = reflection_rows(matrix)
+        rows = reflection_rows(matrix)
+        # per s, (m, every j with m_sj = m) for each label m of the row of s, so
+        # that a step forms c_sj p alpha_s once per label
+        self._steps = []
+        for row in rows:
+            by_label = {}
+            for j, m in row:
+                by_label.setdefault(m, []).append(j)
+            self._steps.append(tuple(by_label.items()))
         count = n * big // 2
         # bytes per digit: the bits of 3^longest, a sign bit and one to spare,
         # one per odd prime power of N for `key`, and 1, 2, 4 or 8 bytes where
@@ -74,7 +82,7 @@ class Roots:
         # per label m above 3: x^a moves a digit a * rank places; low-part
         # masks for a split after a * rank and after count - a * rank digits
         self._shifts = {}
-        for m in {m for row in self.reflection for _, m in row if 3 < m < INF}:
+        for m in {m for row in rows for _, m in row if 3 < m < INF}:
             up = big // (2 * int(m)) * n * self.width
             down = count * self.width - up
             self._shifts[m] = (up, down, 1 << (up - 1), (1 << up) - 1,
@@ -116,13 +124,15 @@ class Roots:
         one list per length: g = p s gives g alpha_s = -p alpha_s and
         g alpha_j = p alpha_j + c_sj p alpha_s, so a call pops back to the
         longest prefix it shares with the last one and steps once for each
-        letter after it.  Elements asked for in ShortLex order share long
-        prefixes.  The lists returned are shared: do not change them.
+        letter after it.  A step forms c_sj p alpha_s once per distinct
+        label m_sj of the row of s and adds it to every alpha_j with that
+        label.  Elements asked for in ShortLex order share long prefixes.
+        The lists returned are shared: do not change them.
         """
         unit = [1 << x * self.width for x in range(self.rank)]
         chain, stack = [0], [unit]  # the prefixes of the last element, by length
         parent, letter, lengths = ball.parent, ball.letter, ball.lengths
-        times, reflection = self.times, self.reflection
+        times, steps = self.times, self._steps
 
         def at(g: int) -> list[int]:
             path, k = [], lengths[g]
@@ -135,8 +145,10 @@ class Roots:
                 now = stack[-1][:]
                 root = now[s]
                 now[s] = -root
-                for j, m in reflection[s]:
-                    now[j] += times(m, root)
+                for m, js in steps[s]:
+                    moved = times(m, root)
+                    for j in js:
+                        now[j] += moved
                 chain.append(g)
                 stack.append(now)
             return stack[-1]

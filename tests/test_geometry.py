@@ -4,13 +4,19 @@ import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coxeter_matrices, cyclotomic_by_division, get_ball, perfbench_matrices
+from conftest import (
+    affine_a,
+    coxeter_matrices,
+    cyclotomic_by_division,
+    get_ball,
+    perfbench_matrices,
+)
 from coxgrowth import (
     INF,
     DiagramNotCompleteError,
@@ -30,10 +36,11 @@ from coxgrowth import (
     verify_projection_collapse,
     verify_wall_pair_uniqueness,
 )
+from coxgrowth import geometry
 from coxgrowth import roots as roots_module
-from coxgrowth.ball import _alternating, walk_ball
-from coxgrowth.coxmatrix import cyclotomic_ring
-from coxgrowth.geometry import _word_str
+from coxgrowth.ball import Ball, _alternating, walk_ball
+from coxgrowth.coxmatrix import cyclotomic_ring, truncate_labels
+from coxgrowth.geometry import _reflection_word, _word_str
 from coxgrowth.report import Comparison, VerificationReport
 from coxgrowth.roots import Roots
 
@@ -478,8 +485,8 @@ FINITE_RANK3 = validate_matrix([[1, 3, 2, 4], [3, 1, 3, 4], [2, 3, 1, 4], [4, 4,
 def sparse_fold(ball, half, g, letters):
     """g alpha_x for each letter x, folding g's parent chain onto alpha_x.
 
-    The oracle of `Roots.images`, written apart from `Roots.times` and
-    `Roots.reflection`.  A root is a list of sparse coordinates {e: a}, each
+    The oracle of `Roots.images`, written apart from `Roots.times` and the
+    reflection rows that `Roots` groups by label.  A root is a list of sparse coordinates {e: a}, each
     the sum of a x^e in Z[x]/(x^half + 1), so a step costs the terms it
     reads and not half.  c_sj = -2B(alpha_s, alpha_j) is x^a + x^-a =
     x^a - x^(half - a) with a = half/m_sj, 1 for m_sj = 3 and 2 for inf.
@@ -772,8 +779,10 @@ def test_wall_pair_uniqueness_diagnostic():
 
 
 def test_wall_pair_uniqueness_memory():
-    # one rendered root per wall and one int per wall pair peak at about
-    # 440 KB here; a dict counting the pairs beside the roots took 600 KB
+    # a passing run keeps one key pair per distinct plane, no wall ids and no
+    # pair list: it peaks at 115 KB here (KB = 1024 B), and the bound leaves
+    # 45 KB to spare.  Sorting an int per wall pair beside the walls' keys
+    # peaked at 279 KB
     ball = build_ball(uniform_matrix(4, 4), 8)
     tracemalloc.start()
     try:
@@ -782,13 +791,14 @@ def test_wall_pair_uniqueness_memory():
     finally:
         tracemalloc.stop()
     assert report.holds
-    assert peak <= 640 * 1024
+    assert peak <= 160 * 1024
 
 
 def test_wall_pair_uniqueness_memory_with_large_labels():
-    # N = 770: the ball (1.6 MB) and L24 peak at about 3.9 MB together, with
-    # the images of one gate's prefixes at a time; keeping every gate's
-    # images instead took 8.1 MB
+    # N = 770: the ball (1.6 MB) and L24 peak at 2.9 MB together (MB = 2^20 B),
+    # with the images of one gate's prefixes at a time and one key pair per
+    # plane; the bound leaves 0.6 MB to spare.  Counting every wall pair took
+    # 4.2 MB, and keeping every gate's images as well 8.1 MB
     matrix = validate_matrix([[1, 5, 7], [5, 1, 11], [7, 11, 1]])
     tracemalloc.start()
     try:
@@ -797,7 +807,7 @@ def test_wall_pair_uniqueness_memory_with_large_labels():
     finally:
         tracemalloc.stop()
     assert report.holds and report.checked == 1_991
-    assert peak <= 4.5 * 1024 * 1024
+    assert peak <= 3.5 * 1024 * 1024
 
 
 @settings(max_examples=40, deadline=None)
@@ -817,6 +827,119 @@ def test_walls_in_the_bounded_ring_match_the_full_ring(matrix, depth):
 def test_wall_pair_uniqueness_gate():
     with pytest.raises(HypothesisError):
         verify_wall_pair_uniqueness(get_ball(path_matrix([3, 3]), 4))
+
+
+# -- L24's planes against the count of its wall pairs ----------------------------
+
+
+def l24_by_pairs(ball):
+    """The former L24 loop, gate off: every wall pair of every complete residue.
+
+    Each residue's m walls get dense ids in first-sight order, each of its
+    C(m, 2) pairs of ids is listed once, and the sorted list is counted:
+    `checked` is the number of distinct pairs, and a pair listed j > 1 times
+    fails with lhs j, its walls named by reflection words.
+    """
+    roots = Roots(truncate_labels(ball.matrix, 4 * ball.depth), ball.lengths[-1])
+    images_of = roots.images(ball)
+    residues = rank2_complete_residues(ball)
+    walls, origins, pairs = {}, [], []
+    for r, (g, s, t) in enumerate(residues):
+        images = images_of(g)
+        m = ball.matrix.order(s, t)
+        prev, cur = -images[t], images[s]
+        ids = []
+        for k in range(m):
+            if k:
+                prev, cur = cur, roots.times(m, cur) - prev
+            wall = walls.setdefault(roots.key(cur), len(origins))
+            if wall == len(origins):
+                origins.append(r * ball.depth + k)
+            ids.append(wall)
+        assert len(set(ids)) == m
+        pairs.extend(a << 32 | b for a, b in combinations(sorted(ids), 2))
+    pairs.sort()
+    checks, checked = [], 0
+    for pair, run in groupby(pairs):
+        checked += 1
+        count = sum(1 for _ in run)
+        if count > 1:
+            alpha, beta = (_reflection_word(ball, residues, origins[wall])
+                           for wall in (pair >> 32, pair & 0xFFFFFFFF))
+            checks.append(Comparison({"alpha": alpha, "beta": beta}, count, 1, "<=", False))
+    return VerificationReport("L24", 0, ball.depth, tuple(checks), checked, 0)
+
+
+def assert_planes_match_pairs(matrix, depth):
+    """L24 reports on the walk's ball and on the built one what the pair count
+    reports on the built one.  Returns the number of failures."""
+    want = l24_by_pairs(get_ball(matrix, depth)).to_dict()
+    for ball in (walk_ball(matrix, depth), get_ball(matrix, depth)):
+        assert verify_wall_pair_uniqueness(ball, gate=False).to_dict() == want
+    return len(want["failures"])
+
+
+@pytest.mark.parametrize("matrix,depth,failures", [
+    *(pytest.param(perfbench_matrices()[name], depth, 0, id=f"{name}@{depth}")
+      for name, depth in (("u44", 8), ("t444", 13), ("u44", 5), ("t444", 8))),
+    pytest.param(validate_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]]), 8, 15, id="A3"),
+    pytest.param(FINITE_RANK3, 7, 62, id="finite-rank-3"),
+    pytest.param(affine_a(4), 7, 132, id="A~3"),
+    pytest.param(validate_matrix([[1, 5, 7], [5, 1, 11], [7, 11, 1]]), 12, 0, id="(5,7,11)"),
+])
+def test_wall_pair_planes_match_pair_count(matrix, depth, failures):
+    assert assert_planes_match_pairs(matrix, depth) == failures
+
+
+def test_wall_pair_planes_match_pair_count_random():
+    # seeded draws, gate off: rank 2..5, labels that the ring reads as inf past
+    # 4 depth, depths 0..9; finite rank-3 subsystems make some of them fail
+    rng = random.Random(38)
+    labels = (2, 3, 4, 5, 6, 7, 9, 13, INF)
+    deepest = {2: 9, 3: 9, 4: 7, 5: 5}
+    failing = 0
+    for _ in range(160):
+        n = rng.randint(2, 5)
+        rows = [[1] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = rng.choice(labels)
+        failing += assert_planes_match_pairs(validate_matrix(rows),
+                                             rng.randint(0, deepest[n])) > 0
+    assert failing >= 5
+
+
+def test_wall_pair_uniqueness_refuses_equal_walls_in_a_residue():
+    # a key that names every root alike gives each residue one wall; the check
+    # must raise, and not by an assert that python -O strips
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Roots, "key", lambda self, root: 0)
+        with pytest.raises(ArithmeticError, match="walls must be distinct"):
+            verify_wall_pair_uniqueness(walk_ball(uniform_matrix(4, 4), 5))
+
+
+@pytest.mark.parametrize("name,depth", [("u44", 8), ("t444", 13)])
+def test_passing_wall_pair_uniqueness_keys_each_wall_once(name, depth):
+    # a passing L24 keys the m walls of each complete residue once each, and
+    # neither names a wall nor builds the edges to name one
+    ball = walk_ball(perfbench_matrices()[name], depth)
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Roots, "key", counted("key", Roots.key))
+        patch.setattr(Ball, "with_edges", counted("with_edges", Ball.with_edges))
+        patch.setattr(geometry, "_reflection_word",
+                      counted("_reflection_word", geometry._reflection_word))
+        report = verify_wall_pair_uniqueness(ball)
+    assert report.holds and (report.checked, report.skipped) == VERIFY_COUNTS[name, depth]["L24"]
+    assert calls == {"key": sum(ball.matrix.order(s, t)
+                                for _, s, t in rank2_complete_residues(ball))}
+    assert ball.edges is None
 
 
 def test_scan_reports_serialize_with_skips():
